@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import PowerModel, SystemConfig, derived_scalars, validate_config
+from .config import (PowerModel, SystemConfig, derived_scalars, override,
+                     validate_config)
 
 
 class RateUnachievableError(ValueError):
@@ -44,6 +46,14 @@ class SinrBreakdown:
     S: float            # desired-signal power
     I_PC: float         # pilot-contamination interference power
     I_MU_scaled: float  # multi-user interference scaled by n (I_MU' = n*I_MU)
+
+
+class OperatingPoint(NamedTuple):
+    """Cell EE with the transmit and total power that produce it."""
+
+    ee: float       # bits/Joule
+    p_d: float      # downlink transmit power, W
+    p_total: float  # cell power draw, W
 
 
 def large_scale_gains(cfg: SystemConfig, nearest=None) -> np.ndarray:
@@ -131,6 +141,31 @@ def total_power(cfg: SystemConfig, pm: PowerModel, gamma: float,
     return total_power_at_se(cfg, pm, se, n=n, p_d=p_d)
 
 
+def rate_from_sinr(cfg: SystemConfig, sinr) -> float:
+    """Cell spectral efficiency from per-user SINRs (bits/s/Hz)."""
+    return float((cfg.T - cfg.tau_u) / cfg.T * np.log2(1.0 + np.asarray(sinr)).sum())
+
+
+def operating_point(cfg: SystemConfig, pm: PowerModel,
+                    gamma: float | None = None) -> OperatingPoint:
+    """EE, transmit power and total power of the configured cell.
+
+    With ``gamma=None`` the cell transmits at the configured p_d; with a
+    target rate gamma it transmits at the p_d that realizes gamma, raising
+    InfeasibleAntennasError / RateUnachievableError when no positive power
+    does.
+    """
+    validate_config(cfg, pm, analytic=True)
+    if gamma is None:
+        p_d = cfg.p_d
+        se = rate_from_sinr(cfg, [deterministic_sinr(cfg)] * cfg.K)
+    else:
+        p_d = required_transmit_power(cfg, sinr_breakdown(cfg), gamma, cfg.n)
+        se = (cfg.T - cfg.tau_u) / cfg.T * cfg.K * gamma
+    p_total = total_power_at_se(cfg, pm, se, p_d=p_d)
+    return OperatingPoint(cfg.B * se / p_total, p_d, p_total)
+
+
 def energy_efficiency(cfg: SystemConfig, pm: PowerModel, gamma: float,
                       n: int | None = None, M: int | None = None,
                       K: int | None = None) -> float:
@@ -140,11 +175,4 @@ def energy_efficiency(cfg: SystemConfig, pm: PowerModel, gamma: float,
     InfeasibleAntennasError / RateUnachievableError when no positive power
     does.  n, M, K override the corresponding config entries.
     """
-    changes = {k: v for k, v in (("n", n), ("M", M), ("K", K)) if v is not None}
-    if changes:
-        cfg = cfg.replace(**changes)
-    validate_config(cfg, pm, analytic=True)
-    brk = sinr_breakdown(cfg)
-    p_d = required_transmit_power(cfg, brk, gamma, cfg.n)
-    se = (cfg.T - cfg.tau_u) / cfg.T * cfg.K * gamma
-    return cfg.B * se / total_power_at_se(cfg, pm, se, p_d=p_d)
+    return operating_point(override(cfg, n=n, M=M, K=K), pm, gamma).ee

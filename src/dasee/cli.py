@@ -10,60 +10,33 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 from . import geometry, montecarlo
-from .asymptotic import (InfeasibleAntennasError, RateUnachievableError,
-                         deterministic_sinr, energy_efficiency,
-                         required_transmit_power, sinr_breakdown,
-                         total_power_at_se)
-from .config import (ConfigError, PowerModel, SystemConfig, dbm_from_watts,
-                     load_scenario)
+from .asymptotic import (InfeasibleAntennasError, OperatingPoint,
+                         RateUnachievableError, operating_point)
+from .config import (_DBM_CONVERTIBLE, _POWER_FIELDS, _SYSTEM_FIELDS,
+                     PILOT_NOISE_MODES, ConfigError, PowerModel, SystemConfig,
+                     dbm_from_watts, load_scenario)
 from .optimize import (OptimizationError, optimal_k, optimal_m, optimal_n,
                        optimal_n_no_pc)
 
-_MODEL_KEYS = ("L", "M", "K", "n", "psi", "T", "B", "d", "iota", "Rc", "beta",
-               "alpha1", "alpha2", "p_u", "p_d", "sigma2", "pilot_noise_mode")
-_DBM_KEYS = ("p_u_dbm", "p_d_dbm", "sigma2_dbm")
-_POWER_KEYS = ("P_FIX", "P_RRH", "P_0", "P_BT", "zeta")
-_INT_KEYS = {"L", "M", "K", "n", "psi", "T", "d"}
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One sweep experiment: model, swept variable, values, and modes."""
-
-    cfg: SystemConfig
-    pm: PowerModel
-    sweep: str                  # config field or "gamma"
-    values: tuple
-    gamma: float | None = None  # None means fixed-p_d mode
-    realizations: int = 0       # > 0 adds a Monte-Carlo column
-    seed: int = 1
+# Every config field, and the dBm form of each power, is a model flag.
+_MODEL_ARGS = {**_SYSTEM_FIELDS,
+               **{key + "_dbm": "float" for key in _DBM_CONVERTIBLE},
+               **_POWER_FIELDS}
 
 
 def add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
-    for key in _MODEL_KEYS:
-        flag = "--" + key.replace("_", "-")
-        if key in _INT_KEYS:
-            parser.add_argument(flag, dest=key, type=int)
-        elif key == "pilot_noise_mode":
-            parser.add_argument(flag, dest=key, choices=("exact", "negligible"))
-        else:
-            parser.add_argument(flag, dest=key, type=float)
-    for key in _DBM_KEYS:
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
-    for key in _POWER_KEYS:
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
+    for key, annotation in _MODEL_ARGS.items():
+        kind = ({"choices": PILOT_NOISE_MODES} if annotation == "str"
+                else {"type": int if annotation == "int" else float})
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, **kind)
 
 
 def scenario_from_args(args) -> tuple[SystemConfig, PowerModel]:
-    overrides = {}
-    for key in _MODEL_KEYS + _DBM_KEYS + _POWER_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    """Defaults <- ``--config`` file <- the model flags given on the line."""
+    overrides = {key: getattr(args, key, None) for key in _MODEL_ARGS}
     return load_scenario(getattr(args, "config", None), overrides)
 
 
@@ -80,60 +53,35 @@ def write_rows(header, rows, output=None) -> None:
             handle.close()
 
 
-def run_sweep(scenario: Scenario):
-    """One row per sweep value: EE (and optional MC EE), p_d, total power."""
-    if not scenario.values:
+def n_sweep(cfg: SystemConfig, pm: PowerModel, n_values
+            ) -> list[tuple[SystemConfig, OperatingPoint]]:
+    """Each antenna count's config and its operating point at fixed p_d."""
+    if not n_values:
         raise ConfigError("empty sweep range")
-    rows = []
-    for value in scenario.values:
-        if scenario.sweep == "gamma":
-            cfg, gamma = scenario.cfg, float(value)
-        else:
-            cfg, gamma = scenario.cfg.replace(**{scenario.sweep: value}), scenario.gamma
-        if gamma is None:
-            sinr = deterministic_sinr(cfg)
-            se = montecarlo.rate_from_sinr(cfg, [sinr] * cfg.K)
-            p_d = cfg.p_d
-            ptot = total_power_at_se(cfg, scenario.pm, se)
-            ee = cfg.B * se / ptot
-            feasible = True
-        else:
-            try:
-                brk = sinr_breakdown(cfg)
-                p_d = required_transmit_power(cfg, brk, gamma, cfg.n)
-                ee = energy_efficiency(cfg, scenario.pm, gamma)
-                se = (cfg.T - cfg.tau_u) / cfg.T * cfg.K * gamma
-                ptot = total_power_at_se(cfg, scenario.pm, se, p_d=p_d)
-                feasible = True
-            except (InfeasibleAntennasError, RateUnachievableError):
-                p_d = ee = ptot = float("nan")
-                feasible = False
-        row = {"sweep": value, "ee_de": ee, "p_d": p_d, "p_total": ptot,
-               "feasible": int(feasible)}
-        if scenario.realizations > 0:
-            row["ee_mc"] = montecarlo.empirical_ee(
-                cfg, scenario.pm, scenario.realizations, scenario.seed)
-        rows.append(row)
-    return rows
+    points = [cfg.replace(n=n) for n in n_values]
+    return [(point, operating_point(point, pm)) for point in points]
 
 
 def _int_range(text: str):
     """Parse '10:60:10' or comma list '10,20,30' into a tuple of ints."""
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        start, stop = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        return tuple(range(start, stop + 1, step))
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    try:
+        if ":" in text:
+            parts = [int(p) for p in text.split(":")]
+            start, stop = parts[0], parts[1]
+            step = parts[2] if len(parts) > 2 else 1
+            return tuple(range(start, stop + 1, step))
+        return tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad range {text!r}: {exc}") from None
 
 
 # --- subcommands ----------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
-    layout = geometry.build_layout(args.M or 7, args.Rc or 2000.0,
-                                   L=args.L or 7)
-    result = geometry.calibrate(layout, args.iota or 2.5, args.K or 10,
-                                args.drops, seed=args.seed,
+    cfg, _ = scenario_from_args(args)
+    layout = geometry.build_layout(cfg.M, cfg.Rc, L=cfg.L)
+    result = geometry.calibrate(layout, cfg.iota, cfg.K, args.drops,
+                                seed=args.seed,
                                 min_distance=args.min_distance)
     lines = [f"{key} = {value!r}" for key, value in
              result.config_overrides().items()]
@@ -147,26 +95,26 @@ def cmd_calibrate(args) -> int:
 
 def cmd_de_curve(args) -> int:
     cfg, pm = scenario_from_args(args)
-    scenario = Scenario(cfg, pm, "n", _int_range(args.n_range))
-    rows = run_sweep(scenario)
+    points = n_sweep(cfg, pm, _int_range(args.n_range))
     write_rows(["n", "ee_de_bits_per_joule", "ee_de_mbits_per_joule",
                 "p_d_watts", "p_d_dbm", "p_total_watts", "feasible"],
-               [[r["sweep"], r["ee_de"], r["ee_de"] / 1e6, r["p_d"],
-                 dbm_from_watts(r["p_d"]), r["p_total"], r["feasible"]]
-                for r in rows], args.output)
+               [[point.n, op.ee, op.ee / 1e6, op.p_d, dbm_from_watts(op.p_d),
+                 op.p_total, 1] for point, op in points], args.output)
     return 0
 
 
 def cmd_mc_validate(args) -> int:
     cfg, pm = scenario_from_args(args)
-    scenario = Scenario(cfg, pm, "n", _int_range(args.n_range),
-                        realizations=args.realizations, seed=args.seed)
-    rows = run_sweep(scenario)
+    if args.realizations < 1:
+        raise ConfigError(f"realizations must be >= 1, got {args.realizations}")
+    rows = []
+    for point, op in n_sweep(cfg, pm, _int_range(args.n_range)):
+        ee_mc = montecarlo.empirical_ee(point, pm, args.realizations, args.seed)
+        rows.append([point.n, op.ee, ee_mc, abs(ee_mc - op.ee) / op.ee, op.p_d,
+                     op.p_total, 1])
     write_rows(["n", "ee_de_bits_per_joule", "ee_mc_bits_per_joule",
                 "rel_error", "p_d_watts", "p_total_watts", "feasible"],
-               [[r["sweep"], r["ee_de"], r["ee_mc"],
-                 abs(r["ee_mc"] - r["ee_de"]) / r["ee_de"], r["p_d"],
-                 r["p_total"], r["feasible"]] for r in rows], args.output)
+               rows, args.output)
     return 0
 
 

@@ -70,6 +70,12 @@ class SystemConfig:
         return dataclasses.replace(self, **changes)
 
 
+def override(cfg: SystemConfig, **changes) -> SystemConfig:
+    """``cfg`` with the entries of ``changes`` that are not None applied."""
+    changes = {k: v for k, v in changes.items() if v is not None}
+    return cfg.replace(**changes) if changes else cfg
+
+
 @dataclass(frozen=True)
 class PowerModel:
     """Per-cell power consumption parameters."""

@@ -10,32 +10,40 @@ from __future__ import annotations
 import math
 
 from . import montecarlo
-from .asymptotic import (InfeasibleAntennasError, RateUnachievableError,
-                         deterministic_sinr, energy_efficiency,
-                         required_transmit_power, sinr_breakdown,
-                         total_power_at_se)
+from .asymptotic import RateUnachievableError, operating_point
 from .config import PowerModel, SystemConfig
-from .optimize import OptimizationError, optimal_n
+from .optimize import OptimizationError, ee_or_none, optimal_n
 
 GAMMA_DEFAULT = 2.0
 N_SWEEP = tuple(range(2, 61))
 
 
-def _rate_point(cfg: SystemConfig, pm: PowerModel, gamma: float, n: int):
+def _optimum(cfg: SystemConfig, pm: PowerModel, gamma: float, M=None):
+    """(n*, EE) of ``optimal_n``, or (-1, NaN) when no n reaches gamma."""
     try:
-        ee = energy_efficiency(cfg, pm, gamma, n=n)
-        p_d = required_transmit_power(cfg.replace(n=n), sinr_breakdown(cfg),
-                                      gamma, n)
-        return ee, p_d, 1
-    except (InfeasibleAntennasError, RateUnachievableError):
-        return math.nan, math.nan, 0
-
-
-def _n_star(cfg: SystemConfig, pm: PowerModel, gamma: float):
-    try:
-        return optimal_n(cfg, pm, gamma).n
+        res = optimal_n(cfg, pm, gamma, M=M)
+        return res.n, res.ee
     except (RateUnachievableError, OptimizationError):
-        return -1
+        return -1, math.nan
+
+
+def _curve(key, cfg, pm, var, values, tail=()):
+    """One row ``key + [v, ee, feasible] + tail`` per swept value v of
+    ``var`` at rate GAMMA_DEFAULT; infeasible points get NaN, feasible=0."""
+    rows = []
+    for value in values:
+        ee = ee_or_none(cfg, pm, GAMMA_DEFAULT, **{var: value})
+        rows.append([*key, value, math.nan if ee is None else ee,
+                     int(ee is not None), *tail])
+    return rows
+
+
+def _n_curve(key, cfg, pm, step=1):
+    """EE vs n over the multiples of ``step`` in N_SWEEP, each row ending
+    in the closed-form n*."""
+    tail = (_optimum(cfg, pm, GAMMA_DEFAULT)[0],)
+    return _curve(key, cfg, pm, "n", [n for n in N_SWEEP if n % step == 0],
+                  tail)
 
 
 def figure2(cfg, pm, realizations=1000, seed=1):
@@ -48,9 +56,7 @@ def figure2(cfg, pm, realizations=1000, seed=1):
             base = cfg.replace(psi=psi, K=K)
             for n in range(10, 61, 10):
                 point = base.replace(n=n)
-                sinr = deterministic_sinr(point)
-                se = montecarlo.rate_from_sinr(point, [sinr] * K)
-                ee_de = point.B * se / total_power_at_se(point, pm, se)
+                ee_de = operating_point(point, pm).ee
                 ee_mc = montecarlo.empirical_ee(point, pm, realizations, seed)
                 rows.append([psi, K, n, ee_de, ee_mc,
                              abs(ee_mc - ee_de) / ee_de])
@@ -63,13 +69,7 @@ def figure3(cfg, pm, realizations=0, seed=1):
     rows = []
     for d in (1, 2):
         for beta in (cfg.beta, 0.2 * cfg.beta):
-            base = cfg.replace(d=d, beta=beta)
-            star = _n_star(base, pm, GAMMA_DEFAULT)
-            for n in N_SWEEP:
-                if n % d:
-                    continue
-                ee, _, ok = _rate_point(base, pm, GAMMA_DEFAULT, n)
-                rows.append([d, beta, n, ee, ok, star])
+            rows += _n_curve([d, beta], cfg.replace(d=d, beta=beta), pm, d)
     return header, rows
 
 
@@ -80,11 +80,7 @@ def figure4(cfg, pm, realizations=0, seed=1):
     for p_rrh in (1.0, 0.2):
         pm_i = pm.replace(P_RRH=p_rrh)
         for psi in (1, cfg.L):
-            base = cfg.replace(psi=psi)
-            star = _n_star(base, pm_i, GAMMA_DEFAULT)
-            for n in N_SWEEP:
-                ee, _, ok = _rate_point(base, pm_i, GAMMA_DEFAULT, n)
-                rows.append([p_rrh, psi, n, ee, ok, star])
+            rows += _n_curve([p_rrh, psi], cfg.replace(psi=psi), pm_i)
     return header, rows
 
 
@@ -96,11 +92,8 @@ def figure5(cfg, pm, realizations=0, seed=1):
     for psi in (1, cfg.L):
         base = cfg.replace(psi=psi)
         for gamma in gammas:
-            try:
-                res = optimal_n(base, pm, gamma)
-                rows.append([psi, gamma, res.ee, res.n])
-            except (RateUnachievableError, OptimizationError):
-                rows.append([psi, gamma, math.nan, -1])
+            n_star, ee = _optimum(base, pm, gamma)
+            rows.append([psi, gamma, ee, n_star])
     return header, rows
 
 
@@ -110,13 +103,8 @@ def figure6(cfg, pm, realizations=0, seed=1):
     rows = []
     for alpha2 in (0.075, 0.15, 0.3):
         for psi in (1, cfg.L):
-            base = cfg.replace(d=2, alpha2=alpha2, psi=psi)
-            star = _n_star(base, pm, GAMMA_DEFAULT)
-            for n in N_SWEEP:
-                if n % 2:
-                    continue
-                ee, _, ok = _rate_point(base, pm, GAMMA_DEFAULT, n)
-                rows.append([alpha2, psi, n, ee, ok, star])
+            rows += _n_curve([alpha2, psi],
+                             cfg.replace(d=2, alpha2=alpha2, psi=psi), pm, 2)
     return header, rows
 
 
@@ -125,13 +113,8 @@ def figure7(cfg, pm, realizations=0, seed=1):
     header = ["psi", "d", "K", "ee_bits_per_joule", "feasible"]
     rows = []
     for psi, d in ((1, 1), (cfg.L, 1), (1, 2)):
-        base = cfg.replace(psi=psi, d=d, n=20)
-        for K in range(1, base.T // psi + 1):
-            try:
-                ee = energy_efficiency(base, pm, GAMMA_DEFAULT, K=K)
-                rows.append([psi, d, K, ee, 1])
-            except (InfeasibleAntennasError, RateUnachievableError):
-                rows.append([psi, d, K, math.nan, 0])
+        rows += _curve([psi, d], cfg.replace(psi=psi, d=d, n=20), pm, "K",
+                       range(1, cfg.T // psi + 1))
     return header, rows
 
 
@@ -140,10 +123,7 @@ def figure8(cfg, pm, realizations=0, seed=1):
     header = ["M", "n", "ee_bits_per_joule", "feasible"]
     rows = []
     for M in range(1, 11):
-        base = cfg.replace(M=M)
-        for n in N_SWEEP:
-            ee, _, ok = _rate_point(base, pm, GAMMA_DEFAULT, n)
-            rows.append([M, n, ee, ok])
+        rows += _curve([M], cfg.replace(M=M), pm, "n", N_SWEEP)
     return header, rows
 
 
@@ -154,11 +134,8 @@ def figure9(cfg, pm, realizations=0, seed=1):
     for K in (10, 50, 100):
         base = cfg.replace(K=K)
         for M in range(1, 16):
-            try:
-                res = optimal_n(base, pm, GAMMA_DEFAULT, M=M)
-                rows.append([K, M, res.n, res.ee, 1])
-            except (RateUnachievableError, OptimizationError):
-                rows.append([K, M, -1, math.nan, 0])
+            n_star, ee = _optimum(base, pm, GAMMA_DEFAULT, M=M)
+            rows.append([K, M, n_star, ee, int(n_star > 0)])
     return header, rows
 
 
@@ -169,10 +146,7 @@ def figure10(cfg, pm, realizations=0, seed=1):
     for p0, pbt in ((0.825, 0.25e-9), (8.25, 2.5e-9)):
         pm_i = pm.replace(P_0=p0, P_BT=pbt)
         for M in (7, 1):
-            base = cfg.replace(M=M)
-            for n in N_SWEEP:
-                ee, _, ok = _rate_point(base, pm_i, GAMMA_DEFAULT, n)
-                rows.append([M, p0, pbt, n, ee, ok])
+            rows += _curve([M, p0, pbt], cfg.replace(M=M), pm_i, "n", N_SWEEP)
     return header, rows
 
 

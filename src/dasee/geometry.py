@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
+
 DEFAULT_RING_FRACTION = 2.0 / 3.0
 DEFAULT_SPACING_FACTOR = 2.0   # neighbor-center distance in units of Rc
 DEFAULT_MIN_DISTANCE = 200.0   # m, user-to-RRH exclusion radius
@@ -56,9 +58,9 @@ def build_layout(M: int, Rc: float, L: int = 7,
                  spacing_factor: float = DEFAULT_SPACING_FACTOR) -> Layout:
     """Center cell plus (L-1) neighbors, one central RRH plus an RRH ring."""
     if L not in (1, 7):
-        raise ValueError(f"unsupported cell count L={L} (expected 1 or 7)")
+        raise ConfigError(f"unsupported cell count L={L} (expected 1 or 7)")
     if M < 1:
-        raise ValueError("M must be >= 1")
+        raise ConfigError("M must be >= 1")
     centers = [(0.0, 0.0)]
     for k in range(L - 1):
         angle = k * np.pi / 3.0
@@ -112,7 +114,7 @@ def calibrate(layout: Layout, iota: float, K: int, drops: int, seed=None,
     alpha1 = E{intra}/beta, alpha2 = E{inter}/beta.
     """
     if drops < 1:
-        raise ValueError("drops must be >= 1")
+        raise ConfigError("drops must be >= 1")
     rng = np.random.default_rng(seed)
     M = layout.M
     sum_nearest = sum_intra = sum_inter = 0.0

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotic import large_scale_gains, total_power_at_se
+from .asymptotic import large_scale_gains, rate_from_sinr, total_power_at_se
 from .config import PowerModel, SystemConfig, validate_config
 
 
@@ -162,6 +162,28 @@ def _subspace_draws(cfg: SystemConfig, scale_pilot, g0_scale, coeff, noncopilot,
     return g0, w
 
 
+def _draws(cfg: SystemConfig, realizations: int, seed: int,
+           gains: np.ndarray | None):
+    """Validate ``cfg`` now; iterate over the (g0, w) of each realization
+    in order, realization r drawn from its own substream."""
+    validate_config(cfg)
+    if gains is None:
+        gains = large_scale_gains(cfg)
+    groups = _pilot_groups(cfg.L, cfg.psi)
+    jj0 = int(np.flatnonzero(groups[0] == 0)[0])
+    noncopilot = np.flatnonzero(np.arange(cfg.L) % cfg.psi != 0)
+    scale_pilot = np.empty((cfg.L, cfg.M, cfg.L // cfg.psi, cfg.K))
+    for l in range(cfg.L):
+        scale_pilot[l] = np.sqrt(gains[l][:, groups[l % cfg.psi], :] * cfg.d)
+    g0_scale = np.sqrt(gains[:, :, 0, :] * cfg.d)
+    coeff = _estimation_coefficient(cfg, gains)
+    rngs = (np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        for r in range(realizations))
+    return (_subspace_draws(cfg, scale_pilot, g0_scale, coeff, noncopilot,
+                            jj0, rng) for rng in rngs)
+
+
 def empirical_sinr_rate(cfg: SystemConfig, realizations: int, seed: int,
                         gains: np.ndarray | None = None
                         ) -> tuple[np.ndarray, float]:
@@ -171,21 +193,9 @@ def empirical_sinr_rate(cfg: SystemConfig, realizations: int, seed: int,
     power normalization estimated from the same batch.  Returns
     ``(sinr, se)`` with sinr of shape (K,) and se in bits/s/Hz.
     """
-    validate_config(cfg)
+    draws = _draws(cfg, realizations, seed, gains)
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
-    if gains is None:
-        gains = large_scale_gains(cfg)
-
-    groups = _pilot_groups(cfg.L, cfg.psi)
-    group0 = groups[0]
-    jj0 = int(np.flatnonzero(group0 == 0)[0])
-    noncopilot = np.flatnonzero(np.arange(cfg.L) % cfg.psi != 0)
-    scale_pilot = np.empty((cfg.L, cfg.M, cfg.L // cfg.psi, cfg.K))
-    for l in range(cfg.L):
-        scale_pilot[l] = np.sqrt(gains[l][:, groups[l % cfg.psi], :] * cfg.d)
-    g0_scale = np.sqrt(gains[:, :, 0, :] * cfg.d)
-    coeff = _estimation_coefficient(cfg, gains)
 
     sum_eff = np.zeros(cfg.K, dtype=complex)   # effective channel, user k
     sum_eff2 = np.zeros(cfg.K)
@@ -194,11 +204,7 @@ def empirical_sinr_rate(cfg: SystemConfig, realizations: int, seed: int,
     sum_wnorm = np.zeros(cfg.L)
     off_diag = ~np.eye(cfg.K, dtype=bool)
 
-    for r in range(realizations):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        g0, w = _subspace_draws(cfg, scale_pilot, g0_scale, coeff,
-                                noncopilot, jj0, rng)
+    for g0, w in draws:
         # y[l, k, i] = sum_m g_{lm0k}^T w_{lmi}, with w = ghat*
         y = np.einsum("lmkp,lmip->lki", g0, w.conj())
         own = y[0].diagonal()
@@ -219,11 +225,6 @@ def empirical_sinr_rate(cfg: SystemConfig, realizations: int, seed: int,
     return sinr, se
 
 
-def rate_from_sinr(cfg: SystemConfig, sinr: np.ndarray) -> float:
-    """Cell spectral efficiency from per-user SINRs (bits/s/Hz)."""
-    return float((cfg.T - cfg.tau_u) / cfg.T * np.log2(1.0 + np.asarray(sinr)).sum())
-
-
 def empirical_transmit_power(cfg: SystemConfig, realizations: int, seed: int,
                              lam: np.ndarray | None = None,
                              gains: np.ndarray | None = None) -> np.ndarray:
@@ -233,24 +234,8 @@ def empirical_transmit_power(cfg: SystemConfig, realizations: int, seed: int,
     passing the closed-form normalization 1/(n*S) instead makes this a real
     consistency check of the precoder second moment.
     """
-    validate_config(cfg)
-    if gains is None:
-        gains = large_scale_gains(cfg)
-    groups = _pilot_groups(cfg.L, cfg.psi)
-    jj0 = int(np.flatnonzero(groups[0] == 0)[0])
-    noncopilot = np.flatnonzero(np.arange(cfg.L) % cfg.psi != 0)
-    scale_pilot = np.empty((cfg.L, cfg.M, cfg.L // cfg.psi, cfg.K))
-    for l in range(cfg.L):
-        scale_pilot[l] = np.sqrt(gains[l][:, groups[l % cfg.psi], :] * cfg.d)
-    g0_scale = np.sqrt(gains[:, :, 0, :] * cfg.d)
-    coeff = _estimation_coefficient(cfg, gains)
-
     sum_wnorm = np.zeros(cfg.L)
-    for r in range(realizations):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        _, w = _subspace_draws(cfg, scale_pilot, g0_scale, coeff,
-                               noncopilot, jj0, rng)
+    for _, w in _draws(cfg, realizations, seed, gains):
         sum_wnorm += (np.abs(w) ** 2).sum(axis=(1, 2, 3))
     if lam is None:
         lam = cfg.K / (sum_wnorm / realizations)

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .asymptotic import (InfeasibleAntennasError, RateUnachievableError,
-                         energy_efficiency, min_antennas,
-                         required_transmit_power, sinr_breakdown)
-from .config import ConfigError, PowerModel, SystemConfig, derived_scalars
+                         energy_efficiency, min_antennas, operating_point,
+                         sinr_breakdown)
+from .config import (ConfigError, PowerModel, SystemConfig, derived_scalars,
+                     override)
 
 BISECTION_WIDTH = 1e-3   # interval width on the continuous user count
 DEFAULT_M_MAX = 30
-DEFAULT_N_CAP = 400      # upper scan bound for the antenna oracle
 
 
 class OptimizationError(ValueError):
@@ -91,13 +91,14 @@ def exhaustive_argmax(evaluate: Callable[[int], float | None],
     return best_arg
 
 
-def _ee_at_n(cfg: SystemConfig, pm: PowerModel, gamma: float):
-    def evaluate(n: int):
-        try:
-            return energy_efficiency(cfg, pm, gamma, n=n)
-        except (InfeasibleAntennasError, RateUnachievableError, ConfigError):
-            return None
-    return evaluate
+def ee_or_none(cfg: SystemConfig, pm: PowerModel, gamma: float,
+               **point) -> float | None:
+    """``energy_efficiency`` at ``point`` (n, M, K overrides), or None when
+    that point is infeasible or violates the configuration invariants."""
+    try:
+        return energy_efficiency(cfg, pm, gamma, **point)
+    except (InfeasibleAntennasError, RateUnachievableError, ConfigError):
+        return None
 
 
 def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
@@ -108,9 +109,7 @@ def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
     the transmit power, offset by the minimum feasible antenna count; the
     integer answer is the EE-preferred neighbor.
     """
-    changes = {k: v for k, v in (("M", M), ("K", K)) if v is not None}
-    if changes:
-        cfg = cfg.replace(**changes)
+    cfg = override(cfg, M=M, K=K)
     brk = sinr_breakdown(cfg)
     n_min = min_antennas(cfg, brk, gamma)  # raises if gamma unachievable
     margin = brk.S / (2.0 ** gamma - 1.0) - brk.I_PC
@@ -118,12 +117,10 @@ def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
     n_real = (math.sqrt(data_fraction * cfg.sigma2 * cfg.K
                         / (margin * cfg.M * pm.P_RRH))
               + brk.I_MU_scaled / margin)
-    evaluate = _ee_at_n(cfg, pm, gamma)
-    n_star = floor_ceil_select(n_real, evaluate)
-    return OptimizationResult(
-        ee=evaluate(n_star), p_d=required_transmit_power(cfg, brk, gamma, n_star),
-        n=n_star, M=cfg.M, K=cfg.K, x_real=n_real,
-        window=(float(n_min), math.inf))
+    n_star = floor_ceil_select(n_real, lambda n: ee_or_none(cfg, pm, gamma, n=n))
+    ee, p_d, _ = operating_point(cfg.replace(n=n_star), pm, gamma)
+    return OptimizationResult(ee=ee, p_d=p_d, n=n_star, M=cfg.M, K=cfg.K,
+                              x_real=n_real, window=(float(n_min), math.inf))
 
 
 def optimal_n_no_pc(cfg: SystemConfig, pm: PowerModel, gamma: float,
@@ -168,10 +165,8 @@ def z_of_k(cfg: SystemConfig, pm: PowerModel, gamma: float, K: float,
     optimum.  Defined (and evaluated) under negligible pilot noise, where
     the signal and contamination powers do not depend on K.
     """
-    changes = {k: v for k, v in (("n", n), ("M", M)) if v is not None}
-    if changes:
-        cfg = cfg.replace(**changes)
-    clean, mu1, mu2, slope = _user_count_scalars(cfg, pm, gamma)
+    clean, mu1, mu2, slope = _user_count_scalars(override(cfg, n=n, M=M),
+                                                 pm, gamma)
     upper = min(clean.T / clean.psi, mu1 / slope)
     if not 0.0 < K < upper:
         raise ValueError(f"K={K:g} outside the open interval (0, {upper:g})")
@@ -189,10 +184,8 @@ def optimal_k(cfg: SystemConfig, pm: PowerModel, gamma: float,
     For exact pilot noise, scan ``energy_efficiency`` with
     ``exhaustive_argmax`` instead.
     """
-    changes = {k: v for k, v in (("n", n), ("M", M)) if v is not None}
-    if changes:
-        cfg = cfg.replace(**changes)
-    clean, mu1, mu2, slope = _user_count_scalars(cfg, pm, gamma)
+    clean, mu1, mu2, slope = _user_count_scalars(override(cfg, n=n, M=M),
+                                                 pm, gamma)
     upper = min(clean.T / clean.psi, mu1 / slope)
     z = lambda K: z_of_k(clean, pm, gamma, K)  # noqa: E731
     lo = upper * 1e-9
@@ -206,19 +199,10 @@ def optimal_k(cfg: SystemConfig, pm: PowerModel, gamma: float,
         else:
             hi = mid
     k_real = 0.5 * (lo + hi)
-
-    def evaluate(K: int):
-        try:
-            return energy_efficiency(clean, pm, gamma, K=K)
-        except (InfeasibleAntennasError, RateUnachievableError, ConfigError):
-            return None
-
-    k_star = floor_ceil_select(k_real, evaluate)
-    brk = sinr_breakdown(clean.replace(K=k_star))
-    return OptimizationResult(
-        ee=evaluate(k_star),
-        p_d=required_transmit_power(clean.replace(K=k_star), brk, gamma, clean.n),
-        K=k_star, n=clean.n, M=clean.M, x_real=k_real, window=(0.0, upper))
+    k_star = floor_ceil_select(k_real, lambda K: ee_or_none(clean, pm, gamma, K=K))
+    ee, p_d, _ = operating_point(clean.replace(K=k_star), pm, gamma)
+    return OptimizationResult(ee=ee, p_d=p_d, K=k_star, n=clean.n, M=clean.M,
+                              x_real=k_real, window=(0.0, upper))
 
 
 def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
@@ -242,12 +226,8 @@ def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
             if n is None:
                 cand = optimal_n(cfg, pm, gamma, M=M)
             else:
-                ee = energy_efficiency(cfg, pm, gamma, n=n, M=M)
-                scoped = cfg.replace(M=M, n=n)
-                brk = sinr_breakdown(scoped)
-                cand = OptimizationResult(
-                    ee=ee, p_d=required_transmit_power(scoped, brk, gamma, n),
-                    n=n, M=M, K=cfg.K)
+                ee, p_d, _ = operating_point(cfg.replace(n=n, M=M), pm, gamma)
+                cand = OptimizationResult(ee=ee, p_d=p_d, n=n, M=M, K=cfg.K)
         except (InfeasibleAntennasError, RateUnachievableError, ConfigError):
             continue
         if best is None or cand.ee > best.ee:
@@ -257,10 +237,3 @@ def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
     return OptimizationResult(ee=best.ee, p_d=best.p_d, n=best.n, K=cfg.K,
                               M=best.M, x_real=best.x_real,
                               window=(1.0, float(M_max)))
-
-
-def feasible_antenna_range(cfg: SystemConfig, gamma: float,
-                           cap: int = DEFAULT_N_CAP) -> range:
-    """Integer antenna window [n_min, cap] for the exhaustive oracle."""
-    brk = sinr_breakdown(cfg)
-    return range(min_antennas(cfg, brk, gamma), cap + 1)

@@ -1,10 +1,23 @@
+import csv
+import dataclasses
+import io
 import json
+import math
 
-import numpy as np
 import pytest
 
-from dasee.cli import Scenario, main, run_sweep
-from dasee.config import ConfigError, PowerModel, SystemConfig, load_scenario
+from dasee import figures
+from dasee.asymptotic import (InfeasibleAntennasError, RateUnachievableError,
+                              deterministic_sinr, energy_efficiency,
+                              total_power_at_se)
+from dasee.cli import build_parser, main, n_sweep
+from dasee.config import (_DBM_CONVERTIBLE, ConfigError, PowerModel,
+                          SystemConfig, load_scenario)
+from dasee.montecarlo import rate_from_sinr
+from dasee.optimize import ee_or_none
+
+MODEL_SUBCOMMANDS = ("de-curve", "mc-validate", "opt-n", "opt-k", "opt-m",
+                     "joint", "figure")
 
 
 def run(capsys, *argv):
@@ -103,15 +116,16 @@ def test_mc_validate_small(capsys):
 def test_empty_sweep_rejected_and_no_file(tmp_path):
     cfg, pm = SystemConfig(), PowerModel()
     with pytest.raises(ConfigError, match="empty sweep"):
-        run_sweep(Scenario(cfg, pm, "n", ()))
+        n_sweep(cfg, pm, ())
 
 
-def test_run_sweep_marks_infeasible_points():
+def test_ee_or_none_marks_infeasible_points():
     cfg, pm = SystemConfig(), PowerModel()
-    rows = run_sweep(Scenario(cfg, pm, "n", (5, 40), gamma=2.0))
-    by_n = {row["sweep"]: row for row in rows}
-    assert by_n[5]["feasible"] == 0 and np.isnan(by_n[5]["ee_de"])
-    assert by_n[40]["feasible"] == 1 and by_n[40]["ee_de"] > 0
+    assert ee_or_none(cfg, pm, 2.0, n=5) is None
+    assert ee_or_none(cfg, pm, 2.0, n=40) > 0
+    rows = {row[1]: row for row in figures.figure8(cfg, pm)[1] if row[0] == 7}
+    assert rows[5][3] == 0 and math.isnan(rows[5][2])
+    assert rows[40][3] == 1 and rows[40][2] > 0
 
 
 def test_figure8_grid_peaks_at_reference_optimum(capsys):
@@ -129,3 +143,82 @@ def test_dbm_flags(capsys):
     code, out, _ = run(capsys, "opt-n", "--gamma", "2", "--p-d-dbm", "30")
     assert code == 0
     assert json.loads(out)["n_star"] == 11
+
+
+@pytest.mark.parametrize("argv", [
+    ("mc-validate", "--realizations", "0", "--n-range", "10"),
+    ("de-curve", "--n-range", "10:60:0"),
+    ("de-curve", "--n-range", "1.5"),
+    ("de-curve", "--n-range", "a:b"),
+    ("mc-validate", "--n-range", "10:60:0", "--realizations", "2"),
+])
+def test_bad_sweep_arguments_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "configuration error" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--M", "0"), ("--L", "3")])
+def test_calibrate_rejects_invalid_geometry(capsys, flag, value):
+    code, out, err = run(capsys, "calibrate", "--drops", "5", flag, value)
+    assert code == 2 and out == ""
+    assert "configuration error" in err
+
+
+def test_calibrate_defaults_come_from_system_config(capsys):
+    cfg = SystemConfig()
+    explicit = ("--M", str(cfg.M), "--L", str(cfg.L), "--K", str(cfg.K),
+                "--Rc", repr(cfg.Rc), "--iota", repr(cfg.iota))
+    _, default_out, _ = run(capsys, "calibrate", "--drops", "20")
+    _, explicit_out, _ = run(capsys, "calibrate", "--drops", "20", *explicit)
+    assert default_out == explicit_out
+
+
+def test_de_curve_rows_match_criterion_1_formula(capsys):
+    code, out, _ = run(capsys, "de-curve", "--n-range", "2:80")
+    assert code == 0
+    cfg, pm = SystemConfig(), PowerModel()
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [int(row[0]) for row in rows] == list(range(2, 81))
+    for row in rows:
+        point = cfg.replace(n=int(row[0]))
+        se = rate_from_sinr(point, [deterministic_sinr(point)] * point.K)
+        assert float(row[1]) == point.B * se / total_power_at_se(point, pm, se)
+        assert row[-1] == "1"
+
+
+def _ee_or_nan(cfg, pm, **point):
+    try:
+        return energy_efficiency(cfg, pm, figures.GAMMA_DEFAULT, **point)
+    except (InfeasibleAntennasError, RateUnachievableError):
+        return math.nan
+
+
+def test_figure7_and_figure8_rows_equal_energy_efficiency():
+    cfg, pm = SystemConfig(), PowerModel()
+    header, rows = figures.figure7(cfg, pm)
+    assert header == ["psi", "d", "K", "ee_bits_per_joule", "feasible"]
+    for psi, d, K, ee, feasible in rows:
+        ref = _ee_or_nan(cfg.replace(psi=psi, d=d, n=20), pm, K=K)
+        assert feasible == int(not math.isnan(ref))
+        assert ee == ref or (math.isnan(ee) and math.isnan(ref))
+    header, rows = figures.figure8(cfg, pm)
+    assert header == ["M", "n", "ee_bits_per_joule", "feasible"]
+    for M, n, ee, feasible in rows:
+        ref = _ee_or_nan(cfg.replace(M=M), pm, n=n)
+        assert feasible == int(not math.isnan(ref))
+        assert ee == ref or (math.isnan(ee) and math.isnan(ref))
+    assert {0, 1} <= {row[-1] for row in rows}
+
+
+def test_every_config_field_is_a_flag_on_every_model_subcommand():
+    names = [f.name for cls in (SystemConfig, PowerModel)
+             for f in dataclasses.fields(cls)]
+    names += [name + "_dbm" for name in _DBM_CONVERTIBLE]
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action.choices, dict))
+    for command in MODEL_SUBCOMMANDS:
+        flags = subparsers.choices[command]._option_string_actions
+        for name in names:
+            flag = "--" + name.replace("_", "-")
+            assert flag in flags and flags[flag].dest == name, (command, flag)
