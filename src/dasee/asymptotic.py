@@ -15,8 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (PowerModel, SystemConfig, derived_scalars, override,
-                     validate_config)
+from .config import (ConfigError, PowerModel, SystemConfig, derived_scalars,
+                     override)
 
 
 class RateUnachievableError(ValueError):
@@ -66,7 +66,6 @@ def large_scale_gains(cfg: SystemConfig, nearest=None) -> np.ndarray:
     every cell); the default round-robin assignment k % M spreads users as
     evenly as possible over the RRHs.
     """
-    validate_config(cfg, analytic=True)
     if nearest is None:
         nearest = np.arange(cfg.K) % cfg.M
     nearest = np.asarray(nearest, dtype=int)
@@ -101,22 +100,27 @@ def deterministic_sinr(cfg: SystemConfig, n: int | None = None,
     return brk.S / (cfg.sigma2 / (p_d * n) + brk.I_PC + brk.I_MU_scaled / n)
 
 
-def min_antennas(cfg: SystemConfig, brk: SinrBreakdown, gamma: float) -> int:
-    """Smallest per-RRH antenna count at which rate gamma is feasible."""
+def rate_margin(brk: SinrBreakdown, gamma: float) -> float:
+    """S/(2^gamma - 1) - I_PC > 0, or ConfigError / RateUnachievableError."""
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ConfigError(f"gamma must be finite and positive, got {gamma!r}")
     margin = brk.S / (2.0 ** gamma - 1.0) - brk.I_PC
     if margin <= 0.0:
         raise RateUnachievableError(gamma, math.log2(1.0 + brk.S / brk.I_PC))
-    return math.floor(brk.I_MU_scaled / margin) + 1
+    return margin
+
+
+def min_antennas(cfg: SystemConfig, brk: SinrBreakdown, gamma: float) -> int:
+    """Smallest per-RRH antenna count at which rate gamma is feasible."""
+    return math.floor(brk.I_MU_scaled / rate_margin(brk, gamma)) + 1
 
 
 def required_transmit_power(cfg: SystemConfig, brk: SinrBreakdown,
                             gamma: float, n: int) -> float:
     """Transmit power that realizes per-user rate gamma with n antennas."""
-    n_min = min_antennas(cfg, brk, gamma)
-    margin = brk.S / (2.0 ** gamma - 1.0) - brk.I_PC
-    denom = n * margin - brk.I_MU_scaled
+    denom = n * rate_margin(brk, gamma) - brk.I_MU_scaled
     if denom <= 0.0:
-        raise InfeasibleAntennasError(n, n_min)
+        raise InfeasibleAntennasError(n, min_antennas(cfg, brk, gamma))
     return cfg.sigma2 / denom
 
 
@@ -155,7 +159,6 @@ def operating_point(cfg: SystemConfig, pm: PowerModel,
     InfeasibleAntennasError / RateUnachievableError when no positive power
     does.
     """
-    validate_config(cfg, pm, analytic=True)
     if gamma is None:
         p_d = cfg.p_d
         se = rate_from_sinr(cfg, [deterministic_sinr(cfg)] * cfg.K)

@@ -69,7 +69,7 @@ def _int_range(text: str):
             parts = [int(p) for p in text.split(":")]
             start, stop = parts[0], parts[1]
             step = parts[2] if len(parts) > 2 else 1
-            return tuple(range(start, stop + 1, step))
+            return tuple(range(start, stop + (1 if step > 0 else -1), step))
         return tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError as exc:
         raise ConfigError(f"bad range {text!r}: {exc}") from None
@@ -105,8 +105,6 @@ def cmd_de_curve(args) -> int:
 
 def cmd_mc_validate(args) -> int:
     cfg, pm = scenario_from_args(args)
-    if args.realizations < 1:
-        raise ConfigError(f"realizations must be >= 1, got {args.realizations}")
     rows = []
     for point, op in n_sweep(cfg, pm, _int_range(args.n_range)):
         ee_mc = montecarlo.empirical_ee(point, pm, args.realizations, args.seed)
@@ -141,11 +139,6 @@ def cmd_opt_m(args) -> int:
                                    n=fixed_n))
 
 
-def cmd_joint(args) -> int:
-    cfg, pm = scenario_from_args(args)
-    return _print_result(optimal_m(cfg, pm, args.gamma, M_max=args.M_max))
-
-
 def cmd_figure(args) -> int:
     from . import figures
     runner = figures.RUNNERS.get(args.number)
@@ -167,11 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("calibrate", help="fit (beta, alpha1, alpha2) from geometry")
-    p.add_argument("--M", type=int)
-    p.add_argument("--L", type=int)
-    p.add_argument("--K", type=int)
-    p.add_argument("--Rc", type=float)
-    p.add_argument("--iota", type=float)
+    for key in ("M", "L", "K", "Rc", "iota"):
+        p.add_argument("--" + key, type=int if _MODEL_ARGS[key] == "int" else float)
     p.add_argument("--drops", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--min-distance", type=float,
@@ -217,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_args(p)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--M-max", type=int, default=30)
-    p.set_defaults(fn=cmd_joint)
+    p.set_defaults(fn=cmd_opt_m, fixed_n=False)
 
     p = sub.add_parser("figure", help="run a predefined study sweep as CSV")
     p.add_argument("number", type=int)

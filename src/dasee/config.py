@@ -51,6 +51,9 @@ class SystemConfig:
     sigma2: float = 1e-7    # total noise power, W (-40 dBm)
     pilot_noise_mode: str = "exact"
 
+    def __post_init__(self):
+        validate_config(self)
+
     @property
     def tau_u(self) -> int:
         """Pilot length in symbols."""
@@ -86,6 +89,9 @@ class PowerModel:
     P_BT: float = 0.25e-9   # traffic-dependent backhaul power, W per bit/s
     zeta: float = 0.4       # power-amplifier efficiency
 
+    def __post_init__(self):
+        validate_config(None, self)
+
     def replace(self, **changes) -> "PowerModel":
         return dataclasses.replace(self, **changes)
 
@@ -102,15 +108,28 @@ class DerivedScalars:
     tau_u: int      # pilot length, symbols
 
 
-def validate_config(cfg: SystemConfig, pm: PowerModel | None = None, *,
-                    analytic: bool = False) -> SystemConfig:
+def _require_finite(record) -> None:
+    for name in _FLOAT_FIELDS[type(record)]:
+        if not math.isfinite(getattr(record, name)):
+            raise ConfigError(f"{name} must be finite")
+
+
+def validate_config(cfg: SystemConfig | None,
+                    pm: PowerModel | None = None) -> SystemConfig | None:
     """Check every invariant; raise ConfigError naming the first violation.
 
-    With ``analytic=True`` the steering-dimension divisibility (n mod d = 0)
-    is not enforced: the closed-form expressions use the correlation factor
-    only as a scalar, so any integer antenna count is admissible there,
-    whereas simulation paths must materialize P = n/d steering columns.
+    Both records call this when they are built, so one that exists is valid.
+    The simulation checks n mod d = 0; the closed forms use d only as a scalar.
     """
+    if pm is not None:
+        for name in ("P_FIX", "P_RRH", "P_0", "P_BT", "zeta"):
+            if getattr(pm, name) <= 0.0:
+                raise ConfigError(f"{name} must be positive")
+        if pm.zeta > 1.0:
+            raise ConfigError("zeta exceeds 1")
+        _require_finite(pm)
+    if cfg is None:
+        return None
     for name in ("L", "M", "K", "n", "psi", "T", "d"):
         value = getattr(cfg, name)
         if not isinstance(value, int) or value < 1:
@@ -121,13 +140,9 @@ def validate_config(cfg: SystemConfig, pm: PowerModel | None = None, *,
         raise ConfigError("L not divisible by psi")
     if cfg.psi * cfg.K > cfg.T:
         raise ConfigError("psi*K exceeds T")
-    if not analytic and cfg.n % cfg.d != 0:
-        raise ConfigError("n not divisible by d")
-    for name in ("B", "Rc", "beta", "p_u", "p_d", "sigma2"):
+    for name in ("B", "Rc", "beta", "p_u", "p_d", "sigma2", "iota"):
         if getattr(cfg, name) <= 0.0:
             raise ConfigError(f"{name} must be positive")
-    if cfg.iota <= 0.0:
-        raise ConfigError("iota must be positive")
     for name in ("alpha1", "alpha2"):
         if not 0.0 <= getattr(cfg, name) <= 1.0:
             raise ConfigError(f"{name} must lie in [0, 1]")
@@ -135,12 +150,7 @@ def validate_config(cfg: SystemConfig, pm: PowerModel | None = None, *,
         raise ConfigError(
             f"pilot_noise_mode must be one of {PILOT_NOISE_MODES}, "
             f"got {cfg.pilot_noise_mode!r}")
-    if pm is not None:
-        for name in ("P_FIX", "P_RRH", "P_0", "P_BT", "zeta"):
-            if getattr(pm, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
-        if pm.zeta > 1.0:
-            raise ConfigError("zeta exceeds 1")
+    _require_finite(cfg)
     return cfg
 
 
@@ -150,7 +160,6 @@ def derived_scalars(cfg: SystemConfig) -> DerivedScalars:
     In ``negligible`` pilot-noise mode the noise term is dropped from the
     estimation-quality factors, which then reduce to 1/(L_bar * beta).
     """
-    validate_config(cfg, analytic=True)
     m_half = cfg.M ** (cfg.iota / 2.0)
     copilot = cfg.alpha2 * (cfg.L / cfg.psi - 1.0)
     l_bar1 = m_half + copilot
@@ -172,6 +181,8 @@ def derived_scalars(cfg: SystemConfig) -> DerivedScalars:
 
 _SYSTEM_FIELDS = {f.name: f.type for f in dataclasses.fields(SystemConfig)}
 _POWER_FIELDS = {f.name: f.type for f in dataclasses.fields(PowerModel)}
+_FLOAT_FIELDS = {cls: tuple(f.name for f in dataclasses.fields(cls) if f.type == "float")
+                 for cls in (SystemConfig, PowerModel)}
 _DBM_CONVERTIBLE = ("p_u", "p_d", "sigma2")
 
 
@@ -223,10 +234,7 @@ def scenario_from_mapping(values: dict) -> tuple[SystemConfig, PowerModel]:
         if dbm:
             value = watts_from_dbm(float(value))
         target[name] = value
-    cfg = SystemConfig(**sys_kw)
-    pm = PowerModel(**pm_kw)
-    validate_config(cfg, pm)
-    return cfg, pm
+    return SystemConfig(**sys_kw), PowerModel(**pm_kw)
 
 
 def load_scenario(path: str | Path | None = None,

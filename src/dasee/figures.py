@@ -53,9 +53,8 @@ def figure2(cfg, pm, realizations=1000, seed=1):
     rows = []
     for psi in (1, cfg.L):
         for K in (10, 20):
-            base = cfg.replace(psi=psi, K=K)
             for n in range(10, 61, 10):
-                point = base.replace(n=n)
+                point = cfg.replace(psi=psi, K=K, n=n)
                 ee_de = operating_point(point, pm).ee
                 ee_mc = montecarlo.empirical_ee(point, pm, realizations, seed)
                 rows.append([psi, K, n, ee_de, ee_mc,

@@ -17,6 +17,7 @@ from .config import ConfigError
 DEFAULT_RING_FRACTION = 2.0 / 3.0
 DEFAULT_SPACING_FACTOR = 2.0   # neighbor-center distance in units of Rc
 DEFAULT_MIN_DISTANCE = 200.0   # m, user-to-RRH exclusion radius
+MAX_EMPTY_ROUNDS = 100         # rejection rounds in a row that keep no user
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,14 @@ def _drop_users_excluded(rng: np.random.Generator, K: int, layout: Layout,
     """Uniform drop on the disk, rejecting users within min_distance of an RRH."""
     flat_rrh = layout.rrh_positions.reshape(-1, 2)
     users = np.empty((K, 2))
-    filled = 0
+    filled = empty_rounds = 0
     while filled < K:
         cand = drop_users(K, layout.Rc, rng)
         dist = np.linalg.norm(cand[:, None, :] - flat_rrh[None], axis=-1)
         keep = cand[dist.min(axis=1) >= min_distance]
+        empty_rounds = 0 if len(keep) else empty_rounds + 1
+        if empty_rounds == MAX_EMPTY_ROUNDS:
+            raise ConfigError(f"min_distance {min_distance:g} m excludes every user")
         take = min(K - filled, len(keep))
         users[filled:filled + take] = keep[:take]
         filled += take

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import large_scale_gains, rate_from_sinr, total_power_at_se
-from .config import PowerModel, SystemConfig, validate_config
+from .config import ConfigError, PowerModel, SystemConfig
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,13 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
 
 
+def _simulation_gains(cfg: SystemConfig, gains: np.ndarray | None) -> np.ndarray:
+    """``gains`` or the model's, for a cfg with P = n/d whole steering columns."""
+    if cfg.n % cfg.d != 0:
+        raise ConfigError("n not divisible by d")
+    return large_scale_gains(cfg) if gains is None else gains
+
+
 def _pilot_groups(L: int, psi: int) -> list[np.ndarray]:
     cells = np.arange(L)
     return [cells[cells % psi == g] for g in range(psi)]
@@ -113,13 +120,11 @@ def generate_realization(cfg: SystemConfig, steering: SteeringMatrix,
     observation (own channel + co-pilot channels + scaled noise).  ``gains``
     overrides the averaged-model betas, e.g. with position-derived values.
     """
-    validate_config(cfg)
+    gains = _simulation_gains(cfg, gains)
     A = steering.A
     if A.shape != (cfg.n, cfg.P):
         raise ValueError(f"steering matrix shape {A.shape} does not match "
                          f"(n, P) = ({cfg.n}, {cfg.P})")
-    if gains is None:
-        gains = large_scale_gains(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     h = _complex_normal(rng, (cfg.L, cfg.M, cfg.L, cfg.K, cfg.P))
     noise = _complex_normal(rng, (cfg.L, cfg.M, cfg.K, cfg.n)) * np.sqrt(cfg.sigma2)
@@ -164,11 +169,11 @@ def _subspace_draws(cfg: SystemConfig, scale_pilot, g0_scale, coeff, noncopilot,
 
 def _draws(cfg: SystemConfig, realizations: int, seed: int,
            gains: np.ndarray | None):
-    """Validate ``cfg`` now; iterate over the (g0, w) of each realization
-    in order, realization r drawn from its own substream."""
-    validate_config(cfg)
-    if gains is None:
-        gains = large_scale_gains(cfg)
+    """Check ``cfg`` and ``realizations`` now; iterate over the (g0, w) of
+    each realization in order, realization r drawn from its own substream."""
+    gains = _simulation_gains(cfg, gains)
+    if realizations < 1:
+        raise ConfigError(f"realizations must be >= 1, got {realizations}")
     groups = _pilot_groups(cfg.L, cfg.psi)
     jj0 = int(np.flatnonzero(groups[0] == 0)[0])
     noncopilot = np.flatnonzero(np.arange(cfg.L) % cfg.psi != 0)
@@ -193,10 +198,6 @@ def empirical_sinr_rate(cfg: SystemConfig, realizations: int, seed: int,
     power normalization estimated from the same batch.  Returns
     ``(sinr, se)`` with sinr of shape (K,) and se in bits/s/Hz.
     """
-    draws = _draws(cfg, realizations, seed, gains)
-    if realizations < 1:
-        raise ValueError("realizations must be >= 1")
-
     sum_eff = np.zeros(cfg.K, dtype=complex)   # effective channel, user k
     sum_eff2 = np.zeros(cfg.K)
     sum_sci = np.zeros(cfg.K)
@@ -204,7 +205,7 @@ def empirical_sinr_rate(cfg: SystemConfig, realizations: int, seed: int,
     sum_wnorm = np.zeros(cfg.L)
     off_diag = ~np.eye(cfg.K, dtype=bool)
 
-    for g0, w in draws:
+    for g0, w in _draws(cfg, realizations, seed, gains):
         # y[l, k, i] = sum_m g_{lm0k}^T w_{lmi}, with w = ghat*
         y = np.einsum("lmkp,lmip->lki", g0, w.conj())
         own = y[0].diagonal()
@@ -246,6 +247,4 @@ def empirical_ee(cfg: SystemConfig, pm: PowerModel, realizations: int,
                  seed: int, gains: np.ndarray | None = None) -> float:
     """Empirical energy efficiency (bits/Joule) at the configured p_d."""
     _, se = empirical_sinr_rate(cfg, realizations, seed, gains=gains)
-    if se == 0.0:
-        return 0.0
     return cfg.B * se / total_power_at_se(cfg, pm, se)

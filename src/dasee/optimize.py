@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 from .asymptotic import (InfeasibleAntennasError, RateUnachievableError,
                          energy_efficiency, min_antennas, operating_point,
-                         sinr_breakdown)
+                         rate_margin, sinr_breakdown)
 from .config import (ConfigError, PowerModel, SystemConfig, derived_scalars,
                      override)
 
@@ -112,7 +112,7 @@ def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
     cfg = override(cfg, M=M, K=K)
     brk = sinr_breakdown(cfg)
     n_min = min_antennas(cfg, brk, gamma)  # raises if gamma unachievable
-    margin = brk.S / (2.0 ** gamma - 1.0) - brk.I_PC
+    margin = rate_margin(brk, gamma)
     data_fraction = (cfg.T - cfg.tau_u) / (cfg.T * pm.zeta)
     n_real = (math.sqrt(data_fraction * cfg.sigma2 * cfg.K
                         / (margin * cfg.M * pm.P_RRH))
@@ -145,10 +145,7 @@ def _user_count_scalars(cfg: SystemConfig, pm: PowerModel, gamma: float):
     search.
     """
     clean = cfg.replace(pilot_noise_mode="negligible", K=1)
-    brk = sinr_breakdown(clean)
-    margin = brk.S / (2.0 ** gamma - 1.0) - brk.I_PC
-    if margin <= 0.0:
-        raise RateUnachievableError(gamma, math.log2(1.0 + brk.S / brk.I_PC))
+    margin = rate_margin(sinr_breakdown(clean), gamma)
     xi = derived_scalars(clean).xi
     mu1 = clean.n * margin
     mu2 = clean.T / gamma * (pm.P_FIX + clean.n * clean.M * pm.P_RRH
@@ -218,8 +215,7 @@ def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
     """
     if M_max < 1:
         raise OptimizationError("M_max must be >= 1")
-    if K is not None:
-        cfg = cfg.replace(K=K)
+    cfg = override(cfg, K=K)
     best: OptimizationResult | None = None
     for M in range(1, M_max + 1):
         try:
@@ -228,7 +224,7 @@ def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
             else:
                 ee, p_d, _ = operating_point(cfg.replace(n=n, M=M), pm, gamma)
                 cand = OptimizationResult(ee=ee, p_d=p_d, n=n, M=M, K=cfg.K)
-        except (InfeasibleAntennasError, RateUnachievableError, ConfigError):
+        except (InfeasibleAntennasError, RateUnachievableError):
             continue
         if best is None or cand.ee > best.ee:
             best = cand

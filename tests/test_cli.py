@@ -151,6 +151,15 @@ def test_dbm_flags(capsys):
     ("de-curve", "--n-range", "1.5"),
     ("de-curve", "--n-range", "a:b"),
     ("mc-validate", "--n-range", "10:60:0", "--realizations", "2"),
+    ("figure", "2", "--realizations", "0"),
+    ("de-curve", "--beta", "nan", "--n-range", "20"),
+    ("de-curve", "--p-d", "inf", "--n-range", "20"),
+    ("opt-n", "--gamma", "2", "--beta", "nan"),
+    ("opt-n", "--gamma", "0"),
+    ("opt-m", "--gamma", "0"),
+    ("opt-n", "--gamma", "-1"),
+    ("opt-k", "--gamma", "nan"),
+    ("joint", "--gamma", "inf"),
 ])
 def test_bad_sweep_arguments_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -158,7 +167,15 @@ def test_bad_sweep_arguments_exit_2(capsys, argv):
     assert "configuration error" in err
 
 
-@pytest.mark.parametrize("flag,value", [("--M", "0"), ("--L", "3")])
+def test_negative_step_range_includes_endpoint(capsys):
+    code, out, _ = run(capsys, "de-curve", "--n-range", "60:10:-10")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [int(row[0]) for row in rows] == [60, 50, 40, 30, 20, 10]
+
+
+@pytest.mark.parametrize("flag,value", [("--M", "0"), ("--L", "3"),
+                                        ("--min-distance", "5000")])
 def test_calibrate_rejects_invalid_geometry(capsys, flag, value):
     code, out, err = run(capsys, "calibrate", "--drops", "5", flag, value)
     assert code == 2 and out == ""

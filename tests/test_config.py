@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import pytest
 
+from dasee.asymptotic import energy_efficiency
 from dasee.config import (ConfigError, PowerModel, SystemConfig,
                           dbm_from_watts, derived_scalars, load_scenario,
                           scenario_from_mapping, validate_config,
                           watts_from_dbm, write_scenario)
+from dasee.montecarlo import (empirical_ee, generate_realization,
+                              steering_matrix)
 
 
 def test_reference_defaults_accepted():
@@ -23,10 +27,36 @@ def test_pilot_overflow_rejected():
 
 
 def test_steering_divisibility_rejected():
+    # only the simulation materializes P = n/d steering columns
+    cfg = SystemConfig(n=15, d=2)
     with pytest.raises(ConfigError, match="n not divisible by d"):
-        validate_config(SystemConfig(n=15, d=2))
+        generate_realization(cfg, steering_matrix(15, 7), seed=0)
+    with pytest.raises(ConfigError, match="n not divisible by d"):
+        empirical_ee(cfg, PowerModel(), 2, seed=1)
     # the closed-form path admits any integer n
-    validate_config(SystemConfig(n=15, d=2), analytic=True)
+    assert energy_efficiency(cfg, PowerModel(), 2.0) > 0
+
+
+def test_records_are_valid_when_built():
+    with pytest.raises(ConfigError, match=r"psi\*K exceeds T"):
+        SystemConfig(K=200)
+    with pytest.raises(ConfigError, match="psi exceeds L"):
+        SystemConfig().replace(psi=9)
+    with pytest.raises(ConfigError, match="zeta exceeds 1"):
+        PowerModel(zeta=1.2)
+    with pytest.raises(ConfigError, match="P_RRH"):
+        PowerModel().replace(P_RRH=-1.0)
+    with pytest.raises(TypeError):
+        validate_config(SystemConfig(), analytic=True)
+
+
+@pytest.mark.parametrize("record,name", [
+    (record, f.name) for record in (SystemConfig, PowerModel)
+    for f in dataclasses.fields(record) if f.type == "float"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_fields_rejected(record, name, value):
+    with pytest.raises(ConfigError, match=name):
+        record(**{name: value})
 
 
 @pytest.mark.parametrize("field,value", [

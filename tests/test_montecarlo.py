@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dasee.asymptotic import deterministic_sinr, sinr_breakdown
-from dasee.config import PowerModel, SystemConfig
+from dasee.config import ConfigError, PowerModel, SystemConfig
 from dasee.montecarlo import (empirical_ee, empirical_sinr_rate,
                               empirical_transmit_power, generate_realization,
                               rate_from_sinr, steering_matrix)
@@ -142,6 +142,13 @@ def test_empirical_ee_positive_and_finite():
     cfg = SystemConfig(L=2, M=2, K=2, n=8, psi=2)
     value = empirical_ee(cfg, PowerModel(), 30, seed=1)
     assert np.isfinite(value) and value > 0
+
+
+def test_realizations_must_be_positive():
+    with pytest.raises(ConfigError, match="realizations"):
+        empirical_sinr_rate(SMALL, 0, seed=1)
+    with pytest.raises(ConfigError, match="realizations"):
+        empirical_transmit_power(SMALL, 0, seed=1)
 
 
 def test_realization_rejects_wrong_steering():

@@ -226,7 +226,7 @@ def test_optimal_k_matches_exhaustive_scan():
         cfg, pm, gamma = random_scenario(rng)
         cfg = cfg.replace(n=int(rng.integers(5, 101)),
                           psi=int(rng.choice([1, 7])),
-                          pilot_noise_mode="negligible")
+                          pilot_noise_mode="negligible", K=1)
         try:
             result = optimal_k(cfg, pm, gamma)
         except (RateUnachievableError, OptimizationError):
@@ -280,6 +280,18 @@ def test_optimal_m_fixed_antenna_policy():
 
     assert result.M == exhaustive_argmax(evaluate, range(1, 11))
     assert result.n == 20
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_bad_rate_is_a_config_error(gamma):
+    with pytest.raises(ConfigError, match="gamma"):
+        optimal_n(CFG, PM, gamma)
+    with pytest.raises(ConfigError, match="gamma"):
+        optimal_k(CFG, PM, gamma)
+    with pytest.raises(ConfigError, match="gamma"):
+        optimal_m(CFG, PM, gamma, M_max=3)
+    with pytest.raises(ConfigError, match="gamma"):
+        optimal_m(CFG, PM, gamma, M_max=3, n=20)
 
 
 def test_optimal_m_all_infeasible():
