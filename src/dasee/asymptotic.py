@@ -104,9 +104,11 @@ def rate_margin(brk: SinrBreakdown, gamma: float) -> float:
     """S/(2^gamma - 1) - I_PC > 0, or ConfigError / RateUnachievableError."""
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ConfigError(f"gamma must be finite and positive, got {gamma!r}")
-    margin = brk.S / (2.0 ** gamma - 1.0) - brk.I_PC
+    # 2**gamma overflows a double from gamma = 1024 on; S/inf is then 0.
+    margin = (brk.S / (2.0 ** gamma - 1.0) if gamma < 1024.0 else 0.0) - brk.I_PC
     if margin <= 0.0:
-        raise RateUnachievableError(gamma, math.log2(1.0 + brk.S / brk.I_PC))
+        ceiling = math.log2(1.0 + brk.S / brk.I_PC) if brk.I_PC > 0.0 else math.inf
+        raise RateUnachievableError(gamma, ceiling)
     return margin
 
 
@@ -146,8 +148,13 @@ def total_power(cfg: SystemConfig, pm: PowerModel, gamma: float,
 
 
 def rate_from_sinr(cfg: SystemConfig, sinr) -> float:
-    """Cell spectral efficiency from per-user SINRs (bits/s/Hz)."""
-    return float((cfg.T - cfg.tau_u) / cfg.T * np.log2(1.0 + np.asarray(sinr)).sum())
+    """Cell spectral efficiency from per-user SINRs (bits/s/Hz).
+
+    The per-user rates are summed in sorted order, so the result does not
+    depend on the order of the users.
+    """
+    rates = np.sort(np.log2(1.0 + np.asarray(sinr)))
+    return float((cfg.T - cfg.tau_u) / cfg.T * rates.sum())
 
 
 def operating_point(cfg: SystemConfig, pm: PowerModel,

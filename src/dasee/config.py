@@ -159,6 +159,8 @@ def derived_scalars(cfg: SystemConfig) -> DerivedScalars:
 
     In ``negligible`` pilot-noise mode the noise term is dropped from the
     estimation-quality factors, which then reduce to 1/(L_bar * beta).
+    L_bar2 = 0 (alpha1 = 0, no co-pilot cell) gives nu2 = 0: nu2 only enters
+    the SINR multiplied by alpha1, so those terms are 0 as in exact mode.
     """
     m_half = cfg.M ** (cfg.iota / 2.0)
     copilot = cfg.alpha2 * (cfg.L / cfg.psi - 1.0)
@@ -167,7 +169,7 @@ def derived_scalars(cfg: SystemConfig) -> DerivedScalars:
     tau_u = cfg.tau_u
     if cfg.pilot_noise_mode == "negligible":
         nu1 = 1.0 / (l_bar1 * cfg.beta)
-        nu2 = 1.0 / (l_bar2 * cfg.beta)
+        nu2 = 1.0 / (l_bar2 * cfg.beta) if l_bar2 > 0.0 else 0.0
     else:
         energy = cfg.p_u * tau_u * cfg.d
         nu1 = energy / (cfg.sigma2 + energy * l_bar1 * cfg.beta)
@@ -205,14 +207,17 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def _coerce(name: str, annotation: str, text: str):
-    if annotation == "int":
-        value = float(text)
-        if value != int(value):
-            raise ConfigError(f"{name} must be an integer, got {text!r}")
-        return int(value)
     if annotation == "str":
         return text
-    return float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{name} must be a number, got {text!r}") from None
+    if annotation == "int":
+        if not value.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {text!r}")
+        return int(value)
+    return value
 
 
 def scenario_from_mapping(values: dict) -> tuple[SystemConfig, PowerModel]:

@@ -16,7 +16,17 @@ The channels of the rank-P model live in the steering subspace
 (g = sqrt(beta*n/P) A h with A^H A = I_P), and the estimation filter is a
 scalar multiple of the projector A A^H, so every inner product entering the
 SINR reduces exactly to P-dimensional coordinates; the SINR estimator works
-in these coordinates and never materializes A.
+in these coordinates and never materializes A.  It needs only the cell-0
+channels g0 = g_{lm0k} and the estimates w = ghat_{lmlk}.  Every other
+co-pilot channel and the pilot noise enter w through one sum of independent
+Gaussians, so each realization draws two standard (L, M, K, P) arrays a, b:
+
+    g0 = sqrt(beta_{lm0k} d) a
+    w  = c_{lmk} (s_l g0 + sqrt(C_{lmk} - s_l beta_{lm0k} d + loading) b)
+
+with s_l = 1 if cell l shares cell 0's pilots (else 0), C_{lmk} the summed
+co-pilot gains and c_{lmk} the MMSE coefficient: the joint distribution of
+drawing every link, as the full-space reference ``generate_realization`` does.
 """
 from __future__ import annotations
 
@@ -93,21 +103,19 @@ def _simulation_gains(cfg: SystemConfig, gains: np.ndarray | None) -> np.ndarray
     return large_scale_gains(cfg) if gains is None else gains
 
 
-def _pilot_groups(L: int, psi: int) -> list[np.ndarray]:
-    cells = np.arange(L)
-    return [cells[cells % psi == g] for g in range(psi)]
-
-
-def _estimation_coefficient(cfg: SystemConfig, gains: np.ndarray) -> np.ndarray:
-    """Scalar MMSE filter per (l, m, k): estimate = c * A A^H (observation)."""
-    groups = _pilot_groups(cfg.L, cfg.psi)
-    own = np.empty((cfg.L, cfg.M, cfg.K))
-    copilot_sum = np.empty((cfg.L, cfg.M, cfg.K))
-    for l in range(cfg.L):
-        own[l] = gains[l, :, l, :]
-        copilot_sum[l] = gains[l][:, groups[l % cfg.psi], :].sum(axis=1)
-    loading = cfg.sigma2 / (cfg.p_u * cfg.tau_u)
-    return own * cfg.d / (loading + copilot_sum * cfg.d)
+def _pilot_model(cfg: SystemConfig, gains: np.ndarray):
+    """Co-pilot matrix share[l, j] = (l % psi == j % psi), the summed co-pilot
+    gains d sum_j share[l, j] beta_{lmjk}, the pilot loading sigma2/(p_u tau_u)
+    (0 when pilot noise is negligible) and the MMSE coefficient per (l, m, k):
+    estimate = coeff * A A^H (observation).  A link with no gain gets 0."""
+    group = np.arange(cfg.L) % cfg.psi
+    share = (group[:, None] == group).astype(float)
+    copilot = np.einsum("lj,lmjk->lmk", share, gains) * cfg.d
+    loading = (0.0 if cfg.pilot_noise_mode == "negligible"
+               else cfg.sigma2 / (cfg.p_u * cfg.tau_u))
+    total = loading + copilot
+    coeff = np.einsum("lmlk->lmk", gains) * cfg.d / np.where(total > 0.0, total, 1.0)
+    return share, copilot, loading, coeff
 
 
 def generate_realization(cfg: SystemConfig, steering: SteeringMatrix,
@@ -117,8 +125,9 @@ def generate_realization(cfg: SystemConfig, steering: SteeringMatrix,
 
     Channels follow g_{lmjk} = sqrt(beta_{lmjk} n/P) A h with i.i.d. standard
     complex Gaussian h; estimates apply the MMSE filter to the pilot
-    observation (own channel + co-pilot channels + scaled noise).  ``gains``
-    overrides the averaged-model betas, e.g. with position-derived values.
+    observation (own channel + co-pilot channels + scaled noise; the noise
+    is drawn but left out when negligible).  ``gains`` overrides the
+    averaged-model betas, e.g. with position-derived values.
     """
     gains = _simulation_gains(cfg, gains)
     A = steering.A
@@ -132,39 +141,14 @@ def generate_realization(cfg: SystemConfig, steering: SteeringMatrix,
     # n/P = d, so the amplitude per link is sqrt(beta * d).
     channels = np.sqrt(gains * cfg.d)[..., None] * np.einsum("np,lmjkp->lmjkn", A, h)
 
-    groups = _pilot_groups(cfg.L, cfg.psi)
-    coeff = _estimation_coefficient(cfg, gains)
-    observation = np.empty((cfg.L, cfg.M, cfg.K, cfg.n), dtype=complex)
-    for l in range(cfg.L):
-        observation[l] = channels[l][:, groups[l % cfg.psi], :].sum(axis=1)
-    observation += noise / np.sqrt(cfg.p_u * cfg.tau_u)
+    share, _, loading, coeff = _pilot_model(cfg, gains)
+    observation = np.einsum("lj,lmjkn->lmkn", share, channels)
+    observation += noise * np.sqrt(loading / cfg.sigma2)
     projected = np.einsum("np,lmkp->lmkn", A, np.einsum("np,lmkn->lmkp",
                                                         A.conj(), observation))
     estimates = coeff[..., None] * projected
     return ChannelRealization(channels=channels, pilot_noise=noise,
                               estimates=estimates, seed=seed)
-
-
-def _subspace_draws(cfg: SystemConfig, scale_pilot, g0_scale, coeff, noncopilot,
-                    jj0, rng):
-    """One realization of the reduced-coordinate quantities (see module doc)."""
-    Lc = scale_pilot.shape[2]
-    hp = _complex_normal(rng, (cfg.L, cfg.M, Lc, cfg.K, cfg.P))
-    hx = _complex_normal(rng, (len(noncopilot), cfg.M, cfg.K, cfg.P)) \
-        if len(noncopilot) else None
-    zp = _complex_normal(rng, (cfg.L, cfg.M, cfg.K, cfg.P)) * np.sqrt(cfg.sigma2)
-
-    observation = np.einsum("lmjk,lmjkp->lmkp", scale_pilot, hp)
-    observation += zp / np.sqrt(cfg.p_u * cfg.tau_u)
-    w = coeff[..., None] * observation          # reduced ghat_{lmlk}
-
-    g0 = np.empty((cfg.L, cfg.M, cfg.K, cfg.P), dtype=complex)
-    copilot_mask = np.ones(cfg.L, dtype=bool)
-    copilot_mask[noncopilot] = False
-    g0[copilot_mask] = g0_scale[copilot_mask, ..., None] * hp[copilot_mask, :, jj0]
-    if hx is not None:
-        g0[noncopilot] = g0_scale[noncopilot, ..., None] * hx
-    return g0, w
 
 
 def _draws(cfg: SystemConfig, realizations: int, seed: int,
@@ -174,19 +158,20 @@ def _draws(cfg: SystemConfig, realizations: int, seed: int,
     gains = _simulation_gains(cfg, gains)
     if realizations < 1:
         raise ConfigError(f"realizations must be >= 1, got {realizations}")
-    groups = _pilot_groups(cfg.L, cfg.psi)
-    jj0 = int(np.flatnonzero(groups[0] == 0)[0])
-    noncopilot = np.flatnonzero(np.arange(cfg.L) % cfg.psi != 0)
-    scale_pilot = np.empty((cfg.L, cfg.M, cfg.L // cfg.psi, cfg.K))
-    for l in range(cfg.L):
-        scale_pilot[l] = np.sqrt(gains[l][:, groups[l % cfg.psi], :] * cfg.d)
-    g0_scale = np.sqrt(gains[:, :, 0, :] * cfg.d)
-    coeff = _estimation_coefficient(cfg, gains)
-    rngs = (np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        for r in range(realizations))
-    return (_subspace_draws(cfg, scale_pilot, g0_scale, coeff, noncopilot,
-                            jj0, rng) for rng in rngs)
+    share, copilot, loading, coeff = _pilot_model(cfg, gains)
+    own0 = gains[:, :, 0, :, None] * cfg.d          # beta_{lm0k} d
+    mix = share[:, 0, None, None, None]             # s_l: cell l reuses cell 0's pilots
+    g0_scale, coeff = np.sqrt(own0), coeff[..., None]
+    rest_scale = np.sqrt(copilot[..., None] - mix * own0 + loading)
+    shape = (cfg.L, cfg.M, cfg.K, cfg.P)
+
+    def draw(r: int):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        g0 = g0_scale * _complex_normal(rng, shape)
+        return g0, coeff * (mix * g0 + rest_scale * _complex_normal(rng, shape))
+
+    return map(draw, range(realizations))
 
 
 def empirical_sinr_rate(cfg: SystemConfig, realizations: int, seed: int,

@@ -77,14 +77,16 @@ def simplified_correlation_set(cfg: SystemConfig, steering=None,
     """Rank-P correlation set of the averaged gain model.
 
     R_{lmjk} = beta_{lmjk} * (n/P) * A A^H with A the steering matrix
-    (defaults to the first P columns of the unitary DFT matrix).
+    (defaults to the first P columns of the unitary DFT matrix).  Like the
+    simulation, it needs n = d P and raises ConfigError otherwise.
     """
-    from .montecarlo import steering_matrix  # local import, avoids a cycle
+    # local import, avoids a cycle
+    from .montecarlo import _simulation_gains, steering_matrix
+    gains = _simulation_gains(cfg, large_scale_gains(cfg, nearest=nearest))
     if steering is None:
         steering = steering_matrix(cfg.n, cfg.P)
     A = getattr(steering, "A", steering)
     projector = A @ A.conj().T
-    gains = large_scale_gains(cfg, nearest=nearest)
     R = gains[..., None, None] * (cfg.d * projector)
     return CorrelationSet(R=R, psi=cfg.psi)
 

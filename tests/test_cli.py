@@ -62,6 +62,11 @@ def test_infeasible_rate_exit_code(capsys):
     code, _, err = run(capsys, "opt-n", "--gamma", "12")
     assert code == 3
     assert "infeasible" in err
+    # 2**gamma overflows a double; without contamination the ceiling is inf
+    for psi in ("1", "7"):
+        code, out, err = run(capsys, "opt-n", "--gamma", "1100", "--psi", psi)
+        assert code == 3 and out == "" and "infeasible" in err
+        assert ("ceiling inf " in err) == (psi == "7"), err
 
 
 def test_config_error_exit_code(capsys):
@@ -160,8 +165,15 @@ def test_dbm_flags(capsys):
     ("opt-n", "--gamma", "-1"),
     ("opt-k", "--gamma", "nan"),
     ("joint", "--gamma", "inf"),
+    ("de-curve", "--config", "K = inf"),
+    ("opt-n", "--gamma", "2", "--config", "beta = abc"),
 ])
-def test_bad_sweep_arguments_exit_2(capsys, argv):
+def test_bad_sweep_arguments_exit_2(capsys, tmp_path, argv):
+    if "--config" in argv:  # the argument after --config is the file's text
+        path = tmp_path / "scenario.cfg"
+        at = argv.index("--config") + 1
+        path.write_text(argv[at] + "\n")
+        argv = (*argv[:at], str(path), *argv[at + 1:])
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert "configuration error" in err
@@ -239,3 +251,17 @@ def test_every_config_field_is_a_flag_on_every_model_subcommand():
         for name in names:
             flag = "--" + name.replace("_", "-")
             assert flag in flags and flags[flag].dest == name, (command, flag)
+
+
+def test_gainless_non_serving_links_run(capsys):
+    # alpha1 = 0 without co-pilot cells ran into 1/0 in negligible mode; at
+    # M = 1 alpha1 does not enter the model, so the output is unchanged
+    _, reference, _ = run(capsys, "opt-n", "--gamma", "2", "--no-pc",
+                          "--M", "1", "--alpha1", "0.54")
+    code, out, err = run(capsys, "opt-n", "--gamma", "2", "--no-pc",
+                         "--M", "1", "--alpha1", "0")
+    assert code == 0 and err == "" and out == reference
+    for argv in (("opt-n", "--gamma", "2", "--no-pc", "--alpha1", "0"),
+                 ("opt-k", "--gamma", "2", "--alpha1", "0", "--psi", "7")):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["ee_bits_per_joule"] > 0

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from dasee.asymptotic import energy_efficiency
+from dasee.asymptotic import energy_efficiency, sinr_breakdown
 from dasee.config import (ConfigError, PowerModel, SystemConfig,
                           dbm_from_watts, derived_scalars, load_scenario,
                           scenario_from_mapping, validate_config,
@@ -124,6 +124,17 @@ def test_negligible_mode_is_high_pilot_power_limit():
     near = derived_scalars(base.replace(pilot_noise_mode="exact", p_u=1e9))
     assert math.isclose(near.nu1, limit.nu1, rel_tol=1e-6)
     assert math.isclose(near.nu2, limit.nu2, rel_tol=1e-6)
+
+
+def test_gainless_group_has_zero_quality_factor():
+    # alpha1 = 0 without co-pilot cells: L_bar2 = 0, and nu2 is 0 rather
+    # than 1/0; the SINR powers match exact mode's limit
+    cfg = SystemConfig(psi=7, alpha1=0.0, pilot_noise_mode="negligible")
+    scalars = derived_scalars(cfg)
+    assert scalars.L_bar2 == 0.0 and scalars.nu2 == 0.0
+    brk = sinr_breakdown(cfg)
+    near = sinr_breakdown(cfg.replace(pilot_noise_mode="exact", p_u=1e9))
+    assert math.isclose(brk.S, near.S, rel_tol=1e-6) and brk.I_PC == 0.0
 
 
 def test_dbm_round_trip():

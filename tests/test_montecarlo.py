@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from dasee.asymptotic import deterministic_sinr, sinr_breakdown
+from dasee.asymptotic import (deterministic_sinr, large_scale_gains,
+                              operating_point, sinr_breakdown)
 from dasee.config import ConfigError, PowerModel, SystemConfig
-from dasee.montecarlo import (empirical_ee, empirical_sinr_rate,
-                              empirical_transmit_power, generate_realization,
-                              rate_from_sinr, steering_matrix)
+from dasee.montecarlo import (_draws, _pilot_model, empirical_ee,
+                              empirical_sinr_rate, empirical_transmit_power,
+                              generate_realization, rate_from_sinr,
+                              steering_matrix)
 from dasee.rmt import phi_matrix, simplified_correlation_set
 
 SMALL = SystemConfig(L=2, M=2, K=2, n=16, d=2, psi=1, p_u=1.0)
@@ -124,8 +126,10 @@ def test_de_convergence_at_fixed_load():
 
 def test_cell_rate_symmetric_in_user_order():
     cfg = SystemConfig(L=2, M=2, K=4, n=8, psi=1)
-    sinr, se = empirical_sinr_rate(cfg, 50, seed=13)
-    assert se == rate_from_sinr(cfg, sinr[::-1])
+    for seed in (13, *range(20)):
+        sinr, se = empirical_sinr_rate(cfg, 50, seed=seed)
+        assert se == rate_from_sinr(cfg, sinr[::-1]), seed
+        assert se == rate_from_sinr(cfg, sinr[[2, 0, 3, 1]]), seed
 
 
 def test_empirical_ee_scaling_with_bandwidth():
@@ -155,3 +159,65 @@ def test_realization_rejects_wrong_steering():
     cfg = SystemConfig(L=2, M=2, K=2, n=8, d=2, psi=1)
     with pytest.raises(ValueError, match="steering"):
         generate_realization(cfg, steering_matrix(8, 8), seed=0)
+
+
+def _link_moments(g0, w):
+    """Per-(l, m, k) |g0|^2, |w|^2, Re and Im of g0 w*, averaged over P."""
+    cross = g0 * w.conj()
+    return np.stack([np.abs(g0) ** 2, np.abs(w) ** 2, cross.real,
+                     cross.imag]).mean(axis=-1)
+
+
+@pytest.mark.parametrize("mode", ["exact", "negligible"])
+@pytest.mark.parametrize("psi", [1, 2])
+def test_sampler_matches_full_space_moments(psi, mode):
+    # the two-Gaussian sampler vs every link drawn in the full space and
+    # projected onto A, per (l, m, k), within four standard errors
+    cfg = SystemConfig(L=2, M=2, K=2, n=8, d=2, psi=psi, pilot_noise_mode=mode)
+    steering = steering_matrix(cfg.n, cfg.P)
+    A = steering.A
+    R = 2000
+    reduced = np.array([_link_moments(g0, w)
+                        for g0, w in _draws(cfg, R, seed=5, gains=None)])
+    full = np.empty_like(reduced)
+    for r in range(R):
+        real = generate_realization(cfg, steering, seed=r)
+        full[r] = _link_moments(
+            np.einsum("np,lmkn->lmkp", A.conj(), real.channels[:, :, 0]),
+            np.einsum("np,lmkn->lmkp", A.conj(), real.estimates))
+    gap = np.abs(reduced.mean(axis=0) - full.mean(axis=0))
+    se = np.sqrt((reduced.var(axis=0) + full.var(axis=0)) / R)
+    assert (gap < 4.0 * se).all(), (gap / se).max()
+
+
+def test_negligible_pilot_noise_is_not_simulated():
+    # the DE drops pilot noise in this mode, and so must the simulation: the
+    # estimates do not depend on the pilot power, and the EE matches the DE
+    cfg = SystemConfig(L=2, M=2, K=2, n=8, psi=1, pilot_noise_mode="negligible")
+    steering = steering_matrix(cfg.n, cfg.P)
+    weak = cfg.replace(p_u=1e-9)
+    assert np.allclose(generate_realization(cfg, steering, seed=2).estimates,
+                       generate_realization(weak, steering, seed=2).estimates,
+                       rtol=1e-12, atol=0.0)
+    pm = PowerModel()
+    for n in (10, 20):
+        point = SystemConfig(n=n, pilot_noise_mode="negligible")
+        ee_mc = empirical_ee(point, pm, 300, seed=1)
+        rel = abs(ee_mc / operating_point(point, pm).ee - 1.0)
+        assert rel < 0.03, (n, rel)
+
+
+def test_zero_gain_link_gets_zero_coefficient():
+    # alpha1 = 0 and orthogonal pilots: the non-serving own-cell links carry
+    # no gain and no co-pilot power, so their negligible-noise MMSE
+    # coefficient is 0, not 0/0
+    cfg = SystemConfig(L=2, M=2, K=2, n=8, psi=2, alpha1=0.0,
+                       pilot_noise_mode="negligible")
+    with np.errstate(divide="raise", invalid="raise"):
+        coeff = _pilot_model(cfg, large_scale_gains(cfg))[3]
+        sinr, se = empirical_sinr_rate(cfg, 20, seed=3)
+        real = generate_realization(cfg, steering_matrix(cfg.n, cfg.P), seed=3)
+    assert coeff[:, 1, 0].tolist() == [0.0, 0.0]
+    assert (coeff[:, 0, 0] > 0).all()
+    assert np.isfinite(sinr).all() and np.isfinite(se)
+    assert np.isfinite(real.estimates).all()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dasee.asymptotic import deterministic_sinr
-from dasee.config import SystemConfig, derived_scalars
+from dasee.config import ConfigError, SystemConfig, derived_scalars
 from dasee.montecarlo import steering_matrix
 from dasee.rmt import (CorrelationSet, general_deterministic_sinr, phi_matrix,
                        simplified_correlation_set)
@@ -71,6 +71,18 @@ def test_general_path_matches_closed_form(cfg):
     assert sinr.shape == (cfg.L, cfg.K)
     closed = deterministic_sinr(cfg)
     assert np.abs(sinr / closed - 1.0).max() < 1e-10
+
+
+def test_correlation_set_needs_whole_steering_columns():
+    cfg = SystemConfig(L=3, M=2, K=4, d=2, psi=1)
+    with pytest.raises(ConfigError, match="n not divisible by d"):
+        simplified_correlation_set(cfg.replace(n=15))
+    for n in (14, 16):
+        point = cfg.replace(n=n)
+        sinr = general_deterministic_sinr(simplified_correlation_set(point),
+                                          point.p_d, point.p_u, point.tau_u,
+                                          point.sigma2)
+        assert np.abs(sinr / deterministic_sinr(point) - 1.0).max() < 1e-9
 
 
 def test_single_cell_single_user_collapse():
