@@ -107,14 +107,25 @@ def rate_margin(brk: SinrBreakdown, gamma: float) -> float:
     # 2**gamma overflows a double from gamma = 1024 on; S/inf is then 0.
     margin = (brk.S / (2.0 ** gamma - 1.0) if gamma < 1024.0 else 0.0) - brk.I_PC
     if margin <= 0.0:
-        ceiling = math.log2(1.0 + brk.S / brk.I_PC) if brk.I_PC > 0.0 else math.inf
-        raise RateUnachievableError(gamma, ceiling)
+        raise RateUnachievableError(gamma, _rate_ceiling(brk))
     return margin
 
 
+def _rate_ceiling(brk: SinrBreakdown) -> float:
+    """Per-user rate reached as n -> inf: log2(1 + S/I_PC), inf without I_PC."""
+    return math.log2(1.0 + brk.S / brk.I_PC) if brk.I_PC > 0.0 else math.inf
+
+
 def min_antennas(cfg: SystemConfig, brk: SinrBreakdown, gamma: float) -> int:
-    """Smallest per-RRH antenna count at which rate gamma is feasible."""
-    return math.floor(brk.I_MU_scaled / rate_margin(brk, gamma)) + 1
+    """Smallest per-RRH antenna count at which rate gamma is feasible.
+
+    Raises RateUnachievableError when that count exceeds every double (a
+    rate just below 1024 makes the margin subnormal).
+    """
+    n_real = brk.I_MU_scaled / rate_margin(brk, gamma)
+    if not math.isfinite(n_real):
+        raise RateUnachievableError(gamma, _rate_ceiling(brk))
+    return math.floor(n_real) + 1
 
 
 def required_transmit_power(cfg: SystemConfig, brk: SinrBreakdown,

@@ -27,6 +27,20 @@ Gaussians, so each realization draws two standard (L, M, K, P) arrays a, b:
 with s_l = 1 if cell l shares cell 0's pilots (else 0), C_{lmk} the summed
 co-pilot gains and c_{lmk} the MMSE coefficient: the joint distribution of
 drawing every link, as the full-space reference ``generate_realization`` does.
+
+Layout.  A realization's normals come from one call,
+standard_normal((2, L, M, K, P, 2)), whose last axis is read in place as
+complex128 (real, imaginary); the first index gives a, the second b, the
+same values as two sequential (L, M, K, P) draws.  The 1/sqrt(2) of a unit
+complex Gaussian is folded into the scale factors.  Cells with s_l = 1 are
+exactly l = 0 (mod psi), so w is built in place: scale b, add g0 on every
+psi-th cell, multiply by c.  The inner products
+y[l, k, i] = sum_m g_{lm0k}^T conj(w_{lmi}) are one (K, P) x (P, K) GEMM per
+(l, m), followed by a sum over m in fixed order.  A single (K, M P) GEMM per
+cell is as fast, but its last bits changed between one and two BLAS threads
+(measured at psi 1, K 20, n 60), which would break the contract above; the
+per-(l, m) products gave the same bytes under one and two BLAS threads at
+every size tried, up to K = 196 and P = 300.
 """
 from __future__ import annotations
 
@@ -92,8 +106,9 @@ class ChannelRealization:
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    z = rng.standard_normal(tuple(shape) + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    z = rng.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
+    z /= np.sqrt(2.0)
+    return z
 
 
 def _simulation_gains(cfg: SystemConfig, gains: np.ndarray | None) -> np.ndarray:
@@ -154,24 +169,36 @@ def generate_realization(cfg: SystemConfig, steering: SteeringMatrix,
 def _draws(cfg: SystemConfig, realizations: int, seed: int,
            gains: np.ndarray | None):
     """Check ``cfg`` and ``realizations`` now; iterate over the (g0, w) of
-    each realization in order, realization r drawn from its own substream."""
+    each realization in order, realization r drawn from its own substream.
+    Both arrays are fresh per realization, so callers may modify them."""
     gains = _simulation_gains(cfg, gains)
     if realizations < 1:
         raise ConfigError(f"realizations must be >= 1, got {realizations}")
     share, copilot, loading, coeff = _pilot_model(cfg, gains)
     own0 = gains[:, :, 0, :, None] * cfg.d          # beta_{lm0k} d
     mix = share[:, 0, None, None, None]             # s_l: cell l reuses cell 0's pilots
-    g0_scale, coeff = np.sqrt(own0), coeff[..., None]
-    rest_scale = np.sqrt(copilot[..., None] - mix * own0 + loading)
-    shape = (cfg.L, cfg.M, cfg.K, cfg.P)
+    # 1/sqrt(2) makes the two unit normals one standard complex Gaussian.
+    g0_scale = np.sqrt(own0 / 2.0)
+    rest_scale = np.sqrt((copilot[..., None] - mix * own0 + loading) / 2.0)
+    coeff = coeff[..., None]
+    shape = (2, cfg.L, cfg.M, cfg.K, cfg.P, 2)
 
     def draw(r: int):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        g0 = g0_scale * _complex_normal(rng, shape)
-        return g0, coeff * (mix * g0 + rest_scale * _complex_normal(rng, shape))
+        g0, w = rng.standard_normal(shape).view(np.complex128)[..., 0]
+        g0 *= g0_scale
+        w *= rest_scale
+        w[::cfg.psi] += g0[::cfg.psi]               # s_l = 1 exactly for l % psi == 0
+        w *= coeff
+        return g0, w
 
     return map(draw, range(realizations))
+
+
+def _power(x: np.ndarray) -> np.ndarray:
+    """|x|^2 elementwise, without the square root of ``abs``."""
+    return x.real ** 2 + x.imag ** 2
 
 
 def empirical_sinr_rate(cfg: SystemConfig, realizations: int, seed: int,
@@ -191,14 +218,16 @@ def empirical_sinr_rate(cfg: SystemConfig, realizations: int, seed: int,
     off_diag = ~np.eye(cfg.K, dtype=bool)
 
     for g0, w in _draws(cfg, realizations, seed, gains):
-        # y[l, k, i] = sum_m g_{lm0k}^T w_{lmi}, with w = ghat*
-        y = np.einsum("lmkp,lmip->lki", g0, w.conj())
-        own = y[0].diagonal()
-        sum_eff += own
-        sum_eff2 += np.abs(own) ** 2
-        sum_sci += np.where(off_diag, np.abs(y[0]) ** 2, 0.0).sum(axis=1)
-        sum_ici += (np.abs(y) ** 2).sum(axis=2)
-        sum_wnorm += (np.abs(w) ** 2).sum(axis=(1, 2, 3))
+        sum_wnorm += _power(w).sum(axis=(1, 2, 3))
+        # y[l, k, i] = sum_m g_{lm0k}^T w*_{lmi}: one (K, P) x (P, K) product
+        # per (l, m), then a sum over m
+        np.conjugate(w, out=w)
+        y = np.matmul(g0, w.swapaxes(-1, -2)).sum(axis=1)
+        power = _power(y)
+        sum_eff += y[0].diagonal()
+        sum_eff2 += power[0].diagonal()
+        sum_sci += np.where(off_diag, power[0], 0.0).sum(axis=1)
+        sum_ici += power.sum(axis=2)
 
     lam = cfg.K / (sum_wnorm / realizations)
     mean_eff = sum_eff / realizations
@@ -222,7 +251,7 @@ def empirical_transmit_power(cfg: SystemConfig, realizations: int, seed: int,
     """
     sum_wnorm = np.zeros(cfg.L)
     for _, w in _draws(cfg, realizations, seed, gains):
-        sum_wnorm += (np.abs(w) ** 2).sum(axis=(1, 2, 3))
+        sum_wnorm += _power(w).sum(axis=(1, 2, 3))
     if lam is None:
         lam = cfg.K / (sum_wnorm / realizations)
     return cfg.p_d / cfg.K * np.asarray(lam) * sum_wnorm / realizations

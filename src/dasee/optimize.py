@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .asymptotic import (InfeasibleAntennasError, RateUnachievableError,
-                         energy_efficiency, min_antennas, operating_point,
-                         rate_margin, sinr_breakdown)
+                         _rate_ceiling, energy_efficiency, min_antennas,
+                         operating_point, rate_margin, sinr_breakdown)
 from .config import (ConfigError, PowerModel, SystemConfig, derived_scalars,
                      override)
 
@@ -117,6 +117,8 @@ def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
     n_real = (math.sqrt(data_fraction * cfg.sigma2 * cfg.K
                         / (margin * cfg.M * pm.P_RRH))
               + brk.I_MU_scaled / margin)
+    if not math.isfinite(n_real):   # the margin is subnormal, as for n_min
+        raise RateUnachievableError(gamma, _rate_ceiling(brk))
     n_star = floor_ceil_select(n_real, lambda n: ee_or_none(cfg, pm, gamma, n=n))
     ee, p_d, _ = operating_point(cfg.replace(n=n_star), pm, gamma)
     return OptimizationResult(ee=ee, p_d=p_d, n=n_star, M=cfg.M, K=cfg.K,

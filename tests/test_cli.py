@@ -67,6 +67,10 @@ def test_infeasible_rate_exit_code(capsys):
         code, out, err = run(capsys, "opt-n", "--gamma", "1100", "--psi", psi)
         assert code == 3 and out == "" and "infeasible" in err
         assert ("ceiling inf " in err) == (psi == "7"), err
+    # just below 1024 the margin is subnormal and n_min exceeds every double
+    for cmd in ("opt-n", "opt-m"):
+        code, out, err = run(capsys, cmd, "--gamma", "1023.9", "--psi", "7")
+        assert code == 3 and out == "" and "infeasible" in err, err
 
 
 def test_config_error_exit_code(capsys):

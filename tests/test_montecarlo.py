@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import dasee
 from dasee.asymptotic import (deterministic_sinr, large_scale_gains,
                               operating_point, sinr_breakdown)
 from dasee.config import ConfigError, PowerModel, SystemConfig
@@ -221,3 +226,109 @@ def test_zero_gain_link_gets_zero_coefficient():
     assert (coeff[:, 0, 0] > 0).all()
     assert np.isfinite(sinr).all() and np.isfinite(se)
     assert np.isfinite(real.estimates).all()
+
+
+def _reference_draws(cfg, realizations, seed, gains):
+    """(g0, w) per realization, assembled term by term from two draws."""
+    share, copilot, loading, coeff = _pilot_model(cfg, gains)
+    own0 = gains[:, :, 0, :, None] * cfg.d
+    mix = share[:, 0, None, None, None]
+    shape = (cfg.L, cfg.M, cfg.K, cfg.P)
+    for r in range(realizations):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        z = rng.standard_normal(shape + (2,))
+        a = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+        z = rng.standard_normal(shape + (2,))
+        b = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+        g0 = np.sqrt(own0) * a
+        rest = np.sqrt(copilot[..., None] - mix * own0 + loading) * b
+        yield g0, coeff[..., None] * (mix * g0 + rest)
+
+
+def _reference_sinr_rate(cfg, realizations, seed, gains):
+    """The estimator written plainly: einsum contraction, abs()**2 powers."""
+    sum_eff = np.zeros(cfg.K, dtype=complex)
+    sum_eff2 = np.zeros(cfg.K)
+    sum_sci = np.zeros(cfg.K)
+    sum_ici = np.zeros((cfg.L, cfg.K))
+    sum_wnorm = np.zeros(cfg.L)
+    off_diag = ~np.eye(cfg.K, dtype=bool)
+    for g0, w in _reference_draws(cfg, realizations, seed, gains):
+        y = np.einsum("lmkp,lmip->lki", g0, w.conj())
+        own = y[0].diagonal()
+        sum_eff += own
+        sum_eff2 += np.abs(own) ** 2
+        sum_sci += np.where(off_diag, np.abs(y[0]) ** 2, 0.0).sum(axis=1)
+        sum_ici += (np.abs(y) ** 2).sum(axis=2)
+        sum_wnorm += (np.abs(w) ** 2).sum(axis=(1, 2, 3))
+    lam = cfg.K / (sum_wnorm / realizations)
+    mean_eff = sum_eff / realizations
+    var_eff = sum_eff2 / realizations - np.abs(mean_eff) ** 2
+    sci = lam[0] * sum_sci / realizations
+    ici = (lam[1:, None] * sum_ici[1:] / realizations).sum(axis=0)
+    sinr = (lam[0] * np.abs(mean_eff) ** 2
+            / (lam[0] * var_eff + sci + ici + cfg.sigma2 / cfg.p_d))
+    return sinr, rate_from_sinr(cfg, sinr), sum_wnorm / realizations
+
+
+@pytest.mark.parametrize("override", [False, True])
+@pytest.mark.parametrize("mode", ["exact", "negligible"])
+@pytest.mark.parametrize("psi", [1, 2])
+def test_engine_matches_reference_estimator(psi, mode, override):
+    # L = 4 so that psi = 2 leaves two co-pilot cells (0 and 2) and two others
+    cfg = SystemConfig(L=4, M=3, K=5, n=12, d=2, psi=psi, pilot_noise_mode=mode)
+    gains = large_scale_gains(cfg)
+    if override:
+        gains = gains * np.random.default_rng(8).uniform(0.5, 2.0, gains.shape)
+    passed = gains if override else None
+    R = 30
+    sinr_ref, se_ref, wnorm_ref = _reference_sinr_rate(cfg, R, 4, gains)
+    sinr, se = empirical_sinr_rate(cfg, R, seed=4, gains=passed)
+    assert np.allclose(sinr, sinr_ref, rtol=1e-12, atol=0.0)
+    assert np.isclose(se, se_ref, rtol=1e-12, atol=0.0)
+    lam = np.arange(1.0, cfg.L + 1.0)
+    power = empirical_transmit_power(cfg, R, seed=4, lam=lam, gains=passed)
+    assert np.allclose(power, cfg.p_d / cfg.K * lam * wnorm_ref,
+                       rtol=1e-12, atol=0.0)
+
+
+_THREAD_PROBE = """
+from dasee import SystemConfig
+from dasee.montecarlo import empirical_sinr_rate
+sinr, se = empirical_sinr_rate(SystemConfig(psi=1, K=20, n=60), 5, seed=3)
+print(sinr.tobytes().hex(), repr(se))
+"""
+
+
+def test_output_independent_of_blas_threads():
+    # the reproducibility contract holds for any BLAS thread count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dasee.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_realization_complex_normals_bit_identical():
+    # generate_realization assembles its normals in place; the bytes equal
+    # those of (re + 1j im) / sqrt(2) on the same stream
+    cfg = SystemConfig(L=2, M=2, K=3, n=8, d=2, psi=1)
+    real = generate_realization(cfg, steering_matrix(cfg.n, cfg.P), seed=6)
+    rng = np.random.default_rng(np.random.SeedSequence(6))
+    z = rng.standard_normal((cfg.L, cfg.M, cfg.L, cfg.K, cfg.P, 2))
+    h = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    z = rng.standard_normal((cfg.L, cfg.M, cfg.K, cfg.n, 2))
+    noise = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0) * np.sqrt(cfg.sigma2)
+    assert real.pilot_noise.tobytes() == noise.tobytes()
+    steering = steering_matrix(cfg.n, cfg.P)
+    channels = (np.sqrt(large_scale_gains(cfg) * cfg.d)[..., None]
+                * np.einsum("np,lmjkp->lmjkn", steering.A, h))
+    assert real.channels.tobytes() == channels.tobytes()
