@@ -19,6 +19,11 @@ from .config import (ConfigError, PowerModel, SystemConfig, derived_scalars,
                      override)
 
 
+# From 2**53 on, not every integer is a double: floor/ceil of an antenna
+# count that large no longer name its integer neighbors.
+MAX_ANTENNAS = 2.0 ** 53
+
+
 class RateUnachievableError(ValueError):
     """The target rate exceeds the pilot-contamination ceiling at any n."""
 
@@ -79,14 +84,23 @@ def large_scale_gains(cfg: SystemConfig, nearest=None) -> np.ndarray:
 
 
 def sinr_breakdown(cfg: SystemConfig) -> SinrBreakdown:
-    """Signal, pilot-contamination, and scaled multi-user powers."""
-    sc = derived_scalars(cfg)
-    m_half = cfg.M ** (cfg.iota / 2.0)
-    signal = cfg.beta ** 2 * (cfg.M ** cfg.iota * sc.nu1
-                              + (cfg.M - 1) * cfg.alpha1 ** 2 * sc.nu2)
-    pc = (cfg.beta ** 2 * cfg.alpha2 * (sc.L_bar1 - m_half)
-          * (m_half * sc.nu1 + (cfg.M - 1) * cfg.alpha1 * sc.nu2) ** 2
-          / (cfg.M ** cfg.iota * sc.nu1 + (cfg.M - 1) * cfg.alpha1 ** 2 * sc.nu2))
+    """Signal, pilot-contamination, and scaled multi-user powers.
+
+    Raises ConfigError when beta and iota take a term beyond the double range
+    (M^iota, beta^2 or, in negligible mode, 1/beta^2 overflows).
+    """
+    try:
+        sc = derived_scalars(cfg)
+        m_half = cfg.M ** (cfg.iota / 2.0)
+        signal = cfg.beta ** 2 * (cfg.M ** cfg.iota * sc.nu1
+                                  + (cfg.M - 1) * cfg.alpha1 ** 2 * sc.nu2)
+        pc = (cfg.beta ** 2 * cfg.alpha2 * (sc.L_bar1 - m_half)
+              * (m_half * sc.nu1 + (cfg.M - 1) * cfg.alpha1 * sc.nu2) ** 2
+              / (cfg.M ** cfg.iota * sc.nu1
+                 + (cfg.M - 1) * cfg.alpha1 ** 2 * sc.nu2))
+    except OverflowError:
+        raise ConfigError("beta and iota take the SINR terms beyond the "
+                          "double range") from None
     mu_scaled = cfg.beta * cfg.d * cfg.K * sc.xi
     return SinrBreakdown(S=signal, I_PC=pc, I_MU_scaled=mu_scaled)
 
@@ -119,11 +133,11 @@ def _rate_ceiling(brk: SinrBreakdown) -> float:
 def min_antennas(cfg: SystemConfig, brk: SinrBreakdown, gamma: float) -> int:
     """Smallest per-RRH antenna count at which rate gamma is feasible.
 
-    Raises RateUnachievableError when that count exceeds every double (a
-    rate just below 1024 makes the margin subnormal).
+    Raises RateUnachievableError when that count reaches MAX_ANTENNAS (a
+    rate near 1024 makes the margin subnormal).
     """
     n_real = brk.I_MU_scaled / rate_margin(brk, gamma)
-    if not math.isfinite(n_real):
+    if not n_real < MAX_ANTENNAS:
         raise RateUnachievableError(gamma, _rate_ceiling(brk))
     return math.floor(n_real) + 1
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import geometry, montecarlo
@@ -108,8 +109,11 @@ def cmd_mc_validate(args) -> int:
     rows = []
     for point, op in n_sweep(cfg, pm, _int_range(args.n_range)):
         ee_mc = montecarlo.empirical_ee(point, pm, args.realizations, args.seed)
-        rows.append([point.n, op.ee, ee_mc, abs(ee_mc - op.ee) / op.ee, op.p_d,
-                     op.p_total, 1])
+        gap = abs(ee_mc - op.ee)
+        # a DE EE that underflows to 0 leaves no relative error to report
+        rel = gap / op.ee if op.ee > 0.0 else 0.0 if gap == 0.0 else math.inf
+        rows.append([point.n, op.ee, ee_mc, rel, op.p_d, op.p_total,
+                     int(math.isfinite(rel))])
     write_rows(["n", "ee_de_bits_per_joule", "ee_mc_bits_per_joule",
                 "rel_error", "p_d_watts", "p_total_watts", "feasible"],
                rows, args.output)
@@ -160,6 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("calibrate", help="fit (beta, alpha1, alpha2) from geometry")
+    p.add_argument("--config", help="key = value config file")
     for key in ("M", "L", "K", "Rc", "iota"):
         p.add_argument("--" + key, type=int if _MODEL_ARGS[key] == "int" else float)
     p.add_argument("--drops", type=int, default=1000)

@@ -237,7 +237,10 @@ def scenario_from_mapping(values: dict) -> tuple[SystemConfig, PowerModel]:
         value = _coerce(name, ann, text) if not isinstance(text, (int, float)) \
             else text
         if dbm:
-            value = watts_from_dbm(float(value))
+            try:
+                value = watts_from_dbm(float(value))
+            except OverflowError:
+                raise ConfigError(f"{key} = {value!r} is out of range") from None
         target[name] = value
     return SystemConfig(**sys_kw), PowerModel(**pm_kw)
 

@@ -1,6 +1,6 @@
 """Monte-Carlo link-level oracle for the finite-antenna downlink.
 
-Draws the exact finite-n system: correlated channels, uplink pilots with
+Simulates the exact finite-n system: correlated channels, uplink pilots with
 contamination and noise, per-link MMSE estimates, MRT precoders with batch
 power normalization, and the empirical per-user SINR / cell spectral
 efficiency assembled exactly as the analytic formula structures them
@@ -10,37 +10,34 @@ interference magnitudes, normalization from the same batch).
 Reproducibility contract: realization r draws from its own counter-derived
 substream SeedSequence(seed, spawn_key=(r,)), and reductions run in fixed
 realization order, so results are bit-identical for a given
-(config, seed, realization count) regardless of how the work is scheduled.
+(config, seed, realization count).  No step calls BLAS, so the BLAS thread
+count does not enter.
 
 The channels of the rank-P model live in the steering subspace
 (g = sqrt(beta*n/P) A h with A^H A = I_P), and the estimation filter is a
 scalar multiple of the projector A A^H, so every inner product entering the
-SINR reduces exactly to P-dimensional coordinates; the SINR estimator works
-in these coordinates and never materializes A.  It needs only the cell-0
-channels g0 = g_{lm0k} and the estimates w = ghat_{lmlk}.  Every other
-co-pilot channel and the pilot noise enter w through one sum of independent
-Gaussians, so each realization draws two standard (L, M, K, P) arrays a, b:
+SINR reduces exactly to P-dimensional coordinates.  With a, b independent
+standard complex Gaussian P-vectors, the cell-0 channel and the estimate of
+each (cell l, RRH m, user k) are
 
-    g0 = sqrt(beta_{lm0k} d) a
-    w  = c_{lmk} (s_l g0 + sqrt(C_{lmk} - s_l beta_{lm0k} d + loading) b)
+    g0 = sqrt(o) a,    w = c (s_l g0 + sqrt(q) b),
 
-with s_l = 1 if cell l shares cell 0's pilots (else 0), C_{lmk} the summed
-co-pilot gains and c_{lmk} the MMSE coefficient: the joint distribution of
-drawing every link, as the full-space reference ``generate_realization`` does.
+with o = beta_{lm0k} d, s_l = 1 if cell l shares cell 0's pilots (else 0),
+q = (summed co-pilot gains) - s_l o + (pilot loading) and c the MMSE
+coefficient: the joint distribution of drawing every link, as the
+full-space reference ``generate_realization`` does.
 
-Layout.  A realization's normals come from one call,
-standard_normal((2, L, M, K, P, 2)), whose last axis is read in place as
-complex128 (real, imaginary); the first index gives a, the second b, the
-same values as two sequential (L, M, K, P) draws.  The 1/sqrt(2) of a unit
-complex Gaussian is folded into the scale factors.  Cells with s_l = 1 are
-exactly l = 0 (mod psi), so w is built in place: scale b, add g0 on every
-psi-th cell, multiply by c.  The inner products
-y[l, k, i] = sum_m g_{lm0k}^T conj(w_{lmi}) are one (K, P) x (P, K) GEMM per
-(l, m), followed by a sum over m in fixed order.  A single (K, M P) GEMM per
-cell is as fast, but its last bits changed between one and two BLAS threads
-(measured at psi 1, K 20, n 60), which would break the contract above; the
-per-(l, m) products gave the same bytes under one and two BLAS threads at
-every size tried, up to K = 196 and P = 300.
+The estimator needs only scalar statistics of these vectors, and the
+sampler draws those directly, exact in distribution.  Where s_l = 1,
+||a||^2 ~ Gamma(P, 1); given a, a^T conj(b) = ||a|| zeta with zeta a unit
+complex Gaussian, and ||b||^2 = |zeta|^2 + Gamma(P - 1, 1) (Gamma(0) = 0),
+which give ||w||^2 and the diagonal product y_lkk = sum_m g0^T conj(w).
+Where s_l = 0, ||w||^2 = c^2 q Gamma(P, 1).  Each cross term |y_lki|^2 pairs
+a cell-0 channel with an independent estimate (every i != k, and i = k where
+s_l = 0), so the sampler uses its exact conditional expectation
+sum_m o_lmk ||w_lmi||^2 (conditional Monte Carlo): every batch mean keeps
+its expectation and loses variance.  A realization thus draws at most four
+variates per (l, m, k) and never builds a P-vector.
 """
 from __future__ import annotations
 
@@ -166,39 +163,59 @@ def generate_realization(cfg: SystemConfig, steering: SteeringMatrix,
                               estimates=estimates, seed=seed)
 
 
-def _draws(cfg: SystemConfig, realizations: int, seed: int,
-           gains: np.ndarray | None):
-    """Check ``cfg`` and ``realizations`` now; iterate over the (g0, w) of
-    each realization in order, realization r drawn from its own substream.
-    Both arrays are fresh per realization, so callers may modify them."""
+def _statistics(cfg: SystemConfig, realizations: int, seed: int,
+                gains: np.ndarray | None):
+    """Check ``cfg`` and ``realizations`` now; iterate over each realization's
+    statistics in order, realization r drawn from its own substream:
+    per-cell sum_{m,k} ||w_lmk||^2 (L,), the effective channel y_0kk (K,) and
+    its power, cell 0's cross terms sum_{i != k} |y_0ki|^2 (K,), and
+    sum_i |y_lki|^2 per cell (L, K)."""
     gains = _simulation_gains(cfg, gains)
     if realizations < 1:
         raise ConfigError(f"realizations must be >= 1, got {realizations}")
     share, copilot, loading, coeff = _pilot_model(cfg, gains)
-    own0 = gains[:, :, 0, :, None] * cfg.d          # beta_{lm0k} d
-    mix = share[:, 0, None, None, None]             # s_l: cell l reuses cell 0's pilots
-    # 1/sqrt(2) makes the two unit normals one standard complex Gaussian.
-    g0_scale = np.sqrt(own0 / 2.0)
-    rest_scale = np.sqrt((copilot[..., None] - mix * own0 + loading) / 2.0)
-    coeff = coeff[..., None]
-    shape = (2, cfg.L, cfg.M, cfg.K, cfg.P, 2)
+    shared = share[:, 0] == 1.0                     # s_l
+    other = ~shared
+    mix = shared[:, None, None]
+    own0 = gains[:, :, 0] * cfg.d                   # o
+    rest = copilot - mix * own0 + loading           # q
+    o, q, c = own0[shared], rest[shared], coeff[shared]
+    co, cx = c * o, c * np.sqrt(o * q)      # g0^T conj(w) = co ||a||^2 + cx a^T conj(b)
+    c2o, c2x, c2q = c * co, 2.0 * c * cx, c ** 2 * q
+    c2q_other = coeff[other] ** 2 * rest[other]
 
-    def draw(r: int):
+    def realization(r: int):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        g0, w = rng.standard_normal(shape).view(np.complex128)[..., 0]
-        g0 *= g0_scale
-        w *= rest_scale
-        w[::cfg.psi] += g0[::cfg.psi]               # s_l = 1 exactly for l % psi == 0
-        w *= coeff
-        return g0, w
+        norm_a = rng.standard_gamma(cfg.P, o.shape)
+        zeta = rng.standard_normal(o.shape + (2,)).view(np.complex128)[..., 0]
+        zeta /= np.sqrt(2.0)
+        ab = np.sqrt(norm_a) * zeta                 # a^T conj(b)
+        norm_b = (zeta.real ** 2 + zeta.imag ** 2
+                  + rng.standard_gamma(cfg.P - 1, o.shape))
+        wnorm = np.empty(own0.shape)
+        wnorm[shared] = c2o * norm_a + c2x * ab.real + c2q * norm_b
+        wnorm[other] = c2q_other * rng.standard_gamma(cfg.P, c2q_other.shape)
+        per_rrh = wnorm.sum(axis=2)
+        cross = (own0 * (per_rrh[..., None] - mix * wnorm)).sum(axis=1)
+        y = (co * norm_a + cx * ab).sum(axis=1)
+        power = y.real ** 2 + y.imag ** 2
+        total = cross.copy()
+        total[shared] += power
+        return per_rrh.sum(axis=1), y[0], power[0], cross[0], total
 
-    return map(draw, range(realizations))
+    return map(realization, range(realizations))
 
 
-def _power(x: np.ndarray) -> np.ndarray:
-    """|x|^2 elementwise, without the square root of ``abs``."""
-    return x.real ** 2 + x.imag ** 2
+def _batch_means(cfg: SystemConfig, realizations: int, seed: int,
+                 gains: np.ndarray | None) -> list[np.ndarray]:
+    """Means of the ``_statistics`` terms, summed in realization order."""
+    stats = _statistics(cfg, realizations, seed, gains)
+    sums = list(next(stats))
+    for terms in stats:
+        for total, term in zip(sums, terms):
+            total += term
+    return [total / realizations for total in sums]
 
 
 def empirical_sinr_rate(cfg: SystemConfig, realizations: int, seed: int,
@@ -210,32 +227,12 @@ def empirical_sinr_rate(cfg: SystemConfig, realizations: int, seed: int,
     power normalization estimated from the same batch.  Returns
     ``(sinr, se)`` with sinr of shape (K,) and se in bits/s/Hz.
     """
-    sum_eff = np.zeros(cfg.K, dtype=complex)   # effective channel, user k
-    sum_eff2 = np.zeros(cfg.K)
-    sum_sci = np.zeros(cfg.K)
-    sum_ici = np.zeros((cfg.L, cfg.K))
-    sum_wnorm = np.zeros(cfg.L)
-    off_diag = ~np.eye(cfg.K, dtype=bool)
-
-    for g0, w in _draws(cfg, realizations, seed, gains):
-        sum_wnorm += _power(w).sum(axis=(1, 2, 3))
-        # y[l, k, i] = sum_m g_{lm0k}^T w*_{lmi}: one (K, P) x (P, K) product
-        # per (l, m), then a sum over m
-        np.conjugate(w, out=w)
-        y = np.matmul(g0, w.swapaxes(-1, -2)).sum(axis=1)
-        power = _power(y)
-        sum_eff += y[0].diagonal()
-        sum_eff2 += power[0].diagonal()
-        sum_sci += np.where(off_diag, power[0], 0.0).sum(axis=1)
-        sum_ici += power.sum(axis=2)
-
-    lam = cfg.K / (sum_wnorm / realizations)
-    mean_eff = sum_eff / realizations
-    var_eff = sum_eff2 / realizations - np.abs(mean_eff) ** 2
-    sci = lam[0] * sum_sci / realizations
-    ici = (lam[1:, None] * sum_ici[1:] / realizations).sum(axis=0)
-    sinr = (lam[0] * np.abs(mean_eff) ** 2
-            / (lam[0] * var_eff + sci + ici + cfg.sigma2 / cfg.p_d))
+    wnorm, eff, eff2, sci, total = _batch_means(cfg, realizations, seed, gains)
+    lam = cfg.K / wnorm
+    var_eff = eff2 - np.abs(eff) ** 2
+    ici = (lam[1:, None] * total[1:]).sum(axis=0)
+    sinr = (lam[0] * np.abs(eff) ** 2
+            / (lam[0] * var_eff + lam[0] * sci + ici + cfg.sigma2 / cfg.p_d))
     se = rate_from_sinr(cfg, sinr)
     return sinr, se
 
@@ -249,12 +246,10 @@ def empirical_transmit_power(cfg: SystemConfig, realizations: int, seed: int,
     passing the closed-form normalization 1/(n*S) instead makes this a real
     consistency check of the precoder second moment.
     """
-    sum_wnorm = np.zeros(cfg.L)
-    for _, w in _draws(cfg, realizations, seed, gains):
-        sum_wnorm += _power(w).sum(axis=(1, 2, 3))
+    wnorm = _batch_means(cfg, realizations, seed, gains)[0]
     if lam is None:
-        lam = cfg.K / (sum_wnorm / realizations)
-    return cfg.p_d / cfg.K * np.asarray(lam) * sum_wnorm / realizations
+        lam = cfg.K / wnorm
+    return cfg.p_d / cfg.K * np.asarray(lam) * wnorm
 
 
 def empirical_ee(cfg: SystemConfig, pm: PowerModel, realizations: int,

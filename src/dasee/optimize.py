@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .asymptotic import (InfeasibleAntennasError, RateUnachievableError,
-                         _rate_ceiling, energy_efficiency, min_antennas,
-                         operating_point, rate_margin, sinr_breakdown)
+from .asymptotic import (MAX_ANTENNAS, InfeasibleAntennasError,
+                         RateUnachievableError, _rate_ceiling,
+                         energy_efficiency, min_antennas, operating_point,
+                         rate_margin, sinr_breakdown)
 from .config import (ConfigError, PowerModel, SystemConfig, derived_scalars,
                      override)
 
@@ -117,7 +118,7 @@ def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
     n_real = (math.sqrt(data_fraction * cfg.sigma2 * cfg.K
                         / (margin * cfg.M * pm.P_RRH))
               + brk.I_MU_scaled / margin)
-    if not math.isfinite(n_real):   # the margin is subnormal, as for n_min
+    if not n_real < MAX_ANTENNAS:   # no integer neighbors, as for n_min
         raise RateUnachievableError(gamma, _rate_ceiling(brk))
     n_star = floor_ceil_select(n_real, lambda n: ee_or_none(cfg, pm, gamma, n=n))
     ee, p_d, _ = operating_point(cfg.replace(n=n_star), pm, gamma)
@@ -213,7 +214,7 @@ def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
     otherwise each candidate M uses its own closed-form optimal n.  The
     averaged-model gains (beta, alpha1, alpha2) are held fixed while the
     serving-RRH gain keeps its M^(iota/2) scaling.  Ties break toward the
-    smaller M; infeasible M are skipped.
+    smaller M; an M without a feasible (integer) optimum is skipped.
     """
     if M_max < 1:
         raise OptimizationError("M_max must be >= 1")
@@ -226,7 +227,8 @@ def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
             else:
                 ee, p_d, _ = operating_point(cfg.replace(n=n, M=M), pm, gamma)
                 cand = OptimizationResult(ee=ee, p_d=p_d, n=n, M=M, K=cfg.K)
-        except (InfeasibleAntennasError, RateUnachievableError):
+        except (InfeasibleAntennasError, RateUnachievableError,
+                OptimizationError):
             continue
         if best is None or cand.ee > best.ee:
             best = cand

@@ -73,6 +73,17 @@ def test_infeasible_rate_exit_code(capsys):
         assert code == 3 and out == "" and "infeasible" in err, err
 
 
+def test_unrepresentable_optimum_exit_code(capsys):
+    # a continuous optimum beyond 2**53 antennas reads as an unachievable
+    # rate (opt-n) or an M skipped in the scan (opt-m, joint): exit 3 with a
+    # short message, not a 300-digit "integer point"
+    for argv in (("opt-n", "--gamma", "1000"), ("opt-m", "--gamma", "1023.9"),
+                 ("joint", "--gamma", "1023.9")):
+        code, out, err = run(capsys, *argv, "--psi", "7")
+        assert code == 3 and out == "" and "integer point" not in err, err
+        assert len(err) < 120, err
+
+
 def test_config_error_exit_code(capsys):
     code, _, err = run(capsys, "de-curve", "--K", "200")
     assert code == 2
@@ -100,6 +111,18 @@ def test_calibrate_fragment_feeds_model(capsys, tmp_path):
     assert 0.3 < cfg.alpha1 < 0.8
 
 
+def test_calibrate_reads_config_file(capsys, tmp_path):
+    # --config resolves like every other subcommand's; flags still win
+    path = tmp_path / "k12.cfg"
+    path.write_text("K = 12\nM = 3\n")
+    args = ("calibrate", "--drops", "20", "--seed", "3")
+    code_file, out_file, _ = run(capsys, *args, "--config", str(path), "--M", "7")
+    code_flag, out_flag, _ = run(capsys, *args, "--K", "12")
+    assert code_file == code_flag == 0
+    assert out_file == out_flag
+    assert out_file != run(capsys, *args)[1]
+
+
 def test_de_curve_reruns_byte_identical(capsys):
     args = ("de-curve", "--n-range", "10,20,30")
     code1, out1, _ = run(capsys, *args)
@@ -120,6 +143,17 @@ def test_mc_validate_small(capsys):
     for row in rows:
         rel = float(row.split(",")[3])
         assert rel < 0.25
+
+
+def test_mc_validate_zero_de_ee_row_is_not_feasible(capsys):
+    # a pilot power this small makes the DE EE underflow to 0: the relative
+    # error is not finite, and the row says so instead of raising
+    code, out, _ = run(capsys, "mc-validate", "--n-range", "10",
+                       "--realizations", "3", "--p-u", "1e-30")
+    assert code == 0
+    row = list(csv.DictReader(io.StringIO(out)))[0]
+    assert float(row["ee_de_bits_per_joule"]) == 0.0
+    assert row["rel_error"] == "inf" and row["feasible"] == "0"
 
 
 def test_empty_sweep_rejected_and_no_file(tmp_path):
@@ -163,6 +197,10 @@ def test_dbm_flags(capsys):
     ("figure", "2", "--realizations", "0"),
     ("de-curve", "--beta", "nan", "--n-range", "20"),
     ("de-curve", "--p-d", "inf", "--n-range", "20"),
+    ("de-curve", "--p-d-dbm", "1e300", "--n-range", "20"),
+    ("de-curve", "--iota", "1e300", "--n-range", "20"),
+    ("opt-n", "--gamma", "2", "--beta", "1e300"),
+    ("opt-k", "--gamma", "1", "--beta", "1e-300"),
     ("opt-n", "--gamma", "2", "--beta", "nan"),
     ("opt-n", "--gamma", "0"),
     ("opt-m", "--gamma", "0"),

@@ -1,0 +1,141 @@
+"""Property tests over generated inputs: the CLI ends every run in a clean
+exit with no non-finite row marked feasible, and the Monte-Carlo estimator
+is finite and reproducible on small generated configurations."""
+import contextlib
+import csv
+import io
+import json
+import math
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from dasee.cli import main  # noqa: E402
+from dasee.config import SystemConfig  # noqa: E402
+from dasee.montecarlo import empirical_sinr_rate  # noqa: E402
+
+# Deterministic example sets, no example database on disk.
+FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
+                database=None)
+
+_ODD_FLOATS = (0.0, -1.0, math.nan, math.inf, -math.inf, 1e-300, 1e300)
+
+
+def _near(default: float):
+    """Values around a default, plus the edge cases every float flag gets."""
+    return st.one_of(st.floats(default / 10.0, default * 10.0),
+                     st.sampled_from(_ODD_FLOATS))
+
+
+# Small counts keep every Monte-Carlo run cheap; -1 and 0 are invalid.
+_COUNT = st.integers(-1, 9)
+_MODEL_FLAGS = {
+    "L": _COUNT, "M": _COUNT, "K": _COUNT, "n": st.integers(-1, 40),
+    "psi": _COUNT, "d": st.integers(0, 3), "T": st.sampled_from([0, 20, 196]),
+    "beta": _near(2.24e-8), "alpha1": st.floats(-0.5, 1.5),
+    "alpha2": st.floats(-0.5, 1.5), "iota": _near(2.5), "p-u": _near(0.5),
+    "p-d": _near(1.0), "sigma2": _near(1e-7), "p-d-dbm": _near(30.0),
+    "pilot-noise-mode": st.sampled_from(["exact", "negligible"]),
+    "P-FIX": _near(9.0), "P-RRH": _near(0.2), "zeta": st.floats(0.01, 1.5),
+}
+_GAMMA = st.one_of(st.floats(0.05, 12.0),
+                   st.sampled_from([0.0, -1.0, math.nan, 1000.0, 1023.9, 1100.0]))
+_N_RANGE = st.sampled_from(["10:40:10", "4,8", "20", "0", "2:1", "40:10:-15"])
+
+
+def _flags(draw_dict):
+    argv = []
+    for key, value in draw_dict.items():
+        argv.append(f"--{key}={value!r}" if isinstance(value, float)
+                    else f"--{key}={value}")
+    return argv
+
+
+_MODEL_ARGV = st.fixed_dictionaries({}, optional=_MODEL_FLAGS).map(_flags)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _assert_clean(argv):
+    code, out = _run(argv)
+    assert code in (0, 2, 3), (argv, code)
+    if code != 0:
+        assert out == "", argv
+        return
+    if out.startswith("{"):
+        payload = json.loads(out)
+        assert all(math.isfinite(payload[key]) for key in
+                   ("ee_bits_per_joule", "p_d_watts")), (argv, payload)
+        return
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows, argv
+    for row in rows:
+        if row["feasible"] == "1":
+            values = [float(v) for k, v in row.items() if k != "feasible"]
+            assert all(math.isfinite(v) for v in values), (argv, row)
+
+
+@FUZZ
+@given(model=_MODEL_ARGV, n_range=_N_RANGE)
+def test_de_curve_exits_cleanly(model, n_range):
+    _assert_clean(["de-curve", "--n-range", n_range, *model])
+
+
+@FUZZ
+@given(model=_MODEL_ARGV, gamma=_GAMMA, no_pc=st.booleans())
+def test_opt_n_exits_cleanly(model, gamma, no_pc):
+    _assert_clean(["opt-n", f"--gamma={gamma!r}", *model]
+                  + (["--no-pc"] if no_pc else []))
+
+
+@FUZZ
+@given(model=_MODEL_ARGV, gamma=_GAMMA)
+def test_opt_k_exits_cleanly(model, gamma):
+    _assert_clean(["opt-k", f"--gamma={gamma!r}", *model])
+
+
+@FUZZ
+@given(model=_MODEL_ARGV, gamma=_GAMMA, m_max=st.integers(-1, 9),
+       fixed_n=st.booleans())
+def test_opt_m_exits_cleanly(model, gamma, m_max, fixed_n):
+    _assert_clean(["opt-m", f"--gamma={gamma!r}", f"--M-max={m_max}", *model]
+                  + (["--fixed-n"] if fixed_n else []))
+
+
+@FUZZ
+@given(model=_MODEL_ARGV, n_range=_N_RANGE, realizations=st.integers(-1, 4),
+       seed=st.integers(0, 2 ** 32))
+def test_mc_validate_exits_cleanly(model, n_range, realizations, seed):
+    _assert_clean(["mc-validate", "--n-range", n_range,
+                   f"--realizations={realizations}", f"--seed={seed}", *model])
+
+
+@st.composite
+def _small_configs(draw):
+    L = draw(st.integers(1, 4))
+    psi = draw(st.sampled_from([p for p in range(1, L + 1) if L % p == 0]))
+    d = draw(st.integers(1, 3))
+    return SystemConfig(
+        L=L, psi=psi, d=d, M=draw(st.integers(1, 4)), K=draw(st.integers(1, 6)),
+        n=d * draw(st.integers(1, 8)), alpha1=draw(st.floats(0.0, 1.0)),
+        alpha2=draw(st.floats(0.0, 1.0)), p_u=draw(st.floats(1e-3, 10.0)),
+        pilot_noise_mode=draw(st.sampled_from(["exact", "negligible"])))
+
+
+@FUZZ
+@given(cfg=_small_configs(), realizations=st.integers(1, 20),
+       seed=st.integers(0, 2 ** 32))
+def test_empirical_sinr_rate_finite_and_reproducible(cfg, realizations, seed):
+    sinr, se = empirical_sinr_rate(cfg, realizations, seed)
+    again, se_again = empirical_sinr_rate(cfg, realizations, seed)
+    assert sinr.tobytes() == again.tobytes() and se == se_again
+    assert all(math.isfinite(v) for v in sinr) and math.isfinite(se)
+

@@ -9,7 +9,7 @@ import dasee
 from dasee.asymptotic import (deterministic_sinr, large_scale_gains,
                               operating_point, sinr_breakdown)
 from dasee.config import ConfigError, PowerModel, SystemConfig
-from dasee.montecarlo import (_draws, _pilot_model, empirical_ee,
+from dasee.montecarlo import (_pilot_model, _statistics, empirical_ee,
                               empirical_sinr_rate, empirical_transmit_power,
                               generate_realization, rate_from_sinr,
                               steering_matrix)
@@ -176,14 +176,14 @@ def _link_moments(g0, w):
 @pytest.mark.parametrize("mode", ["exact", "negligible"])
 @pytest.mark.parametrize("psi", [1, 2])
 def test_sampler_matches_full_space_moments(psi, mode):
-    # the two-Gaussian sampler vs every link drawn in the full space and
-    # projected onto A, per (l, m, k), within four standard errors
+    # the two-Gaussian reference sampler vs every link drawn in the full
+    # space and projected onto A, per (l, m, k), within four standard errors
     cfg = SystemConfig(L=2, M=2, K=2, n=8, d=2, psi=psi, pilot_noise_mode=mode)
     steering = steering_matrix(cfg.n, cfg.P)
     A = steering.A
     R = 2000
-    reduced = np.array([_link_moments(g0, w)
-                        for g0, w in _draws(cfg, R, seed=5, gains=None)])
+    g0, w = _reference_draws(cfg, R, 5, large_scale_gains(cfg))
+    reduced = np.array([_link_moments(g0[r], w[r]) for r in range(R)])
     full = np.empty_like(reduced)
     for r in range(R):
         real = generate_realization(cfg, steering, seed=r)
@@ -229,68 +229,104 @@ def test_zero_gain_link_gets_zero_coefficient():
 
 
 def _reference_draws(cfg, realizations, seed, gains):
-    """(g0, w) per realization, assembled term by term from two draws."""
+    """(g0, w) of every realization, shape (R, L, M, K, P), assembled term
+    by term from two Gaussian draws."""
     share, copilot, loading, coeff = _pilot_model(cfg, gains)
     own0 = gains[:, :, 0, :, None] * cfg.d
     mix = share[:, 0, None, None, None]
-    shape = (cfg.L, cfg.M, cfg.K, cfg.P)
-    for r in range(realizations):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        z = rng.standard_normal(shape + (2,))
-        a = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-        z = rng.standard_normal(shape + (2,))
-        b = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-        g0 = np.sqrt(own0) * a
-        rest = np.sqrt(copilot[..., None] - mix * own0 + loading) * b
-        yield g0, coeff[..., None] * (mix * g0 + rest)
+    rng = np.random.default_rng(seed)
+    shape = (realizations, cfg.L, cfg.M, cfg.K, cfg.P, 2)
+    a, b = ((z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+            for z in (rng.standard_normal(shape), rng.standard_normal(shape)))
+    g0 = np.sqrt(own0) * a
+    rest = np.sqrt(copilot[..., None] - mix * own0 + loading) * b
+    return g0, coeff[..., None] * (mix * g0 + rest)
 
 
-def _reference_sinr_rate(cfg, realizations, seed, gains):
-    """The estimator written plainly: einsum contraction, abs()**2 powers."""
-    sum_eff = np.zeros(cfg.K, dtype=complex)
-    sum_eff2 = np.zeros(cfg.K)
-    sum_sci = np.zeros(cfg.K)
-    sum_ici = np.zeros((cfg.L, cfg.K))
-    sum_wnorm = np.zeros(cfg.L)
+def _reference_statistics(cfg, realizations, seed, gains):
+    """The engine's per-realization statistics from the vectors themselves:
+    einsum contraction, abs()**2 powers, no conditional expectations."""
+    g0, w = _reference_draws(cfg, realizations, seed, gains)
+    y = np.einsum("rlmkp,rlmip->rlki", g0, w.conj())
+    power = np.abs(y) ** 2
+    own = np.diagonal(y[:, 0], axis1=1, axis2=2)
     off_diag = ~np.eye(cfg.K, dtype=bool)
-    for g0, w in _reference_draws(cfg, realizations, seed, gains):
-        y = np.einsum("lmkp,lmip->lki", g0, w.conj())
-        own = y[0].diagonal()
-        sum_eff += own
-        sum_eff2 += np.abs(own) ** 2
-        sum_sci += np.where(off_diag, np.abs(y[0]) ** 2, 0.0).sum(axis=1)
-        sum_ici += (np.abs(y) ** 2).sum(axis=2)
-        sum_wnorm += (np.abs(w) ** 2).sum(axis=(1, 2, 3))
-    lam = cfg.K / (sum_wnorm / realizations)
-    mean_eff = sum_eff / realizations
-    var_eff = sum_eff2 / realizations - np.abs(mean_eff) ** 2
-    sci = lam[0] * sum_sci / realizations
-    ici = (lam[1:, None] * sum_ici[1:] / realizations).sum(axis=0)
-    sinr = (lam[0] * np.abs(mean_eff) ** 2
-            / (lam[0] * var_eff + sci + ici + cfg.sigma2 / cfg.p_d))
-    return sinr, rate_from_sinr(cfg, sinr), sum_wnorm / realizations
+    return ((np.abs(w) ** 2).sum(axis=(2, 3, 4)), own, np.abs(own) ** 2,
+            np.where(off_diag, power[:, 0], 0.0).sum(axis=2), power.sum(axis=3))
+
+
+def _batch_terms(wnorm, eff, eff2, sci, total):
+    """Per-realization values of every batch-mean term of the estimator."""
+    return {"signal_re": eff.real, "signal_im": eff.imag, "signal_power": eff2,
+            "intra": sci, "inter": total[:, 1:], "wnorm": wnorm}
+
+
+def _statistics_agree(cfg, gains=None, R=2000):
+    """Largest gap of the engine's batch means from the reference's, in
+    standard errors of the difference, per term.  The spread of the per-cell
+    precoder power around the reference mean is compared too: it is where
+    the Re(a^T conj(b)) part of ||w||^2, zero in mean, shows."""
+    reference = _batch_terms(*_reference_statistics(
+        cfg, R, 1, large_scale_gains(cfg) if gains is None else gains))
+    engine = _batch_terms(*map(np.array, zip(*_statistics(cfg, R, 2, gains))))
+    center = reference["wnorm"].mean(axis=0)
+    for terms in (reference, engine):
+        terms["wnorm_spread"] = (terms["wnorm"] - center) ** 2
+    worst = {}
+    for name, ref in reference.items():
+        got = engine[name]
+        se = np.sqrt((got.var(axis=0) + ref.var(axis=0)) / R)
+        gap = np.abs(got.mean(axis=0) - ref.mean(axis=0))
+        worst[name] = float(np.max(gap / np.maximum(se, np.finfo(float).tiny)))
+    return worst
 
 
 @pytest.mark.parametrize("override", [False, True])
 @pytest.mark.parametrize("mode", ["exact", "negligible"])
-@pytest.mark.parametrize("psi", [1, 2])
+@pytest.mark.parametrize("psi", [1, 2, 4])
 def test_engine_matches_reference_estimator(psi, mode, override):
-    # L = 4 so that psi = 2 leaves two co-pilot cells (0 and 2) and two others
+    # the sufficient-statistic engine vs the estimator evaluated on the
+    # P-vectors, term by term, within four standard errors; L = 4 so that
+    # psi = 2 leaves two co-pilot cells (0 and 2) and two others
     cfg = SystemConfig(L=4, M=3, K=5, n=12, d=2, psi=psi, pilot_noise_mode=mode)
-    gains = large_scale_gains(cfg)
+    gains = None
     if override:
-        gains = gains * np.random.default_rng(8).uniform(0.5, 2.0, gains.shape)
-    passed = gains if override else None
+        gains = large_scale_gains(cfg) * np.random.default_rng(8).uniform(
+            0.5, 2.0, (cfg.L, cfg.M, cfg.L, cfg.K))
+    worst = _statistics_agree(cfg, gains)
+    assert max(worst.values()) < 4.0, worst
+
+
+def test_engine_statistics_single_steering_column():
+    # P = 1: ||b||^2 = |zeta|^2 + Gamma(0), and Gamma(0) = 0
+    cfg = SystemConfig(L=2, M=2, K=3, n=2, d=2, psi=1)
+    worst = _statistics_agree(cfg)
+    assert max(worst.values()) < 4.0, worst
+
+
+@pytest.mark.parametrize("override", [False, True])
+def test_estimator_assembles_batch_means(override):
+    # the SINR and the transmit power written plainly from the batch means of
+    # the engine's own statistics (same draws; only the summation order differs)
+    cfg = SystemConfig(L=4, M=3, K=5, n=12, d=2, psi=2)
+    gains = None
+    if override:
+        gains = large_scale_gains(cfg) * np.random.default_rng(8).uniform(
+            0.5, 2.0, (cfg.L, cfg.M, cfg.L, cfg.K))
     R = 30
-    sinr_ref, se_ref, wnorm_ref = _reference_sinr_rate(cfg, R, 4, gains)
-    sinr, se = empirical_sinr_rate(cfg, R, seed=4, gains=passed)
+    wnorm, eff, eff2, sci, total = (np.mean(term, axis=0) for term in
+                                    map(np.array, zip(*_statistics(cfg, R, 4, gains))))
+    lam = cfg.K / wnorm
+    inter = sum(lam[l] * total[l] for l in range(1, cfg.L))
+    sinr_ref = (lam[0] * np.abs(eff) ** 2
+                / (lam[0] * (eff2 - np.abs(eff) ** 2) + lam[0] * sci + inter
+                   + cfg.sigma2 / cfg.p_d))
+    sinr, se = empirical_sinr_rate(cfg, R, seed=4, gains=gains)
     assert np.allclose(sinr, sinr_ref, rtol=1e-12, atol=0.0)
-    assert np.isclose(se, se_ref, rtol=1e-12, atol=0.0)
+    assert se == rate_from_sinr(cfg, sinr)
     lam = np.arange(1.0, cfg.L + 1.0)
-    power = empirical_transmit_power(cfg, R, seed=4, lam=lam, gains=passed)
-    assert np.allclose(power, cfg.p_d / cfg.K * lam * wnorm_ref,
-                       rtol=1e-12, atol=0.0)
+    power = empirical_transmit_power(cfg, R, seed=4, lam=lam, gains=gains)
+    assert np.allclose(power, cfg.p_d / cfg.K * lam * wnorm, rtol=1e-12, atol=0.0)
 
 
 _THREAD_PROBE = """

@@ -294,6 +294,31 @@ def test_bad_rate_is_a_config_error(gamma):
         optimal_m(CFG, PM, gamma, M_max=3, n=20)
 
 
+def test_optimal_m_skips_m_without_integer_optimum(monkeypatch):
+    # an OptimizationError at one M (both rounding neighbors infeasible)
+    # skips that M like any other infeasible M instead of ending the scan
+    import dasee.optimize as op
+    real = op.optimal_n
+
+    def failing_at_5(cfg, pm, gamma, M=None, K=None):
+        if M == 5:
+            raise OptimizationError("both neighbors of 17.2 are infeasible")
+        return real(cfg, pm, gamma, M=M, K=K)
+
+    monkeypatch.setattr(op, "optimal_n", failing_at_5)
+    result = optimal_m(CFG, PM, 2.0, K=10, M_max=8)
+    assert (result.M, result.n) == (6, real(CFG, PM, 2.0, M=6, K=10).n)
+
+
+def test_unrepresentable_antenna_optimum_is_unachievable():
+    # without contamination a rate near 1024 needs over 2**53 antennas, where
+    # floor/ceil name no integer neighbors: the rate is unachievable
+    clean = CFG.replace(psi=7)
+    for gamma, M in ((1000.0, None), (1023.9, None), (1023.9, 1)):
+        with pytest.raises(RateUnachievableError):
+            optimal_n(clean, PM, gamma, M=M)
+
+
 def test_optimal_m_all_infeasible():
     with pytest.raises((OptimizationError, RateUnachievableError)):
         optimal_m(CFG, PM, 12.0, M_max=3)
