@@ -5,7 +5,9 @@ desired-signal power S, a pilot-contamination power I_PC (both independent of
 the per-RRH antenna count n), and a multi-user interference term that decays
 as 1/n.  With S, I_PC and the n-scaled multi-user term I_MU' in hand, the
 transmit power needed for a target per-user rate, the total consumed power,
-and the energy efficiency are all elementary scalar expressions.
+and the energy efficiency are all elementary scalar expressions.  n enters
+them only through +, -, * and /, so a sweep over n evaluates every point
+from one breakdown and gives the same bits as a configuration per n.
 """
 from __future__ import annotations
 
@@ -15,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (ConfigError, PowerModel, SystemConfig, derived_scalars,
-                     override)
+from .config import (ConfigError, PowerModel, SystemConfig, _require_count,
+                     derived_scalars, override)
 
 
 # From 2**53 on, not every integer is a double: floor/ceil of an antenna
@@ -30,9 +32,14 @@ class RateUnachievableError(ValueError):
     def __init__(self, gamma: float, ceiling: float):
         self.gamma = gamma
         self.ceiling = ceiling
-        super().__init__(
-            f"rate {gamma:g} bits/s/Hz exceeds the interference-limited "
-            f"ceiling {ceiling:g} bits/s/Hz")
+        if math.isinf(ceiling):   # no contamination: only n limits the rate
+            super().__init__(
+                f"rate {gamma:g} bits/s/Hz needs more antennas than can be "
+                f"represented (>= 2^53 per RRH)")
+        else:
+            super().__init__(
+                f"rate {gamma:g} bits/s/Hz exceeds the interference-limited "
+                f"ceiling {ceiling:g} bits/s/Hz")
 
 
 class InfeasibleAntennasError(ValueError):
@@ -108,9 +115,11 @@ def sinr_breakdown(cfg: SystemConfig) -> SinrBreakdown:
 def deterministic_sinr(cfg: SystemConfig, n: int | None = None,
                        p_d: float | None = None) -> float:
     """Large-system per-user SINR at fixed transmit power."""
-    brk = sinr_breakdown(cfg)
-    n = cfg.n if n is None else n
-    p_d = cfg.p_d if p_d is None else p_d
+    return _sinr(cfg, sinr_breakdown(cfg), cfg.n if n is None else n,
+                 cfg.p_d if p_d is None else p_d)
+
+
+def _sinr(cfg: SystemConfig, brk: SinrBreakdown, n: int, p_d: float) -> float:
     return brk.S / (cfg.sigma2 / (p_d * n) + brk.I_PC + brk.I_MU_scaled / n)
 
 
@@ -183,21 +192,30 @@ def rate_from_sinr(cfg: SystemConfig, sinr) -> float:
 
 
 def operating_point(cfg: SystemConfig, pm: PowerModel,
-                    gamma: float | None = None) -> OperatingPoint:
+                    gamma: float | None = None,
+                    n: int | None = None) -> OperatingPoint:
     """EE, transmit power and total power of the configured cell.
 
     With ``gamma=None`` the cell transmits at the configured p_d; with a
     target rate gamma it transmits at the p_d that realizes gamma, raising
     InfeasibleAntennasError / RateUnachievableError when no positive power
-    does.
+    does.  ``n`` replaces cfg.n (a positive int, else ConfigError).
     """
+    return _operating_point(cfg, pm, sinr_breakdown(cfg), gamma,
+                            cfg.n if n is None else n)
+
+
+def _operating_point(cfg: SystemConfig, pm: PowerModel, brk: SinrBreakdown,
+                     gamma: float | None, n: int) -> OperatingPoint:
+    """``operating_point`` with n antennas per RRH, from cfg's breakdown."""
+    _require_count("n", n)
     if gamma is None:
         p_d = cfg.p_d
-        se = rate_from_sinr(cfg, [deterministic_sinr(cfg)] * cfg.K)
+        se = rate_from_sinr(cfg, [_sinr(cfg, brk, n, p_d)] * cfg.K)
     else:
-        p_d = required_transmit_power(cfg, sinr_breakdown(cfg), gamma, cfg.n)
+        p_d = required_transmit_power(cfg, brk, gamma, n)
         se = (cfg.T - cfg.tau_u) / cfg.T * cfg.K * gamma
-    p_total = total_power_at_se(cfg, pm, se, p_d=p_d)
+    p_total = total_power_at_se(cfg, pm, se, n=n, p_d=p_d)
     return OperatingPoint(cfg.B * se / p_total, p_d, p_total)
 
 
@@ -210,4 +228,4 @@ def energy_efficiency(cfg: SystemConfig, pm: PowerModel, gamma: float,
     InfeasibleAntennasError / RateUnachievableError when no positive power
     does.  n, M, K override the corresponding config entries.
     """
-    return operating_point(override(cfg, n=n, M=M, K=K), pm, gamma).ee
+    return operating_point(override(cfg, M=M, K=K), pm, gamma, n=n).ee

@@ -114,6 +114,11 @@ def _require_finite(record) -> None:
             raise ConfigError(f"{name} must be finite")
 
 
+def _require_count(name: str, value) -> None:
+    if not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
 def validate_config(cfg: SystemConfig | None,
                     pm: PowerModel | None = None) -> SystemConfig | None:
     """Check every invariant; raise ConfigError naming the first violation.
@@ -131,9 +136,7 @@ def validate_config(cfg: SystemConfig | None,
     if cfg is None:
         return None
     for name in ("L", "M", "K", "n", "psi", "T", "d"):
-        value = getattr(cfg, name)
-        if not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        _require_count(name, getattr(cfg, name))
     if cfg.psi > cfg.L:
         raise ConfigError("psi exceeds L")
     if cfg.L % cfg.psi != 0:

@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 
 from . import montecarlo
-from .asymptotic import RateUnachievableError, operating_point
-from .config import PowerModel, SystemConfig
-from .optimize import OptimizationError, ee_or_none, optimal_n
+from .asymptotic import RateUnachievableError, operating_point, sinr_breakdown
+from .config import ConfigError, PowerModel, SystemConfig
+from .optimize import OptimizationError, _ee_by_n, ee_or_none, optimal_n
 
 GAMMA_DEFAULT = 2.0
 N_SWEEP = tuple(range(2, 61))
@@ -27,23 +27,32 @@ def _optimum(cfg: SystemConfig, pm: PowerModel, gamma: float, M=None):
         return -1, math.nan
 
 
-def _curve(key, cfg, pm, var, values, tail=()):
-    """One row ``key + [v, ee, feasible] + tail`` per swept value v of
-    ``var`` at rate GAMMA_DEFAULT; infeasible points get NaN, feasible=0."""
+def _curve(key, evaluate, values, tail=()):
+    """One row ``key + [v, ee, feasible] + tail`` per swept value v, with
+    ee = evaluate(v); infeasible points (None) get NaN, feasible=0."""
     rows = []
     for value in values:
-        ee = ee_or_none(cfg, pm, GAMMA_DEFAULT, **{var: value})
+        ee = evaluate(value)
         rows.append([*key, value, math.nan if ee is None else ee,
                      int(ee is not None), *tail])
     return rows
+
+
+def _ee_of_n(cfg, pm):
+    """n -> EE at rate GAMMA_DEFAULT or None, every n from one SINR
+    breakdown; a breakdown beyond the double range leaves no n feasible."""
+    try:
+        return _ee_by_n(cfg, pm, sinr_breakdown(cfg), GAMMA_DEFAULT)
+    except ConfigError:
+        return lambda n: None
 
 
 def _n_curve(key, cfg, pm, step=1):
     """EE vs n over the multiples of ``step`` in N_SWEEP, each row ending
     in the closed-form n*."""
     tail = (_optimum(cfg, pm, GAMMA_DEFAULT)[0],)
-    return _curve(key, cfg, pm, "n", [n for n in N_SWEEP if n % step == 0],
-                  tail)
+    return _curve(key, _ee_of_n(cfg, pm),
+                  [n for n in N_SWEEP if n % step == 0], tail)
 
 
 def figure2(cfg, pm, realizations=1000, seed=1):
@@ -112,7 +121,9 @@ def figure7(cfg, pm, realizations=0, seed=1):
     header = ["psi", "d", "K", "ee_bits_per_joule", "feasible"]
     rows = []
     for psi, d in ((1, 1), (cfg.L, 1), (1, 2)):
-        rows += _curve([psi, d], cfg.replace(psi=psi, d=d, n=20), pm, "K",
+        point = cfg.replace(psi=psi, d=d, n=20)
+        rows += _curve([psi, d],
+                       lambda K: ee_or_none(point, pm, GAMMA_DEFAULT, K=K),
                        range(1, cfg.T // psi + 1))
     return header, rows
 
@@ -122,7 +133,7 @@ def figure8(cfg, pm, realizations=0, seed=1):
     header = ["M", "n", "ee_bits_per_joule", "feasible"]
     rows = []
     for M in range(1, 11):
-        rows += _curve([M], cfg.replace(M=M), pm, "n", N_SWEEP)
+        rows += _curve([M], _ee_of_n(cfg.replace(M=M), pm), N_SWEEP)
     return header, rows
 
 
@@ -145,7 +156,8 @@ def figure10(cfg, pm, realizations=0, seed=1):
     for p0, pbt in ((0.825, 0.25e-9), (8.25, 2.5e-9)):
         pm_i = pm.replace(P_0=p0, P_BT=pbt)
         for M in (7, 1):
-            rows += _curve([M, p0, pbt], cfg.replace(M=M), pm_i, "n", N_SWEEP)
+            rows += _curve([M, p0, pbt], _ee_of_n(cfg.replace(M=M), pm_i),
+                           N_SWEEP)
     return header, rows
 
 

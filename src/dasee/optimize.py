@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .asymptotic import (MAX_ANTENNAS, InfeasibleAntennasError,
-                         RateUnachievableError, _rate_ceiling,
-                         energy_efficiency, min_antennas, operating_point,
-                         rate_margin, sinr_breakdown)
+                         RateUnachievableError, SinrBreakdown,
+                         _operating_point, _rate_ceiling, energy_efficiency,
+                         min_antennas, operating_point, rate_margin,
+                         sinr_breakdown)
 from .config import (ConfigError, PowerModel, SystemConfig, derived_scalars,
                      override)
 
@@ -102,6 +103,17 @@ def ee_or_none(cfg: SystemConfig, pm: PowerModel, gamma: float,
         return None
 
 
+def _ee_by_n(cfg: SystemConfig, pm: PowerModel, brk: SinrBreakdown,
+             gamma: float) -> Callable[[int], float | None]:
+    """n -> ``ee_or_none(cfg, pm, gamma, n=n)``, from cfg's breakdown."""
+    def evaluate(n):
+        try:
+            return _operating_point(cfg, pm, brk, gamma, n).ee
+        except (InfeasibleAntennasError, RateUnachievableError, ConfigError):
+            return None
+    return evaluate
+
+
 def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
               M: int | None = None, K: int | None = None) -> OptimizationResult:
     """Closed-form EE-optimal antennas per RRH for a target rate gamma.
@@ -120,8 +132,8 @@ def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
               + brk.I_MU_scaled / margin)
     if not n_real < MAX_ANTENNAS:   # no integer neighbors, as for n_min
         raise RateUnachievableError(gamma, _rate_ceiling(brk))
-    n_star = floor_ceil_select(n_real, lambda n: ee_or_none(cfg, pm, gamma, n=n))
-    ee, p_d, _ = operating_point(cfg.replace(n=n_star), pm, gamma)
+    n_star = floor_ceil_select(n_real, _ee_by_n(cfg, pm, brk, gamma))
+    ee, p_d, _ = _operating_point(cfg, pm, brk, gamma, n_star)
     return OptimizationResult(ee=ee, p_d=p_d, n=n_star, M=cfg.M, K=cfg.K,
                               x_real=n_real, window=(float(n_min), math.inf))
 
@@ -165,11 +177,17 @@ def z_of_k(cfg: SystemConfig, pm: PowerModel, gamma: float, K: float,
     optimum.  Defined (and evaluated) under negligible pilot noise, where
     the signal and contamination powers do not depend on K.
     """
-    clean, mu1, mu2, slope = _user_count_scalars(override(cfg, n=n, M=M),
-                                                 pm, gamma)
+    scalars = _user_count_scalars(override(cfg, n=n, M=M), pm, gamma)
+    clean, mu1, _, slope = scalars
     upper = min(clean.T / clean.psi, mu1 / slope)
     if not 0.0 < K < upper:
         raise ValueError(f"K={K:g} outside the open interval (0, {upper:g})")
+    return _quartic(pm, gamma, K, *scalars)
+
+
+def _quartic(pm: PowerModel, gamma: float, K: float, clean: SystemConfig,
+             mu1: float, mu2: float, slope: float) -> float:
+    """``z_of_k`` at K from the scalars of ``_user_count_scalars``."""
     return (mu2 * (2.0 * K * clean.psi - clean.T) * (mu1 - slope * K) ** 2
             + clean.sigma2 / (pm.zeta * gamma) * slope
             * ((clean.T - K * clean.psi) * K) ** 2)
@@ -184,10 +202,10 @@ def optimal_k(cfg: SystemConfig, pm: PowerModel, gamma: float,
     For exact pilot noise, scan ``energy_efficiency`` with
     ``exhaustive_argmax`` instead.
     """
-    clean, mu1, mu2, slope = _user_count_scalars(override(cfg, n=n, M=M),
-                                                 pm, gamma)
+    scalars = _user_count_scalars(override(cfg, n=n, M=M), pm, gamma)
+    clean, mu1, _, slope = scalars
     upper = min(clean.T / clean.psi, mu1 / slope)
-    z = lambda K: z_of_k(clean, pm, gamma, K)  # noqa: E731
+    z = lambda K: _quartic(pm, gamma, K, *scalars)  # noqa: E731
     lo = upper * 1e-9
     hi = upper * (1.0 - 1e-12)
     if not (z(lo) < 0.0 < z(hi)):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from dasee.asymptotic import (InfeasibleAntennasError, RateUnachievableError,
                               SinrBreakdown, deterministic_sinr,
                               energy_efficiency, large_scale_gains,
-                              min_antennas, required_transmit_power,
-                              sinr_breakdown, total_power, total_power_at_se)
-from dasee.config import PowerModel, SystemConfig
+                              min_antennas, operating_point,
+                              required_transmit_power, sinr_breakdown,
+                              total_power, total_power_at_se)
+from dasee.config import ConfigError, PowerModel, SystemConfig
 
 CFG = SystemConfig()
 PM = PowerModel()
@@ -100,6 +102,18 @@ def test_min_antennas_is_first_feasible():
     with pytest.raises(InfeasibleAntennasError):
         required_transmit_power(CFG, brk, 2.0, n_min - 1)
     assert required_transmit_power(CFG, brk, 2.0, n_min) > 0.0
+
+
+@pytest.mark.parametrize("n", [0, 2.5, -3])
+def test_antenna_count_argument_is_validated(n):
+    # n is no longer applied to a rebuilt SystemConfig, so the evaluator
+    # itself must reject it, with validate_config's message
+    message = re.escape(f"n must be a positive integer, got {n!r}")
+    with pytest.raises(ConfigError, match=message):
+        energy_efficiency(CFG, PM, 2.0, n=n)
+    for gamma in (None, 2.0):
+        with pytest.raises(ConfigError, match=message):
+            operating_point(CFG, PM, gamma, n=n)
 
 
 def test_rate_above_ceiling_rejected():

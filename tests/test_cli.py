@@ -14,7 +14,7 @@ from dasee.cli import build_parser, main, n_sweep
 from dasee.config import (_DBM_CONVERTIBLE, ConfigError, PowerModel,
                           SystemConfig, load_scenario)
 from dasee.montecarlo import rate_from_sinr
-from dasee.optimize import ee_or_none
+from dasee.optimize import OptimizationError, ee_or_none, optimal_n
 
 MODEL_SUBCOMMANDS = ("de-curve", "mc-validate", "opt-n", "opt-k", "opt-m",
                      "joint", "figure")
@@ -62,11 +62,13 @@ def test_infeasible_rate_exit_code(capsys):
     code, _, err = run(capsys, "opt-n", "--gamma", "12")
     assert code == 3
     assert "infeasible" in err
-    # 2**gamma overflows a double; without contamination the ceiling is inf
+    # 2**gamma overflows a double; without contamination no ceiling binds
+    # and the message names the antenna count instead of "ceiling inf"
     for psi in ("1", "7"):
         code, out, err = run(capsys, "opt-n", "--gamma", "1100", "--psi", psi)
         assert code == 3 and out == "" and "infeasible" in err
-        assert ("ceiling inf " in err) == (psi == "7"), err
+        assert "ceiling inf" not in err, err
+        assert ("more antennas than can be represented" in err) == (psi == "7")
     # just below 1024 the margin is subnormal and n_min exceeds every double
     for cmd in ("opt-n", "opt-m"):
         code, out, err = run(capsys, cmd, "--gamma", "1023.9", "--psi", "7")
@@ -280,6 +282,71 @@ def test_figure7_and_figure8_rows_equal_energy_efficiency():
         assert feasible == int(not math.isnan(ref))
         assert ee == ref or (math.isnan(ee) and math.isnan(ref))
     assert {0, 1} <= {row[-1] for row in rows}
+
+
+def _ee_or_nan_any(cfg, pm, n):
+    """energy_efficiency at n, NaN wherever it raises (ConfigError too)."""
+    try:
+        return energy_efficiency(cfg, pm, figures.GAMMA_DEFAULT, n=n)
+    except (InfeasibleAntennasError, RateUnachievableError, ConfigError):
+        return math.nan
+
+
+def _n_star_or_missing(cfg, pm, gamma=figures.GAMMA_DEFAULT, M=None):
+    try:
+        result = optimal_n(cfg, pm, gamma, M=M)
+    except (RateUnachievableError, OptimizationError):
+        return -1, math.nan
+    return result.n, result.ee
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+# Each n-sweep runner with the (cfg, pm) behind each row, from the row's key.
+N_SWEEPS = {
+    3: lambda cfg, pm, d, beta: (cfg.replace(d=d, beta=beta), pm),
+    4: lambda cfg, pm, p_rrh, psi: (cfg.replace(psi=psi),
+                                    pm.replace(P_RRH=p_rrh)),
+    6: lambda cfg, pm, alpha2, psi: (cfg.replace(d=2, alpha2=alpha2, psi=psi),
+                                     pm),
+    10: lambda cfg, pm, M, p0, pbt: (cfg.replace(M=M),
+                                     pm.replace(P_0=p0, P_BT=pbt)),
+}
+
+
+@pytest.mark.parametrize("changes", [{}, {"K": 20, "alpha2": 0.2},
+                                     {"beta": 1e300}])
+def test_n_sweep_figures_equal_energy_efficiency(changes):
+    # every n of a curve shares one SINR breakdown; each row must still equal
+    # a per-point energy_efficiency bit for bit, NaN/feasible=0 where it raises
+    cfg, pm = SystemConfig(**changes), PowerModel()
+    feasible = set()
+    for number, point_of in N_SWEEPS.items():
+        if "beta" in changes and number != 10:
+            continue    # the n* column raises ConfigError for the whole figure
+        header, rows = figures.RUNNERS[number](cfg, pm)
+        n_col = header.index("n")
+        for row in rows:
+            cfg_i, pm_i = point_of(cfg, pm, *row[:n_col])
+            ref = _ee_or_nan_any(cfg_i, pm_i, row[n_col])
+            assert _same(row[n_col + 1], ref), (number, row)
+            assert row[n_col + 2] == int(not math.isnan(ref)), (number, row)
+            if number != 10:
+                assert row[-1] == _n_star_or_missing(cfg_i, pm_i)[0]
+            feasible.add(row[n_col + 2])
+    assert feasible == ({0} if "beta" in changes else {0, 1})
+    if "beta" in changes:
+        return
+    _, rows = figures.figure5(cfg, pm)
+    for psi, gamma, ee, n_star in rows:
+        ref = _n_star_or_missing(cfg.replace(psi=psi), pm, gamma)
+        assert n_star == ref[0] and _same(ee, ref[1])
+    _, rows = figures.figure9(cfg, pm)
+    for K, M, n_star, ee, ok in rows:
+        ref = _n_star_or_missing(cfg.replace(K=K), pm, M=M)
+        assert n_star == ref[0] and _same(ee, ref[1]) and ok == int(n_star > 0)
 
 
 def test_every_config_field_is_a_flag_on_every_model_subcommand():

@@ -1,6 +1,7 @@
 """Property tests over generated inputs: the CLI ends every run in a clean
-exit with no non-finite row marked feasible, and the Monte-Carlo estimator
-is finite and reproducible on small generated configurations."""
+exit with no non-finite row marked feasible, the Monte-Carlo estimator is
+finite and reproducible on small generated configurations, and the
+closed-form optimizers agree with an exhaustive integer scan."""
 import contextlib
 import csv
 import io
@@ -13,9 +14,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from dasee.asymptotic import (RateUnachievableError,  # noqa: E402
+                              min_antennas, sinr_breakdown)
 from dasee.cli import main  # noqa: E402
-from dasee.config import SystemConfig  # noqa: E402
+from dasee.config import PowerModel, SystemConfig  # noqa: E402
 from dasee.montecarlo import empirical_sinr_rate  # noqa: E402
+from dasee.optimize import (OptimizationError, ee_or_none,  # noqa: E402
+                            exhaustive_argmax, optimal_m, optimal_n)
 
 # Deterministic example sets, no example database on disk.
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
@@ -139,3 +144,60 @@ def test_empirical_sinr_rate_finite_and_reproducible(cfg, realizations, seed):
     assert sinr.tobytes() == again.tobytes() and se == se_again
     assert all(math.isfinite(v) for v in sinr) and math.isfinite(se)
 
+
+
+# --- closed form vs exhaustive scan (complements criteria 3 and 4) ----------
+
+_INFEASIBLE = (RateUnachievableError, OptimizationError)
+
+
+@st.composite
+def _designs(draw):
+    """(cfg, pm, gamma) around the defaults; K < T/psi keeps data symbols."""
+    psi = draw(st.sampled_from([1, 7]))
+    cfg = SystemConfig(
+        psi=psi, M=draw(st.integers(1, 10)), K=draw(st.integers(1, 195 // psi)),
+        n=draw(st.integers(1, 100)), d=draw(st.integers(1, 2)),
+        alpha2=draw(st.floats(0.0, 0.3)), sigma2=draw(st.floats(5e-8, 2e-7)),
+        pilot_noise_mode=draw(st.sampled_from(["exact", "negligible"])))
+    pm = PowerModel(P_FIX=draw(st.floats(4.5, 13.5)),
+                    P_RRH=draw(st.floats(0.1, 0.3)),
+                    P_0=draw(st.floats(0.4, 1.2)),
+                    P_BT=draw(st.floats(1e-10, 4e-10)),
+                    zeta=draw(st.floats(0.2, 0.6)))
+    return cfg, pm, draw(st.floats(0.25, 8.0))
+
+
+@FUZZ
+@given(design=_designs())
+def test_optimal_n_equals_exhaustive_scan(design):
+    cfg, pm, gamma = design
+    try:
+        result = optimal_n(cfg, pm, gamma)
+    except _INFEASIBLE:
+        with pytest.raises(RateUnachievableError):
+            min_antennas(cfg, sinr_breakdown(cfg), gamma)
+        return
+    window = range(min_antennas(cfg, sinr_breakdown(cfg), gamma),
+                   math.ceil(result.x_real) + 100)
+    assert result.n == exhaustive_argmax(
+        lambda n: ee_or_none(cfg, pm, gamma, n=n), window)
+
+
+@FUZZ
+@given(design=_designs(), m_max=st.integers(1, 12))
+def test_fixed_n_optimal_m_equals_exhaustive_scan(design, m_max):
+    cfg, pm, gamma = design
+
+    def scan():
+        return exhaustive_argmax(
+            lambda M: ee_or_none(cfg, pm, gamma, n=cfg.n, M=M),
+            range(1, m_max + 1))
+
+    try:
+        result = optimal_m(cfg, pm, gamma, M_max=m_max, n=cfg.n)
+    except _INFEASIBLE:
+        with pytest.raises(OptimizationError):
+            scan()
+        return
+    assert (result.M, result.n) == (scan(), cfg.n)

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from dasee.asymptotic import (InfeasibleAntennasError, RateUnachievableError,
-                              energy_efficiency, min_antennas, sinr_breakdown)
-from dasee.config import ConfigError, PowerModel, SystemConfig
-from dasee.optimize import (OptimizationError, exhaustive_argmax,
-                            floor_ceil_select, optimal_k, optimal_m,
-                            optimal_n, optimal_n_no_pc, z_of_k)
+                              energy_efficiency, min_antennas, rate_margin,
+                              sinr_breakdown)
+from dasee.config import ConfigError, PowerModel, SystemConfig, derived_scalars
+from dasee.optimize import (BISECTION_WIDTH, OptimizationError,
+                            exhaustive_argmax, floor_ceil_select, optimal_k,
+                            optimal_m, optimal_n, optimal_n_no_pc, z_of_k)
+from dasee.optimize import ee_or_none as ee_or_none_at
 
 CFG = SystemConfig()
 PM = PowerModel()
@@ -127,6 +129,24 @@ def test_optimal_n_result_consistency():
     assert result.x_real > result.window[0] - 1
 
 
+def test_optimal_n_ee_equals_energy_efficiency_at_n_star():
+    # the candidates come from one breakdown; the result must still be the
+    # per-point evaluator's bits, on both sides of the floor/ceil choice
+    rng = np.random.default_rng(29)
+    checked = 0
+    while checked < 50:
+        cfg, pm, gamma = random_scenario(rng)
+        psi = int(rng.choice([1, 7]))
+        if psi * cfg.K < cfg.T:
+            cfg = cfg.replace(psi=psi)
+        try:
+            result = optimal_n(cfg, pm, gamma)
+        except RateUnachievableError:
+            continue
+        assert result.ee == energy_efficiency(cfg, pm, gamma, n=result.n)
+        checked += 1
+
+
 def test_no_pc_bound_is_orthogonal_specialization():
     clean = CFG.replace(psi=CFG.L, pilot_noise_mode="negligible")
     direct = optimal_n(clean, PM, 2.0)
@@ -242,6 +262,42 @@ def test_optimal_k_matches_exhaustive_scan():
         scanned = exhaustive_argmax(evaluate, range(1, cfg.T // cfg.psi + 1))
         assert scanned == result.K, (cfg, pm, gamma)
         checked += 1
+
+
+def _bisect_through_z_of_k(cfg, pm, gamma):
+    """optimal_k's (K*, x_real), driven through the public z_of_k."""
+    clean = cfg.replace(pilot_noise_mode="negligible", K=1)
+    mu1 = clean.n * rate_margin(sinr_breakdown(clean), gamma)
+    slope = clean.d * clean.beta * derived_scalars(clean).xi
+    upper = min(clean.T / clean.psi, mu1 / slope)
+    lo, hi = upper * 1e-9, upper * (1.0 - 1e-12)
+    if not z_of_k(cfg, pm, gamma, lo) < 0.0 < z_of_k(cfg, pm, gamma, hi):
+        raise OptimizationError("no sign change")
+    while hi - lo > BISECTION_WIDTH:
+        mid = 0.5 * (lo + hi)
+        if z_of_k(cfg, pm, gamma, mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    k_real = 0.5 * (lo + hi)
+    return floor_ceil_select(k_real, lambda K: ee_or_none_at(
+        clean, pm, gamma, K=K)), k_real
+
+
+def test_optimal_k_equals_bisection_through_z_of_k():
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        cfg, pm, gamma = random_scenario(rng)
+        cfg = cfg.replace(n=int(rng.integers(5, 101)),
+                          psi=int(rng.choice([1, 7])), K=1)
+        try:
+            expected = _bisect_through_z_of_k(cfg, pm, gamma)
+        except (RateUnachievableError, OptimizationError) as exc:
+            with pytest.raises(type(exc)):
+                optimal_k(cfg, pm, gamma)
+            continue
+        result = optimal_k(cfg, pm, gamma)
+        assert (result.K, result.x_real) == expected, (cfg, pm, gamma)
 
 
 def test_optimal_k_unique_root_on_grid():
