@@ -8,6 +8,7 @@ averaged interference model is fitted from the resulting 1/d^iota gains.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ DEFAULT_RING_FRACTION = 2.0 / 3.0
 DEFAULT_SPACING_FACTOR = 2.0   # neighbor-center distance in units of Rc
 DEFAULT_MIN_DISTANCE = 200.0   # m, user-to-RRH exclusion radius
 MAX_EMPTY_ROUNDS = 100         # rejection rounds in a row that keep no user
+BLOCK = 4096                   # candidate users drawn at once by calibrate
 
 
 @dataclass(frozen=True)
@@ -83,67 +85,105 @@ def drop_users(K: int, Rc: float, seed=None) -> np.ndarray:
         raise ValueError("K must be >= 1")
     rng = seed if isinstance(seed, np.random.Generator) \
         else np.random.default_rng(seed)
-    radius = Rc * np.sqrt(rng.random(K))
-    angle = 2.0 * np.pi * rng.random(K)
+    return _disk_points(rng.random(K), rng.random(K), Rc)
+
+
+def _disk_points(u_radius: np.ndarray, u_angle: np.ndarray,
+                 Rc: float) -> np.ndarray:
+    """Points (..., 2) on the disk of radius Rc from U(0, 1) variates."""
+    radius = Rc * np.sqrt(u_radius)
+    angle = 2.0 * np.pi * u_angle
     return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
 
 
-def _drop_users_excluded(rng: np.random.Generator, K: int, layout: Layout,
-                         min_distance: float) -> np.ndarray:
-    """Uniform drop on the disk, rejecting users within min_distance of an RRH."""
-    flat_rrh = layout.rrh_positions.reshape(-1, 2)
-    users = np.empty((K, 2))
-    filled = empty_rounds = 0
-    while filled < K:
-        cand = drop_users(K, layout.Rc, rng)
-        dist = np.linalg.norm(cand[:, None, :] - flat_rrh[None], axis=-1)
-        keep = cand[dist.min(axis=1) >= min_distance]
-        empty_rounds = 0 if len(keep) else empty_rounds + 1
-        if empty_rounds == MAX_EMPTY_ROUNDS:
-            raise ConfigError(f"min_distance {min_distance:g} m excludes every user")
-        take = min(K - filled, len(keep))
-        users[filled:filled + take] = keep[:take]
-        filled += take
-    return users
+def _distances(points: np.ndarray, layout: Layout) -> np.ndarray:
+    """Distances from points (..., 2) to every RRH, shape (..., L, M)."""
+    rrh = layout.rrh_positions
+    dx = points[..., 0, None, None] - rrh[..., 0]
+    dy = points[..., 1, None, None] - rrh[..., 1]
+    return np.sqrt(dx * dx + dy * dy)   # bit-equal to np.linalg.norm of (dx, dy)
+
+
+def _drop_means(users: np.ndarray, layout: Layout, iota: float) -> np.ndarray:
+    """(3, D) per-drop means of the nearest, other own-cell and other-cell
+    gains of users (D, K, 2); a class with no RRH reads 0."""
+    D = len(users)
+    gain = np.maximum(_distances(users, layout), 1.0) ** (-iota)  # (D, K, L, M)
+    own = gain[:, :, 0]
+    nearest = np.argmax(own, axis=-1)[..., None]
+    means = np.zeros((3, D))
+    means[0] = np.take_along_axis(own, nearest, -1).reshape(D, -1).mean(axis=1)
+    if layout.M > 1:
+        others = np.ones(own.shape, dtype=bool)
+        np.put_along_axis(others, nearest, False, -1)
+        means[1] = own[others].reshape(D, -1).mean(axis=1)
+    if layout.L > 1:
+        means[2] = gain[:, :, 1:].reshape(D, -1).mean(axis=1)
+    return means
 
 
 def calibrate(layout: Layout, iota: float, K: int, drops: int, seed=None,
               min_distance: float = DEFAULT_MIN_DISTANCE) -> CalibrationResult:
     """Fit (beta, alpha1, alpha2) from center-cell user drops.
 
-    Per drop, each center-cell user contributes 1/d^iota gains to every RRH;
-    the nearest own-cell gain, the other own-cell gains and the other-cell
-    gains are averaged separately over users and drops, and the averaged
-    interference model is read off as beta = E{nearest}/M^(iota/2),
+    A drop places K users on the center-cell disk: each rejection round
+    draws K candidates as ``drop_users`` does and keeps, in order, those
+    at least ``min_distance`` from every RRH until the drop is full (a
+    round's surplus is discarded).  Each user contributes 1/d^iota gains to
+    every RRH; the nearest own-cell gain, the other own-cell gains and the
+    other-cell gains are averaged separately over users and drops, and the
+    averaged interference model is read off as beta = E{nearest}/M^(iota/2),
     alpha1 = E{intra}/beta, alpha2 = E{inter}/beta.
+
+    The rounds are drawn in blocks of at most ``BLOCK`` candidates, never
+    past the last round used (every unfinished drop needs one more), so
+    memory does not grow with ``drops``, and the result, and the state of a
+    Generator passed as ``seed``, equal those of a drop-by-drop loop (after
+    a ConfigError the Generator may have advanced further than the loop's).
     """
     if drops < 1:
         raise ConfigError("drops must be >= 1")
+    if K < 1:
+        raise ConfigError("K must be >= 1")
     rng = np.random.default_rng(seed)
-    M = layout.M
-    sum_nearest = sum_intra = sum_inter = 0.0
-    users_idx = np.arange(K)
-    for _ in range(drops):
-        users = _drop_users_excluded(rng, K, layout, min_distance)
-        dist = np.linalg.norm(users[:, None, None, :]
-                              - layout.rrh_positions[None], axis=-1)  # (K, L, M)
-        gain = np.maximum(dist, 1.0) ** (-iota)
-        own = gain[:, 0, :]
-        nearest = np.argmax(own, axis=1)
-        sum_nearest += own[users_idx, nearest].mean()
-        if M > 1:
-            others = np.ones((K, M), dtype=bool)
-            others[users_idx, nearest] = False
-            sum_intra += own[others].mean()
-        if layout.L > 1:
-            sum_inter += gain[:, 1:, :].mean()
-    e_nearest = float(sum_nearest / drops)
-    e_intra = float(sum_intra / drops)
-    e_inter = float(sum_inter / drops)
-    beta = e_nearest / M ** (iota / 2.0)
+    sums = [0.0, 0.0, 0.0]              # nearest, intra, inter
+    pending = np.empty((0, 2))          # users of the drop being filled
+    need, empty, done = K, 0, 0
+    while done < drops:
+        rounds = min(drops - done, max(1, BLOCK // K))
+        u = rng.random((rounds, 2, K))  # per round: radii, then angles
+        cand = _disk_points(u[:, 0], u[:, 1], layout.Rc)   # (rounds, K, 2)
+        keep = _distances(cand, layout).min(axis=(-2, -1)) >= min_distance
+        takes = np.empty(rounds, dtype=np.intp)
+        for r, count in enumerate(keep.sum(axis=1).tolist()):
+            empty = 0 if count else empty + 1
+            if empty == MAX_EMPTY_ROUNDS:
+                raise ConfigError(
+                    f"min_distance {min_distance:g} m excludes every user")
+            takes[r] = min(need, count)
+            need = need - takes[r] or K
+        keep &= np.cumsum(keep, axis=1) <= takes[:, None]
+        users = np.concatenate([pending, cand[keep]])
+        full = len(users) // K
+        pending = users[full * K:]
+        if full:
+            means = _drop_means(users[:full * K].reshape(full, K, 2), layout,
+                                iota)
+            for i, column in enumerate(means.tolist()):
+                for value in column:        # a running sum in drop order
+                    sums[i] += value
+            done += full
+    e_nearest, e_intra, e_inter = (total / drops for total in sums)
+    try:
+        beta = e_nearest / layout.M ** (iota / 2.0)
+    except OverflowError:       # M^(iota/2) beyond a double
+        beta = 0.0
+    if not 0.0 < beta < math.inf:
+        raise ConfigError(f"iota {iota:g} takes the calibrated gains outside "
+                          f"the range of a double (beta = {beta:g})")
     return CalibrationResult(
         beta=beta,
-        alpha1=e_intra / beta if M > 1 else 0.0,
+        alpha1=e_intra / beta if layout.M > 1 else 0.0,
         alpha2=e_inter / beta if layout.L > 1 else 0.0,
         mean_gain_nearest=e_nearest,
         mean_gain_intra=e_intra,

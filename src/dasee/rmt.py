@@ -56,19 +56,43 @@ class CorrelationSet:
         return cells[cells % self.psi == cell % self.psi]
 
     def validate(self, tol: float = 1e-10) -> "CorrelationSet":
+        """Check that R is nonempty, shaped, finite, Hermitian (to ``tol``)
+        and nonnegative-definite; raise ValueError, else return self.
+
+        A matrix passes the last check when its least eigenvalue is not
+        below -delta, delta = tol * max(1, max|R|).  The test is a Cholesky
+        factorization of R + delta I, which exists when that eigenvalue is
+        above -delta; only where it fails are eigenvalues computed, to decide
+        the boundary and word the error.  The scans run one cell block R[l]
+        at a time.
+        """
+        if self.R.size == 0:
+            raise ValueError("empty correlation set")
         if self.R.ndim != 6 or self.R.shape[2] != self.L or \
                 self.R.shape[5] != self.n:
             raise ValueError(f"R must have shape (L, M, L, K, n, n), "
                              f"got {self.R.shape}")
         if self.L % self.psi != 0:
             raise ValueError("L not divisible by psi")
-        herm_gap = np.abs(self.R - self.R.conj().swapaxes(-1, -2)).max()
+        herm_gap = scale = 0.0
+        for block in self.R:
+            if not np.isfinite(block).all():
+                raise ValueError("correlation matrices have non-finite entries")
+            herm_gap = max(herm_gap, np.abs(
+                block - block.conj().swapaxes(-1, -2)).max())
+            scale = max(scale, np.abs(block).max())
         if herm_gap > tol:
             raise ValueError(f"correlation matrices not Hermitian ({herm_gap:.2e})")
-        eigmin = np.linalg.eigvalsh(self.R.reshape(-1, self.n, self.n)).min()
-        if eigmin < -tol * max(1.0, np.abs(self.R).max()):
-            raise ValueError(f"correlation matrices not nonnegative-definite "
-                             f"({eigmin:.2e})")
+        delta = tol * max(1.0, scale)
+        shift = delta * np.eye(self.n)
+        try:
+            for block in self.R:
+                np.linalg.cholesky(block + shift)
+        except np.linalg.LinAlgError:
+            eigmin = np.linalg.eigvalsh(self.R.reshape(-1, self.n, self.n)).min()
+            if eigmin < -delta:
+                raise ValueError(f"correlation matrices not nonnegative-definite "
+                                 f"({eigmin:.2e})") from None
         return self
 
 
@@ -136,8 +160,6 @@ def general_deterministic_sinr(corr: CorrelationSet, p_d: float, p_u: float,
     (1/n) sum_{l,m,i} lambda_bar_l (1/n) tr(R_{lmjk} Phi_{lmli}), and the
     noise sigma^2/(p_d n).
     """
-    if corr.R.size == 0:
-        raise ValueError("empty correlation set")
     corr.validate()
     L, M, _, K, n, _ = corr.R.shape
     Q = _estimation_filters(corr, p_u, tau_u, sigma2)

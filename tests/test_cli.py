@@ -231,11 +231,15 @@ def test_negative_step_range_includes_endpoint(capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--M", "0"), ("--L", "3"),
-                                        ("--min-distance", "5000")])
+                                        ("--min-distance", "5000"),
+                                        ("--iota", "300"), ("--iota", "800")])
 def test_calibrate_rejects_invalid_geometry(capsys, flag, value):
+    # iota 300 underflows every gain (beta = 0); 800 overflows M^(iota/2)
     code, out, err = run(capsys, "calibrate", "--drops", "5", flag, value)
     assert code == 2 and out == ""
     assert "configuration error" in err
+    if flag == "--iota":
+        assert "iota" in err
 
 
 def test_calibrate_defaults_come_from_system_config(capsys):

@@ -1,5 +1,6 @@
 """Property tests over generated inputs: the CLI ends every run in a clean
-exit with no non-finite row marked feasible, the Monte-Carlo estimator is
+exit with no non-finite row marked feasible (or, for ``calibrate``, no
+non-finite value printed), the Monte-Carlo estimator is
 finite and reproducible on small generated configurations, and the
 closed-form optimizers agree with an exhaustive integer scan."""
 import contextlib
@@ -121,6 +122,24 @@ def test_opt_m_exits_cleanly(model, gamma, m_max, fixed_n):
 def test_mc_validate_exits_cleanly(model, n_range, realizations, seed):
     _assert_clean(["mc-validate", "--n-range", n_range,
                    f"--realizations={realizations}", f"--seed={seed}", *model])
+
+
+@FUZZ
+@given(geometry=st.fixed_dictionaries({}, optional={
+           "M": _COUNT, "L": _COUNT, "K": _COUNT, "Rc": _near(2000.0),
+           "iota": st.one_of(_near(2.5), st.floats(100.0, 1000.0)),
+           "min-distance": st.one_of(st.floats(0.0, 3000.0),
+                                     st.sampled_from(_ODD_FLOATS))}).map(_flags),
+       drops=st.integers(-1, 4), seed=st.integers(0, 2 ** 32))
+def test_calibrate_exits_cleanly(geometry, drops, seed):
+    argv = ["calibrate", f"--drops={drops}", f"--seed={seed}", *geometry]
+    code, out = _run(argv)
+    assert code in (0, 2, 3), (argv, code)
+    if code != 0:
+        assert out == "", argv
+        return
+    values = [float(line.partition(" = ")[2]) for line in out.splitlines()]
+    assert len(values) == 3 and all(map(math.isfinite, values)), (argv, out)
 
 
 @st.composite

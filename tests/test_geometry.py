@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from dasee.geometry import build_layout, calibrate, drop_users
+from dasee import geometry
+from dasee.config import ConfigError
+from dasee.geometry import (MAX_EMPTY_ROUNDS, CalibrationResult, build_layout,
+                            calibrate, drop_users)
 
 
 def test_seven_cell_layout_geometry():
@@ -89,3 +94,126 @@ def test_calibration_fragment_keys():
     overrides = result.config_overrides()
     assert set(overrides) == {"beta", "alpha1", "alpha2"}
     assert all(isinstance(v, float) for v in overrides.values())
+
+
+# --- block-drawn calibration vs the drop-by-drop loop -----------------------
+
+def reference_calibrate(layout, iota, K, drops, seed=None, min_distance=200.0):
+    """The calibration as a plain loop: one drop, one rejection round at a
+    time, each round a ``drop_users`` draw."""
+    if drops < 1:
+        raise ConfigError("drops must be >= 1")
+    rng = np.random.default_rng(seed)
+    flat_rrh = layout.rrh_positions.reshape(-1, 2)
+    M = layout.M
+    sum_nearest = sum_intra = sum_inter = 0.0
+    users_idx = np.arange(K)
+    for _ in range(drops):
+        users = np.empty((K, 2))
+        filled = empty_rounds = 0
+        while filled < K:
+            cand = drop_users(K, layout.Rc, rng)
+            dist = np.linalg.norm(cand[:, None, :] - flat_rrh[None], axis=-1)
+            keep = cand[dist.min(axis=1) >= min_distance]
+            empty_rounds = 0 if len(keep) else empty_rounds + 1
+            if empty_rounds == MAX_EMPTY_ROUNDS:
+                raise ConfigError(
+                    f"min_distance {min_distance:g} m excludes every user")
+            take = min(K - filled, len(keep))
+            users[filled:filled + take] = keep[:take]
+            filled += take
+        dist = np.linalg.norm(users[:, None, None, :]
+                              - layout.rrh_positions[None], axis=-1)
+        gain = np.maximum(dist, 1.0) ** (-iota)
+        own = gain[:, 0, :]
+        nearest = np.argmax(own, axis=1)
+        sum_nearest += own[users_idx, nearest].mean()
+        if M > 1:
+            others = np.ones((K, M), dtype=bool)
+            others[users_idx, nearest] = False
+            sum_intra += own[others].mean()
+        if layout.L > 1:
+            sum_inter += gain[:, 1:, :].mean()
+    e_nearest = float(sum_nearest / drops)
+    e_intra = float(sum_intra / drops)
+    e_inter = float(sum_inter / drops)
+    beta = e_nearest / M ** (iota / 2.0)
+    return CalibrationResult(
+        beta=beta, alpha1=e_intra / beta if M > 1 else 0.0,
+        alpha2=e_inter / beta if layout.L > 1 else 0.0,
+        mean_gain_nearest=e_nearest, mean_gain_intra=e_intra,
+        mean_gain_inter=e_inter, drops=drops, users_per_drop=K)
+
+
+def _outcome(fn, *args, **kwargs):
+    """repr of the result (exact floats) or of the ConfigError raised."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except ConfigError as exc:
+        return f"ConfigError({exc})"
+
+
+GEOMETRIES = list(itertools.product((1, 3, 7), (1, 7), (1, 10, 20),
+                                    (50.0, 200.0, 800.0)))
+
+
+@pytest.mark.parametrize("M,L,K,min_distance", GEOMETRIES)
+def test_calibrate_equals_drop_by_drop_loop(monkeypatch, M, L, K,
+                                            min_distance):
+    layout = build_layout(M=M, Rc=2000.0, L=L)
+    iota = 2.5 + 0.5 * (M % 3)
+    for drops, seed in itertools.product((1, 7), (0, 1, 2)):
+        assert _outcome(calibrate, layout, iota, K, drops, seed=seed,
+                        min_distance=min_distance) == _outcome(
+            reference_calibrate, layout, iota, K, drops, seed=seed,
+            min_distance=min_distance)
+    # a block of a round or a few: drops span many blocks, and a drop spans
+    # the boundary between two
+    for block, seed in ((1, 3), (2 * K + 1, 4)):
+        monkeypatch.setattr(geometry, "BLOCK", block)
+        assert _outcome(calibrate, layout, iota, K, 40, seed=seed,
+                        min_distance=min_distance) == _outcome(
+            reference_calibrate, layout, iota, K, 40, seed=seed,
+            min_distance=min_distance)
+
+
+@pytest.mark.parametrize("K", [1, 20])
+def test_calibrate_equals_loop_past_one_block(K):
+    # more rounds than one block holds at the shipped BLOCK
+    layout = build_layout(M=7, Rc=2000.0, L=7)
+    drops = geometry.BLOCK // K + 3
+    assert repr(calibrate(layout, 2.5, K, drops, seed=11)) == repr(
+        reference_calibrate(layout, 2.5, K, drops, seed=11))
+
+
+@pytest.mark.parametrize("block", [3, geometry.BLOCK])
+def test_calibrate_leaves_a_passed_generator_where_the_loop_does(
+        monkeypatch, block):
+    monkeypatch.setattr(geometry, "BLOCK", block)
+    layout = build_layout(M=7, Rc=2000.0, L=7)
+    for K, drops, seed in ((10, 1, 5), (10, 25, 6), (3, 60, 7)):
+        ours, theirs = (np.random.default_rng(seed) for _ in range(2))
+        assert repr(calibrate(layout, 2.5, K, drops, seed=ours,
+                              min_distance=400.0)) == repr(
+            reference_calibrate(layout, 2.5, K, drops, seed=theirs,
+                                min_distance=400.0))
+        assert ours.random() == theirs.random()
+
+
+def test_calibrate_excluding_every_user_raises_like_the_loop(monkeypatch):
+    layout = build_layout(M=7, Rc=2000.0, L=7)
+    for block in (1, geometry.BLOCK):
+        monkeypatch.setattr(geometry, "BLOCK", block)
+        for drops in (1, 300):
+            with pytest.raises(ConfigError, match="excludes every user"):
+                calibrate(layout, 2.5, 10, drops, seed=1, min_distance=5000.0)
+
+
+def test_calibrate_rejects_degenerate_inputs():
+    layout = build_layout(M=7, Rc=2000.0, L=7)
+    # iota 300 underflows every gain (beta = 0), 800 overflows M^(iota/2)
+    for iota in (300.0, 800.0):
+        with pytest.raises(ConfigError, match="iota"):
+            calibrate(layout, iota, 10, 3, seed=1)
+    with pytest.raises(ConfigError, match="K must be"):
+        calibrate(layout, 2.5, 0, 3, seed=1)

@@ -119,7 +119,53 @@ def test_validation_rejects_bad_sets():
     indefinite[0, 0, 0, 0] -= 2 * np.abs(indefinite[0, 0, 0, 0]).max() * np.eye(6)
     with pytest.raises(ValueError, match="nonnegative"):
         CorrelationSet(R=indefinite, psi=1).validate()
+    for bad in (np.nan, np.inf):
+        broken = corr.R.copy()
+        broken[1, 0, 1, 1, 2, 3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            CorrelationSet(R=broken, psi=1).validate()
     with pytest.raises(ValueError, match="empty|shape"):
         general_deterministic_sinr(
             CorrelationSet(R=np.zeros((0, 0, 0, 0, 0, 0), complex), psi=1),
             1.0, 1.0, 1.0, 1.0)
+
+
+def _with_block(block, scale=1.0):
+    """The L = M = K = 2 set scaled by ``scale``, with R[1, 1, 0, 1] = block."""
+    cfg = SystemConfig(L=2, M=2, K=2, n=6, psi=1)
+    R = simplified_correlation_set(cfg).R * scale
+    R[1, 1, 0, 1] = block
+    return CorrelationSet(R=R, psi=1)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e9])
+def test_validation_boundary_is_minus_delta(scale):
+    # delta = tol * max(1, max|R|): a least eigenvalue of -2 delta fails with
+    # the least eigenvalue of the whole set in the message, -delta/2 passes
+    tol = 1e-10
+    delta = tol * max(1.0, np.abs(_with_block(0.0, scale).R).max())
+    v = np.arange(1, 7) + 1j * np.arange(6, 0, -1)
+    rank_one = np.outer(v, v.conj()) / np.vdot(v, v).real
+    rejected = _with_block(-2.0 * delta * rank_one, scale)
+    eigmin = np.linalg.eigvalsh(rejected.R.reshape(-1, 6, 6)).min()
+    assert eigmin == pytest.approx(-2.0 * delta, rel=1e-6)
+    with pytest.raises(ValueError) as exc:
+        rejected.validate(tol)
+    assert str(exc.value) == (f"correlation matrices not nonnegative-definite "
+                              f"({eigmin:.2e})")
+    accepted = _with_block(-0.5 * delta * rank_one, scale)
+    assert accepted.validate(tol) is accepted
+    # exactly -delta: R + delta I is singular, so the Cholesky factorization
+    # fails, but -delta is not below -delta and the set passes
+    edge = _with_block(-delta * np.eye(6), scale)
+    assert np.linalg.eigvalsh(edge.R[1, 1, 0, 1]).min() == -delta
+    assert edge.validate(tol) is edge
+
+
+def test_validation_accepts_rank_deficient_sets():
+    # d = 2: every R is beta (n/P) A A^H of rank P = n/2, half its
+    # eigenvalues zero up to rounding
+    corr = simplified_correlation_set(SystemConfig(L=7, M=7, K=14, n=20, d=2,
+                                                   psi=7))
+    assert np.linalg.eigvalsh(corr.R[0, 0, 0, 0]).min() < 1e-20
+    assert corr.validate() is corr
