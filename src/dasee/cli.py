@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -109,9 +110,7 @@ def cmd_mc_validate(args) -> int:
     rows = []
     for point, op in n_sweep(cfg, pm, _int_range(args.n_range)):
         ee_mc = montecarlo.empirical_ee(point, pm, args.realizations, args.seed)
-        gap = abs(ee_mc - op.ee)
-        # a DE EE that underflows to 0 leaves no relative error to report
-        rel = gap / op.ee if op.ee > 0.0 else 0.0 if gap == 0.0 else math.inf
+        rel = montecarlo.relative_error(ee_mc, op.ee)
         rows.append([point.n, op.ee, ee_mc, rel, op.p_d, op.p_total,
                      int(math.isfinite(rel))])
     write_rows(["n", "ee_de_bits_per_joule", "ee_mc_bits_per_joule",
@@ -155,7 +154,10 @@ def cmd_figure(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``dasee`` parser, built once per process and shared by every
+    ``main`` call (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="dasee",
         description="Energy efficiency of multi-cell massive distributed-"

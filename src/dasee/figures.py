@@ -67,7 +67,7 @@ def figure2(cfg, pm, realizations=1000, seed=1):
                 ee_de = operating_point(point, pm).ee
                 ee_mc = montecarlo.empirical_ee(point, pm, realizations, seed)
                 rows.append([psi, K, n, ee_de, ee_mc,
-                             abs(ee_mc - ee_de) / ee_de])
+                             montecarlo.relative_error(ee_mc, ee_de)])
     return header, rows
 
 

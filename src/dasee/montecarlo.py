@@ -8,10 +8,13 @@ efficiency assembled exactly as the analytic formula structures them
 interference magnitudes, normalization from the same batch).
 
 Reproducibility contract: realization r draws from its own counter-derived
-substream SeedSequence(seed, spawn_key=(r,)), and reductions run in fixed
-realization order, so results are bit-identical for a given
-(config, seed, realization count).  No step calls BLAS, so the BLAS thread
-count does not enter.
+substream SeedSequence(seed, spawn_key=(r,)) into row r of a block of
+consecutive realizations, at most ``BLOCK`` (l, m, k) entries, so memory
+does not grow with the realization count.  The arithmetic runs once per
+block, each sum over m or k on its own axis, and the batch means add the
+rows in realization order, carried from block to block.  So results are
+bit-identical for a given (config, seed, realization count), whatever the
+block size.  No step calls BLAS, so the BLAS thread count does not enter.
 
 The channels of the rank-P model live in the steering subspace
 (g = sqrt(beta*n/P) A h with A^H A = I_P), and the estimation filter is a
@@ -41,12 +44,15 @@ variates per (l, m, k) and never builds a P-vector.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .asymptotic import large_scale_gains, rate_from_sinr, total_power_at_se
 from .config import ConfigError, PowerModel, SystemConfig
+
+BLOCK = 16384                 # (l, m, k) entries per block of realizations
 
 
 @dataclass(frozen=True)
@@ -165,11 +171,14 @@ def generate_realization(cfg: SystemConfig, steering: SteeringMatrix,
 
 def _statistics(cfg: SystemConfig, realizations: int, seed: int,
                 gains: np.ndarray | None):
-    """Check ``cfg`` and ``realizations`` now; iterate over each realization's
-    statistics in order, realization r drawn from its own substream:
-    per-cell sum_{m,k} ||w_lmk||^2 (L,), the effective channel y_0kk (K,) and
-    its power, cell 0's cross terms sum_{i != k} |y_0ki|^2 (K,), and
-    sum_i |y_lki|^2 per cell (L, K)."""
+    """Check ``cfg`` and ``realizations`` now; iterate over blocks of
+    consecutive realizations, at most ``BLOCK`` (l, m, k) entries each.  A
+    block is a tuple of the statistics with a leading realization axis:
+    per-cell sum_{m,k} ||w_lmk||^2 (., L), the effective channel y_0kk
+    (., K) and its power, cell 0's cross terms sum_{i != k} |y_0ki|^2
+    (., K), and sum_i |y_lki|^2 per cell (., L, K).  Realization r draws
+    from its own substream into row r of the block; the arithmetic runs
+    once per block, reducing over m and k along their own axes."""
     gains = _simulation_gains(cfg, gains)
     if realizations < 1:
         raise ConfigError(f"realizations must be >= 1, got {realizations}")
@@ -183,38 +192,50 @@ def _statistics(cfg: SystemConfig, realizations: int, seed: int,
     co, cx = c * o, c * np.sqrt(o * q)      # g0^T conj(w) = co ||a||^2 + cx a^T conj(b)
     c2o, c2x, c2q = c * co, 2.0 * c * cx, c ** 2 * q
     c2q_other = coeff[other] ** 2 * rest[other]
+    P = cfg.P
+    rounds = max(1, BLOCK // (cfg.L * cfg.M * cfg.K))
 
-    def realization(r: int):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        norm_a = rng.standard_gamma(cfg.P, o.shape)
-        zeta = rng.standard_normal(o.shape + (2,)).view(np.complex128)[..., 0]
+    def block(start: int):
+        count = min(rounds, realizations - start)
+        norm_a = np.empty((count,) + o.shape)
+        zeta = np.empty((count,) + o.shape + (2,))
+        gamma_b = np.empty((count,) + o.shape)
+        gamma_other = np.empty((count,) + c2q_other.shape)
+        for r in range(count):
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=seed, spawn_key=(start + r,)))
+            rng.standard_gamma(P, out=norm_a[r])
+            rng.standard_normal(out=zeta[r])
+            rng.standard_gamma(P - 1, out=gamma_b[r])
+            rng.standard_gamma(P, out=gamma_other[r])
+        zeta = zeta.view(np.complex128)[..., 0]
         zeta /= np.sqrt(2.0)
         ab = np.sqrt(norm_a) * zeta                 # a^T conj(b)
-        norm_b = (zeta.real ** 2 + zeta.imag ** 2
-                  + rng.standard_gamma(cfg.P - 1, o.shape))
-        wnorm = np.empty(own0.shape)
-        wnorm[shared] = c2o * norm_a + c2x * ab.real + c2q * norm_b
-        wnorm[other] = c2q_other * rng.standard_gamma(cfg.P, c2q_other.shape)
-        per_rrh = wnorm.sum(axis=2)
-        cross = (own0 * (per_rrh[..., None] - mix * wnorm)).sum(axis=1)
-        y = (co * norm_a + cx * ab).sum(axis=1)
+        norm_b = zeta.real ** 2 + zeta.imag ** 2 + gamma_b
+        wnorm = np.empty((count,) + own0.shape)
+        wnorm[:, shared] = c2o * norm_a + c2x * ab.real + c2q * norm_b
+        wnorm[:, other] = c2q_other * gamma_other
+        per_rrh = wnorm.sum(axis=3)
+        cross = (own0 * (per_rrh[..., None] - mix * wnorm)).sum(axis=2)
+        y = (co * norm_a + cx * ab).sum(axis=2)
         power = y.real ** 2 + y.imag ** 2
         total = cross.copy()
-        total[shared] += power
-        return per_rrh.sum(axis=1), y[0], power[0], cross[0], total
+        total[:, shared] += power
+        return per_rrh.sum(axis=2), y[:, 0], power[:, 0], cross[:, 0], total
 
-    return map(realization, range(realizations))
+    return map(block, range(0, realizations, rounds))
 
 
 def _batch_means(cfg: SystemConfig, realizations: int, seed: int,
                  gains: np.ndarray | None) -> list[np.ndarray]:
-    """Means of the ``_statistics`` terms, summed in realization order."""
-    stats = _statistics(cfg, realizations, seed, gains)
-    sums = list(next(stats))
-    for terms in stats:
-        for total, term in zip(sums, terms):
-            total += term
+    """Means of the ``_statistics`` terms, summed in realization order: a
+    running sum carried from block to block, never a pairwise sum."""
+    sums = None
+    for terms in _statistics(cfg, realizations, seed, gains):
+        if sums is not None:
+            for term, total in zip(terms, sums):
+                term[0] += total
+        sums = [np.add.accumulate(term)[-1] for term in terms]
     return [total / realizations for total in sums]
 
 
@@ -257,3 +278,10 @@ def empirical_ee(cfg: SystemConfig, pm: PowerModel, realizations: int,
     """Empirical energy efficiency (bits/Joule) at the configured p_d."""
     _, se = empirical_sinr_rate(cfg, realizations, seed, gains=gains)
     return cfg.B * se / total_power_at_se(cfg, pm, se)
+
+
+def relative_error(estimate: float, reference: float) -> float:
+    """|estimate - reference| / reference; a reference that underflows to 0
+    leaves no relative error to report: 0 if the two agree, else inf."""
+    gap = abs(estimate - reference)
+    return gap / reference if reference > 0.0 else 0.0 if gap == 0.0 else math.inf

@@ -158,6 +158,59 @@ def test_mc_validate_zero_de_ee_row_is_not_feasible(capsys):
     assert row["rel_error"] == "inf" and row["feasible"] == "0"
 
 
+def test_figure2_zero_de_ee_reports_infinite_error(capsys):
+    # the same underflow in the figure-2 runner: a relative error of inf,
+    # as mc-validate reports it, instead of a division by zero
+    code, out, _ = run(capsys, "figure", "2", "--realizations", "3",
+                       "--p-u", "1e-30")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 24
+    for row in rows:
+        assert float(row["ee_de_bits_per_joule"]) == 0.0
+        assert float(row["ee_mc_bits_per_joule"]) > 0.0
+        assert row["rel_error"] == "inf"
+
+
+def _alone(capsys, *argv):
+    """``run`` with a parser built for this call only."""
+    build_parser.cache_clear()
+    return run(capsys, *argv)
+
+
+def _help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    return exc.value.code, capsys.readouterr().out
+
+
+def test_parser_reuse_leaks_no_defaults(capsys):
+    # main builds its parser once per process; a call after another
+    # subcommand prints what the same call prints alone
+    joint = ("joint", "--gamma", "2", "--M-max", "8")
+    opt_m = ("opt-m", "--gamma", "2", "--M-max", "8")
+    fixed = (*opt_m, "--fixed-n")
+    no_pc = ("opt-n", "--gamma", "2", "--no-pc")
+    outputs = {}
+    for sequence in ((joint, opt_m), (joint, fixed, joint),
+                     (no_pc, no_pc[:-1], no_pc)):
+        alone = [_alone(capsys, *argv) for argv in sequence]
+        build_parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in sequence]
+        assert shared == alone
+        outputs.update(zip(sequence, alone))
+    assert all(code == 0 for code, _, _ in outputs.values())
+    # a leaked --fixed-n or --no-pc would show in the call after it
+    assert outputs[fixed] != outputs[joint]
+    assert outputs[no_pc] != outputs[no_pc[:-1]]
+    parser = build_parser()
+    commands = ("calibrate", *MODEL_SUBCOMMANDS)
+    helps = [_help(capsys, command) for command in commands]
+    assert build_parser() is parser
+    build_parser.cache_clear()
+    assert [_help(capsys, command) for command in commands] == helps
+
+
 def test_empty_sweep_rejected_and_no_file(tmp_path):
     cfg, pm = SystemConfig(), PowerModel()
     with pytest.raises(ConfigError, match="empty sweep"):

@@ -9,10 +9,11 @@ import dasee
 from dasee.asymptotic import (deterministic_sinr, large_scale_gains,
                               operating_point, sinr_breakdown)
 from dasee.config import ConfigError, PowerModel, SystemConfig
-from dasee.montecarlo import (_pilot_model, _statistics, empirical_ee,
-                              empirical_sinr_rate, empirical_transmit_power,
-                              generate_realization, rate_from_sinr,
-                              steering_matrix)
+from dasee import montecarlo
+from dasee.montecarlo import (_pilot_model, _simulation_gains, _statistics,
+                              empirical_ee, empirical_sinr_rate,
+                              empirical_transmit_power, generate_realization,
+                              rate_from_sinr, steering_matrix)
 from dasee.rmt import phi_matrix, simplified_correlation_set
 
 SMALL = SystemConfig(L=2, M=2, K=2, n=16, d=2, psi=1, p_u=1.0)
@@ -268,7 +269,7 @@ def _statistics_agree(cfg, gains=None, R=2000):
     the Re(a^T conj(b)) part of ||w||^2, zero in mean, shows."""
     reference = _batch_terms(*_reference_statistics(
         cfg, R, 1, large_scale_gains(cfg) if gains is None else gains))
-    engine = _batch_terms(*map(np.array, zip(*_statistics(cfg, R, 2, gains))))
+    engine = _batch_terms(*map(np.concatenate, zip(*_statistics(cfg, R, 2, gains))))
     center = reference["wnorm"].mean(axis=0)
     for terms in (reference, engine):
         terms["wnorm_spread"] = (terms["wnorm"] - center) ** 2
@@ -314,8 +315,9 @@ def test_estimator_assembles_batch_means(override):
         gains = large_scale_gains(cfg) * np.random.default_rng(8).uniform(
             0.5, 2.0, (cfg.L, cfg.M, cfg.L, cfg.K))
     R = 30
-    wnorm, eff, eff2, sci, total = (np.mean(term, axis=0) for term in
-                                    map(np.array, zip(*_statistics(cfg, R, 4, gains))))
+    wnorm, eff, eff2, sci, total = (
+        np.mean(term, axis=0)
+        for term in map(np.concatenate, zip(*_statistics(cfg, R, 4, gains))))
     lam = cfg.K / wnorm
     inter = sum(lam[l] * total[l] for l in range(1, cfg.L))
     sinr_ref = (lam[0] * np.abs(eff) ** 2
@@ -327,6 +329,100 @@ def test_estimator_assembles_batch_means(override):
     lam = np.arange(1.0, cfg.L + 1.0)
     power = empirical_transmit_power(cfg, R, seed=4, lam=lam, gains=gains)
     assert np.allclose(power, cfg.p_d / cfg.K * lam * wnorm, rtol=1e-12, atol=0.0)
+
+
+def reference_batch_means(cfg, realizations, seed, gains):
+    """The engine one realization at a time, each statistic added into a
+    running sum in realization order: the layout the block engine must
+    reproduce bit for bit."""
+    gains = _simulation_gains(cfg, gains)
+    share, copilot, loading, coeff = _pilot_model(cfg, gains)
+    shared = share[:, 0] == 1.0
+    other = ~shared
+    mix = shared[:, None, None]
+    own0 = gains[:, :, 0] * cfg.d
+    rest = copilot - mix * own0 + loading
+    o, q, c = own0[shared], rest[shared], coeff[shared]
+    co, cx = c * o, c * np.sqrt(o * q)
+    c2o, c2x, c2q = c * co, 2.0 * c * cx, c ** 2 * q
+    c2q_other = coeff[other] ** 2 * rest[other]
+
+    def realization(r):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        norm_a = rng.standard_gamma(cfg.P, o.shape)
+        zeta = rng.standard_normal(o.shape + (2,)).view(np.complex128)[..., 0]
+        zeta /= np.sqrt(2.0)
+        ab = np.sqrt(norm_a) * zeta
+        norm_b = (zeta.real ** 2 + zeta.imag ** 2
+                  + rng.standard_gamma(cfg.P - 1, o.shape))
+        wnorm = np.empty(own0.shape)
+        wnorm[shared] = c2o * norm_a + c2x * ab.real + c2q * norm_b
+        wnorm[other] = c2q_other * rng.standard_gamma(cfg.P, c2q_other.shape)
+        per_rrh = wnorm.sum(axis=2)
+        cross = (own0 * (per_rrh[..., None] - mix * wnorm)).sum(axis=1)
+        y = (co * norm_a + cx * ab).sum(axis=1)
+        power = y.real ** 2 + y.imag ** 2
+        total = cross.copy()
+        total[shared] += power
+        return per_rrh.sum(axis=1), y[0], power[0], cross[0], total
+
+    sums = list(realization(0))
+    for r in range(1, realizations):
+        for total, term in zip(sums, realization(r)):
+            total += term
+    return [total / realizations for total in sums]
+
+
+BIT_CASES = [
+    *((SystemConfig(L=4, M=3, K=5, n=12, d=2, psi=psi, pilot_noise_mode=mode),
+       False) for psi in (1, 2, 4) for mode in ("exact", "negligible")),
+    (SystemConfig(L=4, M=3, K=5, n=12, d=2, psi=2), True),   # gains= override
+    (SystemConfig(L=1, M=2, K=3, n=8, psi=1), False),
+    (SystemConfig(L=3, M=2, K=1, n=8, psi=1), False),        # K = 1
+    (SystemConfig(L=2, M=9, K=3, n=10, d=2, psi=2), False),
+    (SystemConfig(L=2, M=2, K=3, n=2, d=2, psi=1), False),   # P = 1
+    (SystemConfig(L=1, M=1, K=1, n=4, psi=1), False),        # one entry each
+]
+
+
+def _estimator_bytes(cfg, R, gains):
+    sinr, se = empirical_sinr_rate(cfg, R, seed=6, gains=gains)
+    power = empirical_transmit_power(cfg, R, seed=6, gains=gains,
+                                     lam=np.arange(1.0, cfg.L + 1.0))
+    return sinr.tobytes(), repr(se), power.tobytes()
+
+
+def _assert_block_engine_bit_identical(monkeypatch, cfg, gains, R):
+    engine = _estimator_bytes(cfg, R, gains)
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_batch_means", reference_batch_means)
+        reference = _estimator_bytes(cfg, R, gains)
+    assert engine == reference
+
+
+@pytest.mark.parametrize("rows", [None, 2, 3])
+@pytest.mark.parametrize("cfg, override", BIT_CASES)
+def test_block_engine_bit_identical_to_loop(monkeypatch, cfg, override, rows):
+    # BLOCK = 1, 2, 7 (odd) entries, and blocks of exactly 2 and 3 rows;
+    # R = 11 leaves a partial last block wherever a block holds 2+ rows
+    gains = None
+    if override:
+        gains = large_scale_gains(cfg) * np.random.default_rng(8).uniform(
+            0.5, 2.0, (cfg.L, cfg.M, cfg.L, cfg.K))
+    size = cfg.L * cfg.M * cfg.K
+    for block in ((1, 2, 7) if rows is None else (rows * size,)):
+        monkeypatch.setattr(montecarlo, "BLOCK", block)
+        _assert_block_engine_bit_identical(monkeypatch, cfg, gains, 11)
+
+
+@pytest.mark.parametrize("cfg", [SystemConfig(psi=1, K=10, n=10),
+                                 SystemConfig(psi=7, K=20, n=60),
+                                 SystemConfig(M=9, K=3, n=10, d=2)])
+def test_block_engine_bit_identical_at_shipped_block(monkeypatch, cfg):
+    # more realizations than one block of the shipped BLOCK holds
+    rounds = montecarlo.BLOCK // (cfg.L * cfg.M * cfg.K)
+    _assert_block_engine_bit_identical(monkeypatch, cfg, None, rounds + 3)
 
 
 _THREAD_PROBE = """
