@@ -12,8 +12,7 @@ from one breakdown and gives the same bits as a configuration per n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,8 +50,7 @@ class InfeasibleAntennasError(ValueError):
         super().__init__(f"n={n} infeasible, need n >= {n_min}")
 
 
-@dataclass(frozen=True)
-class SinrBreakdown:
+class SinrBreakdown(NamedTuple):
     """Deterministic-equivalent SINR components (beta^2-scaled powers)."""
 
     S: float            # desired-signal power
@@ -98,18 +96,22 @@ def sinr_breakdown(cfg: SystemConfig) -> SinrBreakdown:
     """
     try:
         sc = derived_scalars(cfg)
-        m_half = cfg.M ** (cfg.iota / 2.0)
-        signal = cfg.beta ** 2 * (cfg.M ** cfg.iota * sc.nu1
-                                  + (cfg.M - 1) * cfg.alpha1 ** 2 * sc.nu2)
-        pc = (cfg.beta ** 2 * cfg.alpha2 * (sc.L_bar1 - m_half)
-              * (m_half * sc.nu1 + (cfg.M - 1) * cfg.alpha1 * sc.nu2) ** 2
-              / (cfg.M ** cfg.iota * sc.nu1
-                 + (cfg.M - 1) * cfg.alpha1 ** 2 * sc.nu2))
+        M, alpha1, nu1, nu2 = cfg.M, cfg.alpha1, sc.nu1, sc.nu2
+        m_half = M ** (cfg.iota / 2.0)
+        beta2 = cfg.beta ** 2
+        coherent = M ** cfg.iota * nu1 + (M - 1) * alpha1 ** 2 * nu2
+        signal = beta2 * coherent
+        pc = (beta2 * cfg.alpha2 * (sc.L_bar1 - m_half)
+              * (m_half * nu1 + (M - 1) * alpha1 * nu2) ** 2 / coherent)
+        # In negligible mode a subnormal beta overflows nu1 to inf without
+        # raising, and beta^2 * inf is NaN.
+        if not (math.isfinite(signal) and math.isfinite(pc)):
+            raise OverflowError
     except OverflowError:
         raise ConfigError("beta and iota take the SINR terms beyond the "
                           "double range") from None
     mu_scaled = cfg.beta * cfg.d * cfg.K * sc.xi
-    return SinrBreakdown(S=signal, I_PC=pc, I_MU_scaled=mu_scaled)
+    return SinrBreakdown(signal, pc, mu_scaled)
 
 
 def deterministic_sinr(cfg: SystemConfig, n: int | None = None,
@@ -128,7 +130,14 @@ def rate_margin(brk: SinrBreakdown, gamma: float) -> float:
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ConfigError(f"gamma must be finite and positive, got {gamma!r}")
     # 2**gamma overflows a double from gamma = 1024 on; S/inf is then 0.
-    margin = (brk.S / (2.0 ** gamma - 1.0) if gamma < 1024.0 else 0.0) - brk.I_PC
+    if gamma >= 1024.0:
+        margin = 0.0 - brk.I_PC
+    else:
+        target = 2.0 ** gamma - 1.0
+        if target == 0.0:   # gamma below about 1.6e-16
+            raise ConfigError(f"gamma {gamma!r} is too small: 2**gamma - 1 "
+                              f"rounds to 0")
+        margin = brk.S / target - brk.I_PC
     if margin <= 0.0:
         raise RateUnachievableError(gamma, _rate_ceiling(brk))
     return margin
@@ -154,22 +163,45 @@ def min_antennas(cfg: SystemConfig, brk: SinrBreakdown, gamma: float) -> int:
 def required_transmit_power(cfg: SystemConfig, brk: SinrBreakdown,
                             gamma: float, n: int) -> float:
     """Transmit power that realizes per-user rate gamma with n antennas."""
-    denom = n * rate_margin(brk, gamma) - brk.I_MU_scaled
-    if denom <= 0.0:
+    p_d = _transmit_power_by_n(cfg, brk, gamma)(n)
+    if p_d is None:
         raise InfeasibleAntennasError(n, min_antennas(cfg, brk, gamma))
-    return cfg.sigma2 / denom
+    return p_d
+
+
+def _transmit_power_by_n(cfg: SystemConfig, brk: SinrBreakdown,
+                         gamma: float) -> Callable[[int], float | None]:
+    """n -> ``required_transmit_power``, or None where n is too few."""
+    margin = rate_margin(brk, gamma)
+    sigma2, mu_scaled = cfg.sigma2, brk.I_MU_scaled
+
+    def transmit_power(n):
+        denom = n * margin - mu_scaled
+        if denom <= 0.0:
+            return None
+        return sigma2 / denom
+    return transmit_power
 
 
 def total_power_at_se(cfg: SystemConfig, pm: PowerModel, se: float,
                       n: int | None = None, p_d: float | None = None) -> float:
     """Cell power draw at spectral efficiency ``se`` (bits/s/Hz)."""
-    n = cfg.n if n is None else n
-    p_d = cfg.p_d if p_d is None else p_d
+    return _power_by_n(cfg, pm, se)(cfg.n if n is None else n,
+                                    cfg.p_d if p_d is None else p_d)
+
+
+def _power_by_n(cfg: SystemConfig, pm: PowerModel,
+                se: float) -> Callable[[int, float], float]:
+    """(n, p_d) -> ``total_power_at_se``; the backhaul term, which holds
+    neither, is computed once (it is the last term of the sum, so the
+    additions still run in the same order)."""
+    p_fix, m, p_rrh, zeta, k = pm.P_FIX, cfg.M, pm.P_RRH, pm.zeta, cfg.K
     data_fraction = (cfg.T - cfg.tau_u) / cfg.T
-    return (pm.P_FIX
-            + n * cfg.M * pm.P_RRH
-            + data_fraction * (p_d / pm.zeta) * cfg.K
-            + cfg.M * (pm.P_0 + pm.P_BT * cfg.B * se))
+    backhaul = m * (pm.P_0 + pm.P_BT * cfg.B * se)
+
+    def power(n, p_d):
+        return p_fix + n * m * p_rrh + data_fraction * (p_d / zeta) * k + backhaul
+    return power
 
 
 def total_power(cfg: SystemConfig, pm: PowerModel, gamma: float,
@@ -209,14 +241,41 @@ def _operating_point(cfg: SystemConfig, pm: PowerModel, brk: SinrBreakdown,
                      gamma: float | None, n: int) -> OperatingPoint:
     """``operating_point`` with n antennas per RRH, from cfg's breakdown."""
     _require_count("n", n)
+    point = _points_by_n(cfg, pm, brk, gamma)(n)
+    if point is None:
+        raise InfeasibleAntennasError(n, min_antennas(cfg, brk, gamma))
+    return point
+
+
+def _points_by_n(cfg: SystemConfig, pm: PowerModel, brk: SinrBreakdown,
+                 gamma: float | None) -> Callable[[int], OperatingPoint | None]:
+    """n -> the operating point with n antennas per RRH, or None where n
+    is too few for gamma; n must be a positive int.
+
+    The one body of ``operating_point``.  What does not involve n (the rate
+    margin, the spectral efficiency at rate gamma and the backhaul power)
+    is computed once, so an n-sweep pays only the per-n arithmetic.  Raises
+    ConfigError / RateUnachievableError for a gamma no n reaches.
+    """
     if gamma is None:
-        p_d = cfg.p_d
-        se = rate_from_sinr(cfg, [_sinr(cfg, brk, n, p_d)] * cfg.K)
-    else:
-        p_d = required_transmit_power(cfg, brk, gamma, n)
-        se = (cfg.T - cfg.tau_u) / cfg.T * cfg.K * gamma
-    p_total = total_power_at_se(cfg, pm, se, n=n, p_d=p_d)
-    return OperatingPoint(cfg.B * se / p_total, p_d, p_total)
+        def point(n):
+            p_d = cfg.p_d
+            se = rate_from_sinr(cfg, [_sinr(cfg, brk, n, p_d)] * cfg.K)
+            p_total = _power_by_n(cfg, pm, se)(n, p_d)
+            return OperatingPoint(cfg.B * se / p_total, p_d, p_total)
+        return point
+    transmit_power = _transmit_power_by_n(cfg, brk, gamma)
+    se = (cfg.T - cfg.tau_u) / cfg.T * cfg.K * gamma
+    power = _power_by_n(cfg, pm, se)
+    rate = cfg.B * se
+
+    def point(n):
+        p_d = transmit_power(n)
+        if p_d is None:
+            return None
+        p_total = power(n, p_d)
+        return OperatingPoint(rate / p_total, p_d, p_total)
+    return point
 
 
 def energy_efficiency(cfg: SystemConfig, pm: PowerModel, gamma: float,

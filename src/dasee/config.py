@@ -8,9 +8,11 @@ pure, so they are safe to share across threads.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 PILOT_NOISE_MODES = ("exact", "negligible")
 
@@ -70,7 +72,7 @@ class SystemConfig:
         return self.n // self.d
 
     def replace(self, **changes) -> "SystemConfig":
-        return dataclasses.replace(self, **changes)
+        return _derive(self, changes)
 
 
 def override(cfg: SystemConfig, **changes) -> SystemConfig:
@@ -93,11 +95,10 @@ class PowerModel:
         validate_config(None, self)
 
     def replace(self, **changes) -> "PowerModel":
-        return dataclasses.replace(self, **changes)
+        return _derive(self, changes)
 
 
-@dataclass(frozen=True)
-class DerivedScalars:
+class DerivedScalars(NamedTuple):
     """Scalar aggregates shared by the closed-form SINR and the optimizers."""
 
     L_bar1: float   # effective co-pilot gain sum seen by the serving RRH
@@ -108,15 +109,73 @@ class DerivedScalars:
     tau_u: int      # pilot length, symbols
 
 
-def _require_finite(record) -> None:
-    for name in _FLOAT_FIELDS[type(record)]:
-        if not math.isfinite(getattr(record, name)):
-            raise ConfigError(f"{name} must be finite")
-
-
 def _require_count(name: str, value) -> None:
     if not isinstance(value, int) or value < 1:
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
+# Every invariant of a record is one rule: the fields it reads and a check
+# that raises ConfigError naming its violation.  validate_config runs the
+# rules of a record in the order listed, so the first violation is reported.
+
+def _count(name):
+    return (name,), lambda r: _require_count(name, getattr(r, name))
+
+
+def _positive(name):
+    def check(r):
+        if getattr(r, name) <= 0.0:
+            raise ConfigError(f"{name} must be positive")
+    return (name,), check
+
+
+def _unit_interval(name):
+    def check(r):
+        if not 0.0 <= getattr(r, name) <= 1.0:
+            raise ConfigError(f"{name} must lie in [0, 1]")
+    return (name,), check
+
+
+def _finite(name):
+    def check(r):
+        if not math.isfinite(getattr(r, name)):
+            raise ConfigError(f"{name} must be finite")
+    return (name,), check
+
+
+def _rule(fields: str, violated, message: str):
+    def check(r):
+        if violated(r):
+            raise ConfigError(message)
+    return tuple(fields.split()), check
+
+
+def _known_mode(cfg):
+    if cfg.pilot_noise_mode not in PILOT_NOISE_MODES:
+        raise ConfigError(
+            f"pilot_noise_mode must be one of {PILOT_NOISE_MODES}, "
+            f"got {cfg.pilot_noise_mode!r}")
+
+
+_FLOAT_FIELDS = {cls: tuple(f.name for f in dataclasses.fields(cls) if f.type == "float")
+                 for cls in (SystemConfig, PowerModel)}
+_RULES = {
+    PowerModel: (
+        *map(_positive, ("P_FIX", "P_RRH", "P_0", "P_BT", "zeta")),
+        _rule("zeta", lambda pm: pm.zeta > 1.0, "zeta exceeds 1"),
+        *map(_finite, _FLOAT_FIELDS[PowerModel]),
+    ),
+    SystemConfig: (
+        *map(_count, ("L", "M", "K", "n", "psi", "T", "d")),
+        _rule("psi L", lambda c: c.psi > c.L, "psi exceeds L"),
+        _rule("L psi", lambda c: c.L % c.psi != 0, "L not divisible by psi"),
+        _rule("psi K T", lambda c: c.psi * c.K > c.T, "psi*K exceeds T"),
+        *map(_positive, ("B", "Rc", "beta", "p_u", "p_d", "sigma2", "iota")),
+        *map(_unit_interval, ("alpha1", "alpha2")),
+        (("pilot_noise_mode",), _known_mode),
+        *map(_finite, _FLOAT_FIELDS[SystemConfig]),
+    ),
+}
 
 
 def validate_config(cfg: SystemConfig | None,
@@ -126,35 +185,39 @@ def validate_config(cfg: SystemConfig | None,
     Both records call this when they are built, so one that exists is valid.
     The simulation checks n mod d = 0; the closed forms use d only as a scalar.
     """
-    if pm is not None:
-        for name in ("P_FIX", "P_RRH", "P_0", "P_BT", "zeta"):
-            if getattr(pm, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
-        if pm.zeta > 1.0:
-            raise ConfigError("zeta exceeds 1")
-        _require_finite(pm)
-    if cfg is None:
-        return None
-    for name in ("L", "M", "K", "n", "psi", "T", "d"):
-        _require_count(name, getattr(cfg, name))
-    if cfg.psi > cfg.L:
-        raise ConfigError("psi exceeds L")
-    if cfg.L % cfg.psi != 0:
-        raise ConfigError("L not divisible by psi")
-    if cfg.psi * cfg.K > cfg.T:
-        raise ConfigError("psi*K exceeds T")
-    for name in ("B", "Rc", "beta", "p_u", "p_d", "sigma2", "iota"):
-        if getattr(cfg, name) <= 0.0:
-            raise ConfigError(f"{name} must be positive")
-    for name in ("alpha1", "alpha2"):
-        if not 0.0 <= getattr(cfg, name) <= 1.0:
-            raise ConfigError(f"{name} must lie in [0, 1]")
-    if cfg.pilot_noise_mode not in PILOT_NOISE_MODES:
-        raise ConfigError(
-            f"pilot_noise_mode must be one of {PILOT_NOISE_MODES}, "
-            f"got {cfg.pilot_noise_mode!r}")
-    _require_finite(cfg)
+    for record in (pm, cfg):
+        if record is not None:
+            for _, check in _RULES[type(record)]:
+                check(record)
     return cfg
+
+
+def _derive(record, changes: dict):
+    """``record`` with ``changes`` applied, as its constructor would build it.
+
+    Only the rules that read a changed field run: ``record`` was valid when
+    it was built and cannot change, so every other rule still holds, and
+    the rules that run keep their order, so the first violation is the one
+    the constructor reports.
+    """
+    cls = type(record)
+    for name in changes:
+        if name not in cls.__dataclass_fields__:
+            raise TypeError(f"{cls.__name__}.__init__() got an unexpected "
+                            f"keyword argument {name!r}")
+    derived = object.__new__(cls)
+    derived.__dict__.update(record.__dict__)
+    derived.__dict__.update(changes)
+    for check in _rules_reading(cls, frozenset(changes)):
+        check(derived)
+    return derived
+
+
+@functools.cache
+def _rules_reading(cls, names: frozenset) -> tuple:
+    """The checks of ``cls``'s rules that read any of ``names``, in order."""
+    return tuple(check for fields, check in _RULES[cls]
+                 if not names.isdisjoint(fields))
 
 
 def derived_scalars(cfg: SystemConfig) -> DerivedScalars:
@@ -164,30 +227,32 @@ def derived_scalars(cfg: SystemConfig) -> DerivedScalars:
     estimation-quality factors, which then reduce to 1/(L_bar * beta).
     L_bar2 = 0 (alpha1 = 0, no co-pilot cell) gives nu2 = 0: nu2 only enters
     the SINR multiplied by alpha1, so those terms are 0 as in exact mode.
+    So does an L_bar2 * beta too small for its inverse to be a double.
     """
-    m_half = cfg.M ** (cfg.iota / 2.0)
-    copilot = cfg.alpha2 * (cfg.L / cfg.psi - 1.0)
+    M, L, alpha1, alpha2, beta = cfg.M, cfg.L, cfg.alpha1, cfg.alpha2, cfg.beta
+    m_half = M ** (cfg.iota / 2.0)
+    copilot = alpha2 * (L / cfg.psi - 1.0)
     l_bar1 = m_half + copilot
-    l_bar2 = cfg.alpha1 + copilot
+    l_bar2 = alpha1 + copilot
     tau_u = cfg.tau_u
     if cfg.pilot_noise_mode == "negligible":
-        nu1 = 1.0 / (l_bar1 * cfg.beta)
-        nu2 = 1.0 / (l_bar2 * cfg.beta) if l_bar2 > 0.0 else 0.0
+        nu1 = 1.0 / (l_bar1 * beta)
+        gain2 = l_bar2 * beta
+        nu2 = 1.0 / gain2 if gain2 > 0.0 else 0.0
+        if nu2 == math.inf:
+            nu2 = 0.0
     else:
         energy = cfg.p_u * tau_u * cfg.d
-        nu1 = energy / (cfg.sigma2 + energy * l_bar1 * cfg.beta)
-        nu2 = energy / (cfg.sigma2 + energy * l_bar2 * cfg.beta)
-    xi = m_half / cfg.M + (1.0 - 1.0 / cfg.M) * cfg.alpha1 + cfg.alpha2 * (cfg.L - 1)
-    return DerivedScalars(L_bar1=l_bar1, L_bar2=l_bar2, nu1=nu1, nu2=nu2,
-                          xi=xi, tau_u=tau_u)
+        nu1 = energy / (cfg.sigma2 + energy * l_bar1 * beta)
+        nu2 = energy / (cfg.sigma2 + energy * l_bar2 * beta)
+    xi = m_half / M + (1.0 - 1.0 / M) * alpha1 + alpha2 * (L - 1)
+    return DerivedScalars(l_bar1, l_bar2, nu1, nu2, xi, tau_u)
 
 
 # --- configuration files -------------------------------------------------
 
 _SYSTEM_FIELDS = {f.name: f.type for f in dataclasses.fields(SystemConfig)}
 _POWER_FIELDS = {f.name: f.type for f in dataclasses.fields(PowerModel)}
-_FLOAT_FIELDS = {cls: tuple(f.name for f in dataclasses.fields(cls) if f.type == "float")
-                 for cls in (SystemConfig, PowerModel)}
 _DBM_CONVERTIBLE = ("p_u", "p_d", "sigma2")
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 
 from . import montecarlo
-from .asymptotic import RateUnachievableError, operating_point, sinr_breakdown
+from .asymptotic import (RateUnachievableError, _points_by_n, operating_point,
+                         sinr_breakdown)
 from .config import ConfigError, PowerModel, SystemConfig
 from .optimize import OptimizationError, _ee_by_n, ee_or_none, optimal_n
 
@@ -39,12 +40,14 @@ def _curve(key, evaluate, values, tail=()):
 
 
 def _ee_of_n(cfg, pm):
-    """n -> EE at rate GAMMA_DEFAULT or None, every n from one SINR
-    breakdown; a breakdown beyond the double range leaves no n feasible."""
+    """n -> EE at rate GAMMA_DEFAULT or None, every n from one evaluator; a
+    breakdown beyond the double range or a rate above the ceiling leaves no
+    n feasible."""
     try:
-        return _ee_by_n(cfg, pm, sinr_breakdown(cfg), GAMMA_DEFAULT)
-    except ConfigError:
+        point = _points_by_n(cfg, pm, sinr_breakdown(cfg), GAMMA_DEFAULT)
+    except (ConfigError, RateUnachievableError):
         return lambda n: None
+    return _ee_by_n(point)
 
 
 def _n_curve(key, cfg, pm, step=1):

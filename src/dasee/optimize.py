@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .asymptotic import (MAX_ANTENNAS, InfeasibleAntennasError,
-                         RateUnachievableError, SinrBreakdown,
-                         _operating_point, _rate_ceiling, energy_efficiency,
-                         min_antennas, operating_point, rate_margin,
-                         sinr_breakdown)
+                         OperatingPoint, RateUnachievableError, _points_by_n,
+                         _rate_ceiling, energy_efficiency, min_antennas,
+                         operating_point, rate_margin, sinr_breakdown)
 from .config import (ConfigError, PowerModel, SystemConfig, derived_scalars,
                      override)
 
@@ -103,14 +102,12 @@ def ee_or_none(cfg: SystemConfig, pm: PowerModel, gamma: float,
         return None
 
 
-def _ee_by_n(cfg: SystemConfig, pm: PowerModel, brk: SinrBreakdown,
-             gamma: float) -> Callable[[int], float | None]:
-    """n -> ``ee_or_none(cfg, pm, gamma, n=n)``, from cfg's breakdown."""
+def _ee_by_n(point: Callable[[int], OperatingPoint | None]
+             ) -> Callable[[int], float | None]:
+    """n -> the EE of the evaluator ``point`` at n, None where infeasible."""
     def evaluate(n):
-        try:
-            return _operating_point(cfg, pm, brk, gamma, n).ee
-        except (InfeasibleAntennasError, RateUnachievableError, ConfigError):
-            return None
+        op = point(n)
+        return None if op is None else op.ee
     return evaluate
 
 
@@ -120,20 +117,29 @@ def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
 
     The continuous optimum balances the per-antenna circuit power against
     the transmit power, offset by the minimum feasible antenna count; the
-    integer answer is the EE-preferred neighbor.
+    integer answer is the EE-preferred neighbor.  Raises OptimizationError
+    when the antenna power is so small against the transmit power that the
+    balance point lies beyond 2^53 antennas.
     """
     cfg = override(cfg, M=M, K=K)
     brk = sinr_breakdown(cfg)
     n_min = min_antennas(cfg, brk, gamma)  # raises if gamma unachievable
     margin = rate_margin(brk, gamma)
     data_fraction = (cfg.T - cfg.tau_u) / (cfg.T * pm.zeta)
-    n_real = (math.sqrt(data_fraction * cfg.sigma2 * cfg.K
-                        / (margin * cfg.M * pm.P_RRH))
-              + brk.I_MU_scaled / margin)
+    antenna_power = margin * cfg.M * pm.P_RRH
+    balance = (math.sqrt(data_fraction * cfg.sigma2 * cfg.K / antenna_power)
+               if antenna_power > 0.0 else math.inf)
+    if not balance < MAX_ANTENNAS:
+        raise OptimizationError(
+            f"EE grows with n beyond 2^53 antennas per RRH: the antenna "
+            f"power P_RRH = {pm.P_RRH!r} W is negligible against the "
+            f"transmit power")
+    n_real = balance + brk.I_MU_scaled / margin
     if not n_real < MAX_ANTENNAS:   # no integer neighbors, as for n_min
         raise RateUnachievableError(gamma, _rate_ceiling(brk))
-    n_star = floor_ceil_select(n_real, _ee_by_n(cfg, pm, brk, gamma))
-    ee, p_d, _ = _operating_point(cfg, pm, brk, gamma, n_star)
+    point = _points_by_n(cfg, pm, brk, gamma)
+    n_star = floor_ceil_select(n_real, _ee_by_n(point))
+    ee, p_d, _ = point(n_star)
     return OptimizationResult(ee=ee, p_d=p_d, n=n_star, M=cfg.M, K=cfg.K,
                               x_real=n_real, window=(float(n_min), math.inf))
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from dasee.asymptotic import (InfeasibleAntennasError, RateUnachievableError,
-                              SinrBreakdown, deterministic_sinr,
+                              SinrBreakdown, _points_by_n, deterministic_sinr,
                               energy_efficiency, large_scale_gains,
-                              min_antennas, operating_point,
+                              min_antennas, operating_point, rate_margin,
                               required_transmit_power, sinr_breakdown,
                               total_power, total_power_at_se)
-from dasee.config import ConfigError, PowerModel, SystemConfig
+from dasee.config import ConfigError, DerivedScalars, PowerModel, SystemConfig
 
 CFG = SystemConfig()
 PM = PowerModel()
@@ -114,6 +114,49 @@ def test_antenna_count_argument_is_validated(n):
     for gamma in (None, 2.0):
         with pytest.raises(ConfigError, match=message):
             operating_point(CFG, PM, gamma, n=n)
+
+
+@pytest.mark.parametrize("gamma", [1e-16, 1e-300, 5e-324])
+def test_rate_too_small_for_a_double_is_a_config_error(gamma):
+    # 2**gamma rounds to 1, so S/(2**gamma - 1) was a ZeroDivisionError
+    with pytest.raises(ConfigError, match="gamma"):
+        rate_margin(sinr_breakdown(CFG), gamma)
+
+
+@pytest.mark.parametrize("gamma", [2.3e-16, 1e-15, 1e-9, 0.5, 2.0, 9.0,
+                                   1023.9])
+def test_rate_margin_bits(gamma):
+    for cfg in (CFG, CFG.replace(psi=7)):
+        brk = sinr_breakdown(cfg)
+        try:
+            margin = rate_margin(brk, gamma)
+        except RateUnachievableError:
+            assert brk.S / (2.0 ** gamma - 1.0) - brk.I_PC <= 0.0
+            continue
+        assert margin == brk.S / (2.0 ** gamma - 1.0) - brk.I_PC
+
+
+def test_records_are_tuples_with_named_fields():
+    brk = SinrBreakdown(S=1.0, I_PC=0.5, I_MU_scaled=2.0)
+    assert isinstance(brk, tuple) and brk.I_PC == 0.5
+    assert repr(brk) == "SinrBreakdown(S=1.0, I_PC=0.5, I_MU_scaled=2.0)"
+    assert DerivedScalars._fields == ("L_bar1", "L_bar2", "nu1", "nu2", "xi",
+                                      "tau_u")
+
+
+@pytest.mark.parametrize("gamma", [None, 2.0, 6.0])
+def test_n_evaluator_equals_a_record_per_n(gamma):
+    # the evaluator computes the n-free terms once; every point must still
+    # equal operating_point on its own record, None where that raises
+    for cfg, pm in ((CFG, PM), (CFG.replace(psi=7, d=2, K=3),
+                                PM.replace(P_0=8.25, P_BT=2.5e-9))):
+        point = _points_by_n(cfg, pm, sinr_breakdown(cfg), gamma)
+        for n in range(1, 90):
+            try:
+                ref = operating_point(cfg.replace(n=n), pm, gamma)
+            except InfeasibleAntennasError:
+                ref = None
+            assert point(n) == ref, (cfg, gamma, n)
 
 
 def test_rate_above_ceiling_rejected():

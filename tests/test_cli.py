@@ -3,9 +3,14 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dasee
 from dasee import figures
 from dasee.asymptotic import (InfeasibleAntennasError, RateUnachievableError,
                               deterministic_sinr, energy_efficiency,
@@ -84,6 +89,63 @@ def test_unrepresentable_optimum_exit_code(capsys):
         code, out, err = run(capsys, *argv, "--psi", "7")
         assert code == 3 and out == "" and "integer point" not in err, err
         assert len(err) < 120, err
+
+
+@pytest.mark.parametrize("command", ["opt-n", "opt-k", "opt-m", "joint"])
+@pytest.mark.parametrize("gamma", ["1e-16", "1e-300"])
+def test_rate_too_small_for_a_double_exit_2(capsys, command, gamma):
+    # 2**gamma - 1 rounds to 0: this was a ZeroDivisionError traceback
+    code, out, err = run(capsys, command, "--gamma", gamma)
+    assert code == 2 and out == "" and "gamma" in err, err
+
+
+@pytest.mark.parametrize("p_rrh", ["1e-320", "5e-324"])
+def test_subnormal_antenna_power_exits_cleanly(capsys, p_rrh):
+    # margin * M * P_RRH underflows to 0: this was a ZeroDivisionError
+    code, out, err = run(capsys, "opt-n", "--gamma", "2", "--P-RRH", p_rrh)
+    assert code == 3 and out == "" and "P_RRH" in err, err
+    assert "more antennas" not in err
+    for command in ("opt-m", "joint"):
+        code, out, err = run(capsys, command, "--gamma", "2", "--P-RRH", p_rrh)
+        assert code == 3 and out == "" and "infeasible" in err, err
+    for number in ("5", "9"):
+        code, out, _ = run(capsys, "figure", number, "--P-RRH", p_rrh)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and rows
+        for row in rows:
+            ee = row.get("ee_star_bits_per_joule", row.get("ee_bits_per_joule"))
+            assert row["n_star"] == "-1" and ee == "nan", row
+
+
+def test_underflowing_gains_in_negligible_mode(capsys):
+    # a subnormal beta printed a NaN row marked feasible=1; a subnormal
+    # alpha1 without co-pilot cells was a ZeroDivisionError traceback
+    code, out, err = run(capsys, "de-curve", "--pilot-noise-mode",
+                         "negligible", "--beta", "5e-324")
+    assert code == 2 and out == "" and "double range" in err
+    _, reference, _ = run(capsys, "opt-n", "--gamma", "2", "--no-pc",
+                          "--alpha1", "0")
+    code, out, err = run(capsys, "opt-n", "--gamma", "2", "--no-pc",
+                         "--alpha1", "5e-324")
+    assert code == 0 and err == "" and out == reference
+
+
+def test_python_m_dasee_runs_the_cli():
+    src = str(Path(dasee.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (
+               src, os.environ.get("PYTHONPATH"))))}
+
+    def dasee_m(*argv):
+        return subprocess.run([sys.executable, "-m", "dasee", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    ok = dasee_m("opt-n", "--gamma", "2")
+    assert ok.returncode == 0 and json.loads(ok.stdout)["n_star"] == 11
+    bad = dasee_m("de-curve", "--K", "200")
+    assert bad.returncode == 2 and bad.stdout == ""
+    assert "configuration error" in bad.stderr
 
 
 def test_config_error_exit_code(capsys):

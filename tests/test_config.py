@@ -4,7 +4,7 @@ import math
 import pytest
 
 from dasee.asymptotic import energy_efficiency, sinr_breakdown
-from dasee.config import (ConfigError, PowerModel, SystemConfig,
+from dasee.config import (_RULES, ConfigError, PowerModel, SystemConfig,
                           dbm_from_watts, derived_scalars, load_scenario,
                           scenario_from_mapping, validate_config,
                           watts_from_dbm, write_scenario)
@@ -135,6 +135,45 @@ def test_gainless_group_has_zero_quality_factor():
     brk = sinr_breakdown(cfg)
     near = sinr_breakdown(cfg.replace(pilot_noise_mode="exact", p_u=1e9))
     assert math.isclose(brk.S, near.S, rel_tol=1e-6) and brk.I_PC == 0.0
+
+
+@pytest.mark.parametrize("alpha1", [1e-310, 5e-324])
+def test_underflowing_group_gain_is_gainless(alpha1):
+    # L_bar2 * beta too small for 1/(L_bar2 * beta) to be a double: nu2 was
+    # inf (NaN SINR powers, a NaN row marked feasible) or, where the product
+    # underflows to 0, a ZeroDivisionError; the group is gainless instead
+    cfg = SystemConfig(psi=7, alpha1=alpha1, pilot_noise_mode="negligible")
+    assert derived_scalars(cfg).nu2 == 0.0
+    gainless = sinr_breakdown(cfg.replace(alpha1=0.0))
+    assert sinr_breakdown(cfg) == gainless
+
+
+def test_subnormal_gain_is_beyond_the_double_range():
+    # nu1 = 1/(L_bar1 * beta) overflows to inf and beta^2 * inf is NaN
+    cfg = SystemConfig(beta=5e-324, pilot_noise_mode="negligible")
+    with pytest.raises(ConfigError, match="double range"):
+        sinr_breakdown(cfg)
+
+
+class _Reads:
+    """A record stand-in that notes every field read through it."""
+
+    def __init__(self, record):
+        self.record, self.names = record, set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self.record, name)
+
+
+@pytest.mark.parametrize("record", [SystemConfig(), PowerModel()])
+def test_rules_name_every_field_they_read(record):
+    # replace re-runs only the rules that read a changed field, which is
+    # complete only if each rule names all the fields its check reads
+    for fields, check in _RULES[type(record)]:
+        reads = _Reads(record)
+        check(reads)
+        assert reads.names and reads.names <= set(fields), (fields, reads.names)
 
 
 def test_dbm_round_trip():

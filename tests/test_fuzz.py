@@ -1,10 +1,12 @@
 """Property tests over generated inputs: the CLI ends every run in a clean
 exit with no non-finite row marked feasible (or, for ``calibrate``, no
 non-finite value printed), the Monte-Carlo estimator is
-finite and reproducible on small generated configurations, and the
-closed-form optimizers agree with an exhaustive integer scan."""
+finite and reproducible on small generated configurations, the
+closed-form optimizers agree with an exhaustive integer scan, and a
+record's ``replace`` builds what its constructor builds."""
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -27,7 +29,8 @@ from dasee.optimize import (OptimizationError, ee_or_none,  # noqa: E402
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
                 database=None)
 
-_ODD_FLOATS = (0.0, -1.0, math.nan, math.inf, -math.inf, 1e-300, 1e300)
+_ODD_FLOATS = (0.0, -1.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324,
+               1e300)
 
 
 def _near(default: float):
@@ -48,7 +51,8 @@ _MODEL_FLAGS = {
     "P-FIX": _near(9.0), "P-RRH": _near(0.2), "zeta": st.floats(0.01, 1.5),
 }
 _GAMMA = st.one_of(st.floats(0.05, 12.0),
-                   st.sampled_from([0.0, -1.0, math.nan, 1000.0, 1023.9, 1100.0]))
+                   st.sampled_from([0.0, -1.0, math.nan, 1e-300, 1000.0, 1023.9,
+                                    1100.0]))
 _N_RANGE = st.sampled_from(["10:40:10", "4,8", "20", "0", "2:1", "40:10:-15"])
 
 
@@ -220,3 +224,52 @@ def test_fixed_n_optimal_m_equals_exhaustive_scan(design, m_max):
             scan()
         return
     assert (result.M, result.n) == (scan(), cfg.n)
+
+
+# --- replace is construction --------------------------------------------------
+
+_BASES = (SystemConfig(), SystemConfig(psi=7, K=28, d=2, n=30),
+          SystemConfig(L=4, psi=2, M=1, K=3, T=6, alpha1=0.0,
+                       pilot_noise_mode="negligible"),
+          PowerModel(), PowerModel(zeta=1.0, P_BT=1e-12))
+_UNKNOWN = ("foo", "tau_u")   # tau_u is a property, not a field
+
+
+def _values(field):
+    odd = st.sampled_from([None, "x"])
+    if field.type == "int":
+        return st.one_of(st.integers(-2, 250),
+                         st.sampled_from([2.0, 2.5, True]), odd)
+    if field.type == "str":
+        return st.one_of(st.sampled_from(["exact", "negligible", "sometimes"]),
+                         odd)
+    return st.one_of(_near(field.default), st.floats(), odd)
+
+
+@st.composite
+def _changes(draw, cls):
+    """Zero to four changed fields, valid or not, unknown names included."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    names = draw(st.lists(st.sampled_from([*fields, *_UNKNOWN]),
+                          max_size=4, unique=True))
+    return {name: draw(_values(fields[name]) if name in fields
+                       else st.integers()) for name in names}
+
+
+def _built(make):
+    """The record ``make`` builds, or the type and text of what it raises."""
+    try:
+        record = make()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return record, repr(record)
+
+
+@settings(FUZZ, max_examples=300)
+@given(base=st.sampled_from(_BASES), data=st.data())
+def test_replace_equals_construction(base, data):
+    cls = type(base)
+    changes = data.draw(_changes(cls))
+    fields = {f.name: getattr(base, f.name) for f in dataclasses.fields(cls)}
+    assert (_built(lambda: base.replace(**changes))
+            == _built(lambda: cls(**{**fields, **changes}))), changes

@@ -375,6 +375,47 @@ def test_unrepresentable_antenna_optimum_is_unachievable():
             optimal_n(clean, PM, gamma, M=M)
 
 
+def test_joint_optimal_m_equals_scan_of_optimal_n():
+    # joint optimal_m against its definition: the best optimal_n over
+    # M = 1..M_max, ties to the smaller M, an M with no optimum skipped
+    rng = np.random.default_rng(23)
+    feasible = 0
+    for _ in range(40):
+        cfg, pm, _ = random_scenario(rng)
+        if rng.uniform() < 0.5:
+            cfg = cfg.replace(psi=7, K=min(cfg.K, 28))
+        gamma = float(rng.uniform(0.5, 9.0))
+        m_max = int(rng.integers(1, 31))
+        best = None
+        for M in range(1, m_max + 1):
+            try:
+                cand = optimal_n(cfg, pm, gamma, M=M)
+            except (RateUnachievableError, OptimizationError):
+                continue
+            if best is None or cand.ee > best.ee:
+                best = cand
+        if best is None:
+            with pytest.raises(OptimizationError):
+                optimal_m(cfg, pm, gamma, M_max=m_max)
+            continue
+        feasible += 1
+        res = optimal_m(cfg, pm, gamma, M_max=m_max)
+        assert (res.M, res.n, res.ee, res.p_d) == (best.M, best.n, best.ee,
+                                                   best.p_d)
+    assert 10 <= feasible < 40
+
+
+def test_negligible_antenna_power_is_reported():
+    # margin * M * P_RRH underflows to 0 at a subnormal P_RRH (it was a
+    # ZeroDivisionError) and the balance point lies beyond 2^53 antennas
+    # well before that; optimal_m skips such an M
+    for p_rrh in (5e-324, 1e-320, 1e-300):
+        with pytest.raises(OptimizationError, match="P_RRH"):
+            optimal_n(CFG, PM.replace(P_RRH=p_rrh), 2.0)
+        with pytest.raises(OptimizationError, match="no feasible M"):
+            optimal_m(CFG, PM.replace(P_RRH=p_rrh), 2.0, M_max=4)
+
+
 def test_optimal_m_all_infeasible():
     with pytest.raises((OptimizationError, RateUnachievableError)):
         optimal_m(CFG, PM, 12.0, M_max=3)
