@@ -6,13 +6,13 @@ the per-RRH antenna count n), and a multi-user interference term that decays
 as 1/n.  With S, I_PC and the n-scaled multi-user term I_MU' in hand, the
 transmit power needed for a target per-user rate, the total consumed power,
 and the energy efficiency are all elementary scalar expressions.  n enters
-them only through +, -, * and /, so a sweep over n evaluates every point
-from one breakdown and gives the same bits as a configuration per n.
+them only through +, -, * and /, so one ``Design`` evaluates every n of a
+sweep from one breakdown and gives the same bits as a configuration per n.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,63 +154,39 @@ def min_antennas(cfg: SystemConfig, brk: SinrBreakdown, gamma: float) -> int:
     Raises RateUnachievableError when that count reaches MAX_ANTENNAS (a
     rate near 1024 makes the margin subnormal).
     """
-    n_real = brk.I_MU_scaled / rate_margin(brk, gamma)
+    return _min_antennas(brk, gamma, rate_margin(brk, gamma))
+
+
+def _min_antennas(brk: SinrBreakdown, gamma: float, margin: float) -> int:
+    n_real = brk.I_MU_scaled / margin
     if not n_real < MAX_ANTENNAS:
         raise RateUnachievableError(gamma, _rate_ceiling(brk))
     return math.floor(n_real) + 1
 
 
-def required_transmit_power(cfg: SystemConfig, brk: SinrBreakdown,
-                            gamma: float, n: int) -> float:
-    """Transmit power that realizes per-user rate gamma with n antennas."""
-    p_d = _transmit_power_by_n(cfg, brk, gamma)(n)
-    if p_d is None:
-        raise InfeasibleAntennasError(n, min_antennas(cfg, brk, gamma))
-    return p_d
-
-
-def _transmit_power_by_n(cfg: SystemConfig, brk: SinrBreakdown,
-                         gamma: float) -> Callable[[int], float | None]:
-    """n -> ``required_transmit_power``, or None where n is too few."""
-    margin = rate_margin(brk, gamma)
-    sigma2, mu_scaled = cfg.sigma2, brk.I_MU_scaled
-
-    def transmit_power(n):
-        denom = n * margin - mu_scaled
-        if denom <= 0.0:
-            return None
-        return sigma2 / denom
-    return transmit_power
-
-
 def total_power_at_se(cfg: SystemConfig, pm: PowerModel, se: float,
                       n: int | None = None, p_d: float | None = None) -> float:
     """Cell power draw at spectral efficiency ``se`` (bits/s/Hz)."""
-    return _power_by_n(cfg, pm, se)(cfg.n if n is None else n,
-                                    cfg.p_d if p_d is None else p_d)
+    return _total_power(cfg, pm, cfg.n if n is None else n,
+                        cfg.p_d if p_d is None else p_d,
+                        _backhaul(cfg, pm, se))
 
 
-def _power_by_n(cfg: SystemConfig, pm: PowerModel,
-                se: float) -> Callable[[int, float], float]:
-    """(n, p_d) -> ``total_power_at_se``; the backhaul term, which holds
-    neither, is computed once (it is the last term of the sum, so the
-    additions still run in the same order)."""
-    p_fix, m, p_rrh, zeta, k = pm.P_FIX, cfg.M, pm.P_RRH, pm.zeta, cfg.K
-    data_fraction = (cfg.T - cfg.tau_u) / cfg.T
-    backhaul = m * (pm.P_0 + pm.P_BT * cfg.B * se)
-
-    def power(n, p_d):
-        return p_fix + n * m * p_rrh + data_fraction * (p_d / zeta) * k + backhaul
-    return power
+def _backhaul(cfg: SystemConfig, pm: PowerModel, se: float) -> float:
+    return cfg.M * (pm.P_0 + pm.P_BT * cfg.B * se)
 
 
-def total_power(cfg: SystemConfig, pm: PowerModel, gamma: float,
-                n: int, p_d: float) -> float:
-    """Cell power draw when every user runs at rate gamma."""
-    if p_d <= 0.0:
-        raise ValueError("p_d must be positive")
-    se = (cfg.T - cfg.tau_u) / cfg.T * cfg.K * gamma
-    return total_power_at_se(cfg, pm, se, n=n, p_d=p_d)
+def _total_power(cfg: SystemConfig, pm: PowerModel, n: int, p_d: float,
+                 backhaul: float) -> float:
+    """Cell power draw in W, ConfigError where it is not finite; the backhaul
+    (the one term without n or p_d) comes last, so it can be computed once."""
+    p_total = (pm.P_FIX + n * cfg.M * pm.P_RRH
+               + (cfg.T - cfg.tau_u) / cfg.T * (p_d / pm.zeta) * cfg.K
+               + backhaul)
+    if not math.isfinite(p_total):
+        raise ConfigError("the power model (P_FIX, P_RRH, zeta, P_0, P_BT) "
+                          "takes the total power beyond the double range")
+    return p_total
 
 
 def rate_from_sinr(cfg: SystemConfig, sinr) -> float:
@@ -223,6 +199,55 @@ def rate_from_sinr(cfg: SystemConfig, sinr) -> float:
     return float((cfg.T - cfg.tau_u) / cfg.T * rates.sum())
 
 
+class Design:
+    """The cell (cfg, pm) at per-user rate gamma (None: at cfg.p_d), any n.
+
+    The terms without n (SINR breakdown, rate margin, spectral efficiency
+    at rate gamma, backhaul power) are computed once; a gamma no n reaches
+    raises ConfigError / RateUnachievableError here.  Per n (a positive
+    int, not checked) each method returns None where n is too few for
+    gamma; a total power that is not finite raises ConfigError.
+    """
+
+    margin = se = backhaul = None   # at fixed p_d (se and backhaul per n)
+
+    def __init__(self, cfg: SystemConfig, pm: PowerModel,
+                 gamma: float | None = None):
+        self.cfg, self.pm, self.gamma = cfg, pm, gamma
+        self.brk = sinr_breakdown(cfg)
+        if gamma is not None:
+            self.margin = rate_margin(self.brk, gamma)
+            self.se = (cfg.T - cfg.tau_u) / cfg.T * cfg.K * gamma
+            self.backhaul = _backhaul(cfg, pm, self.se)
+
+    @property
+    def n_min(self) -> int:
+        """Smallest feasible n, as ``min_antennas`` (1 at fixed p_d)."""
+        return (1 if self.gamma is None
+                else _min_antennas(self.brk, self.gamma, self.margin))
+
+    def transmit_power(self, n: int) -> float | None:
+        """The p_d that realizes gamma with n antennas per RRH."""
+        if self.gamma is None:
+            return self.cfg.p_d
+        denom = n * self.margin - self.brk.I_MU_scaled
+        return self.cfg.sigma2 / denom if denom > 0.0 else None
+
+    def point(self, n: int) -> OperatingPoint | None:
+        cfg, pm, p_d = self.cfg, self.pm, self.transmit_power(n)
+        if p_d is None:
+            return None
+        se, backhaul = self.se, self.backhaul
+        if se is None:   # at fixed p_d the rate depends on n
+            se = rate_from_sinr(cfg, [_sinr(cfg, self.brk, n, p_d)] * cfg.K)
+            backhaul = _backhaul(cfg, pm, se)
+        p_total = _total_power(cfg, pm, n, p_d, backhaul)
+        return OperatingPoint(cfg.B * se / p_total, p_d, p_total)
+
+    def ee(self, n: int) -> float | None:
+        return None if (point := self.point(n)) is None else point.ee
+
+
 def operating_point(cfg: SystemConfig, pm: PowerModel,
                     gamma: float | None = None,
                     n: int | None = None) -> OperatingPoint:
@@ -233,48 +258,12 @@ def operating_point(cfg: SystemConfig, pm: PowerModel,
     InfeasibleAntennasError / RateUnachievableError when no positive power
     does.  ``n`` replaces cfg.n (a positive int, else ConfigError).
     """
-    return _operating_point(cfg, pm, sinr_breakdown(cfg), gamma,
-                            cfg.n if n is None else n)
-
-
-def _operating_point(cfg: SystemConfig, pm: PowerModel, brk: SinrBreakdown,
-                     gamma: float | None, n: int) -> OperatingPoint:
-    """``operating_point`` with n antennas per RRH, from cfg's breakdown."""
+    n = cfg.n if n is None else n
     _require_count("n", n)
-    point = _points_by_n(cfg, pm, brk, gamma)(n)
+    design = Design(cfg, pm, gamma)
+    point = design.point(n)
     if point is None:
-        raise InfeasibleAntennasError(n, min_antennas(cfg, brk, gamma))
-    return point
-
-
-def _points_by_n(cfg: SystemConfig, pm: PowerModel, brk: SinrBreakdown,
-                 gamma: float | None) -> Callable[[int], OperatingPoint | None]:
-    """n -> the operating point with n antennas per RRH, or None where n
-    is too few for gamma; n must be a positive int.
-
-    The one body of ``operating_point``.  What does not involve n (the rate
-    margin, the spectral efficiency at rate gamma and the backhaul power)
-    is computed once, so an n-sweep pays only the per-n arithmetic.  Raises
-    ConfigError / RateUnachievableError for a gamma no n reaches.
-    """
-    if gamma is None:
-        def point(n):
-            p_d = cfg.p_d
-            se = rate_from_sinr(cfg, [_sinr(cfg, brk, n, p_d)] * cfg.K)
-            p_total = _power_by_n(cfg, pm, se)(n, p_d)
-            return OperatingPoint(cfg.B * se / p_total, p_d, p_total)
-        return point
-    transmit_power = _transmit_power_by_n(cfg, brk, gamma)
-    se = (cfg.T - cfg.tau_u) / cfg.T * cfg.K * gamma
-    power = _power_by_n(cfg, pm, se)
-    rate = cfg.B * se
-
-    def point(n):
-        p_d = transmit_power(n)
-        if p_d is None:
-            return None
-        p_total = power(n, p_d)
-        return OperatingPoint(rate / p_total, p_d, p_total)
+        raise InfeasibleAntennasError(n, design.n_min)
     return point
 
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 import math
 
 from . import montecarlo
-from .asymptotic import (RateUnachievableError, _points_by_n, operating_point,
-                         sinr_breakdown)
+from .asymptotic import Design, RateUnachievableError, operating_point
 from .config import ConfigError, PowerModel, SystemConfig
-from .optimize import OptimizationError, _ee_by_n, ee_or_none, optimal_n
+from .optimize import OptimizationError, ee_or_none, optimal_n
 
 GAMMA_DEFAULT = 2.0
 N_SWEEP = tuple(range(2, 61))
@@ -44,10 +43,9 @@ def _ee_of_n(cfg, pm):
     breakdown beyond the double range or a rate above the ceiling leaves no
     n feasible."""
     try:
-        point = _points_by_n(cfg, pm, sinr_breakdown(cfg), GAMMA_DEFAULT)
+        return Design(cfg, pm, GAMMA_DEFAULT).ee
     except (ConfigError, RateUnachievableError):
         return lambda n: None
-    return _ee_by_n(point)
 
 
 def _n_curve(key, cfg, pm, step=1):

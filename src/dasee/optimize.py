@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .asymptotic import (MAX_ANTENNAS, InfeasibleAntennasError,
-                         OperatingPoint, RateUnachievableError, _points_by_n,
-                         _rate_ceiling, energy_efficiency, min_antennas,
-                         operating_point, rate_margin, sinr_breakdown)
+from .asymptotic import (MAX_ANTENNAS, Design, InfeasibleAntennasError,
+                         RateUnachievableError, _rate_ceiling,
+                         energy_efficiency, operating_point, rate_margin,
+                         sinr_breakdown)
 from .config import (ConfigError, PowerModel, SystemConfig, derived_scalars,
                      override)
 
@@ -102,15 +102,6 @@ def ee_or_none(cfg: SystemConfig, pm: PowerModel, gamma: float,
         return None
 
 
-def _ee_by_n(point: Callable[[int], OperatingPoint | None]
-             ) -> Callable[[int], float | None]:
-    """n -> the EE of the evaluator ``point`` at n, None where infeasible."""
-    def evaluate(n):
-        op = point(n)
-        return None if op is None else op.ee
-    return evaluate
-
-
 def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
               M: int | None = None, K: int | None = None) -> OptimizationResult:
     """Closed-form EE-optimal antennas per RRH for a target rate gamma.
@@ -122,11 +113,10 @@ def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
     balance point lies beyond 2^53 antennas.
     """
     cfg = override(cfg, M=M, K=K)
-    brk = sinr_breakdown(cfg)
-    n_min = min_antennas(cfg, brk, gamma)  # raises if gamma unachievable
-    margin = rate_margin(brk, gamma)
+    design = Design(cfg, pm, gamma)
+    n_min = design.n_min  # raises if gamma unachievable
     data_fraction = (cfg.T - cfg.tau_u) / (cfg.T * pm.zeta)
-    antenna_power = margin * cfg.M * pm.P_RRH
+    antenna_power = design.margin * cfg.M * pm.P_RRH
     balance = (math.sqrt(data_fraction * cfg.sigma2 * cfg.K / antenna_power)
                if antenna_power > 0.0 else math.inf)
     if not balance < MAX_ANTENNAS:
@@ -134,12 +124,11 @@ def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
             f"EE grows with n beyond 2^53 antennas per RRH: the antenna "
             f"power P_RRH = {pm.P_RRH!r} W is negligible against the "
             f"transmit power")
-    n_real = balance + brk.I_MU_scaled / margin
+    n_real = balance + design.brk.I_MU_scaled / design.margin
     if not n_real < MAX_ANTENNAS:   # no integer neighbors, as for n_min
-        raise RateUnachievableError(gamma, _rate_ceiling(brk))
-    point = _points_by_n(cfg, pm, brk, gamma)
-    n_star = floor_ceil_select(n_real, _ee_by_n(point))
-    ee, p_d, _ = point(n_star)
+        raise RateUnachievableError(gamma, _rate_ceiling(design.brk))
+    n_star = floor_ceil_select(n_real, design.ee)
+    ee, p_d, _ = design.point(n_star)
     return OptimizationResult(ee=ee, p_d=p_d, n=n_star, M=cfg.M, K=cfg.K,
                               x_real=n_real, window=(float(n_min), math.inf))
 
@@ -252,12 +241,13 @@ def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
                 ee, p_d, _ = operating_point(cfg.replace(n=n, M=M), pm, gamma)
                 cand = OptimizationResult(ee=ee, p_d=p_d, n=n, M=M, K=cfg.K)
         except (InfeasibleAntennasError, RateUnachievableError,
-                OptimizationError):
+                OptimizationError) as exc:
+            skipped = exc   # the reason reported if every M is skipped
             continue
         if best is None or cand.ee > best.ee:
             best = cand
     if best is None:
-        raise OptimizationError(f"no feasible M in 1..{M_max}")
+        raise OptimizationError(f"no feasible M <= {M_max}: {skipped}")
     return OptimizationResult(ee=best.ee, p_d=best.p_d, n=best.n, K=cfg.K,
                               M=best.M, x_real=best.x_real,
                               window=(1.0, float(M_max)))

@@ -4,12 +4,12 @@ import re
 import numpy as np
 import pytest
 
-from dasee.asymptotic import (InfeasibleAntennasError, RateUnachievableError,
-                              SinrBreakdown, _points_by_n, deterministic_sinr,
-                              energy_efficiency, large_scale_gains,
-                              min_antennas, operating_point, rate_margin,
-                              required_transmit_power, sinr_breakdown,
-                              total_power, total_power_at_se)
+from dasee.asymptotic import (Design, InfeasibleAntennasError,
+                              RateUnachievableError, SinrBreakdown,
+                              deterministic_sinr, energy_efficiency,
+                              large_scale_gains, min_antennas,
+                              operating_point, rate_margin, sinr_breakdown,
+                              total_power_at_se)
 from dasee.config import ConfigError, DerivedScalars, PowerModel, SystemConfig
 
 CFG = SystemConfig()
@@ -79,15 +79,13 @@ def test_transmit_power_round_trip():
     # gamma achieved at p_d = 1 W inverts back to 1 W
     for n in (10, 25, 60):
         gamma = math.log2(1.0 + deterministic_sinr(CFG, n=n, p_d=1.0))
-        brk = sinr_breakdown(CFG)
-        assert math.isclose(required_transmit_power(CFG, brk, gamma, n), 1.0,
+        assert math.isclose(Design(CFG, PM, gamma).transmit_power(n), 1.0,
                             rel_tol=1e-10)
 
 
 def test_transmit_power_limits():
-    brk = sinr_breakdown(CFG)
-    assert required_transmit_power(CFG, brk, 2.0, 10 ** 7) < 1e-6
-    assert required_transmit_power(CFG, brk, 1e-9, 20) < 1e-6
+    assert Design(CFG, PM, 2.0).transmit_power(10 ** 7) < 1e-6
+    assert Design(CFG, PM, 1e-9).transmit_power(20) < 1e-6
 
 
 def test_min_antennas_ratio():
@@ -97,11 +95,14 @@ def test_min_antennas_ratio():
 
 
 def test_min_antennas_is_first_feasible():
-    brk = sinr_breakdown(CFG)
-    n_min = min_antennas(CFG, brk, 2.0)
+    n_min = min_antennas(CFG, sinr_breakdown(CFG), 2.0)
+    design = Design(CFG, PM, 2.0)
+    assert design.n_min == n_min
+    assert design.transmit_power(n_min - 1) is None
+    assert design.point(n_min - 1) is None and design.ee(n_min - 1) is None
     with pytest.raises(InfeasibleAntennasError):
-        required_transmit_power(CFG, brk, 2.0, n_min - 1)
-    assert required_transmit_power(CFG, brk, 2.0, n_min) > 0.0
+        operating_point(CFG, PM, 2.0, n=n_min - 1)
+    assert design.transmit_power(n_min) > 0.0
 
 
 @pytest.mark.parametrize("n", [0, 2.5, -3])
@@ -150,13 +151,20 @@ def test_n_evaluator_equals_a_record_per_n(gamma):
     # equal operating_point on its own record, None where that raises
     for cfg, pm in ((CFG, PM), (CFG.replace(psi=7, d=2, K=3),
                                 PM.replace(P_0=8.25, P_BT=2.5e-9))):
-        point = _points_by_n(cfg, pm, sinr_breakdown(cfg), gamma)
+        design = Design(cfg, pm, gamma)
         for n in range(1, 90):
             try:
                 ref = operating_point(cfg.replace(n=n), pm, gamma)
             except InfeasibleAntennasError:
                 ref = None
-            assert point(n) == ref, (cfg, gamma, n)
+            assert design.point(n) == ref, (cfg, gamma, n)
+            assert design.ee(n) == (None if ref is None else ref.ee)
+            assert design.transmit_power(n) == (None if ref is None
+                                                else ref.p_d)
+        n_min = design.n_min   # the first feasible n, 1 at fixed p_d
+        assert design.point(n_min) is not None
+        assert n_min == 1 or design.point(n_min - 1) is None
+        assert gamma is not None or n_min == 1
 
 
 def test_rate_above_ceiling_rejected():
@@ -177,17 +185,36 @@ def test_total_power_matches_reference_optimum():
     # back-computed from the reference joint optimum: 379.6 Mbit/s at
     # 10.12 Mbits/J requires ~37.5 W total
     cfg = CFG.replace(M=5, n=17)
-    brk = sinr_breakdown(cfg)
-    p_d = required_transmit_power(cfg, brk, 2.0, 17)
-    ptot = total_power(cfg, PM, 2.0, 17, p_d)
+    ptot = Design(cfg, PM, 2.0).point(17).p_total
     assert abs(ptot - 37.51) / 37.51 < 0.005
 
 
 def test_total_power_linear_in_rrh_power():
     p_d = 0.3
-    base = total_power(CFG, PM, 2.0, 20, p_d)
-    doubled = total_power(CFG, PM.replace(P_RRH=0.4), 2.0, 20, p_d)
+    se = (CFG.T - CFG.tau_u) / CFG.T * CFG.K * 2.0
+    base = total_power_at_se(CFG, PM, se, n=20, p_d=p_d)
+    doubled = total_power_at_se(CFG, PM.replace(P_RRH=0.4), se, n=20, p_d=p_d)
     assert math.isclose(doubled - base, 20 * 7 * 0.2, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("pm", [PM.replace(zeta=5e-324),
+                                PM.replace(P_BT=1e300),
+                                PM.replace(P_0=1e308),
+                                PM.replace(P_FIX=1.7e308, P_RRH=1e306)])
+def test_non_finite_total_power_is_a_config_error(pm):
+    # the one power sum checks its result: an overflowing power model is a
+    # ConfigError naming its fields, in the fixed-p_d and rate-gamma modes
+    se = (CFG.T - CFG.tau_u) / CFG.T * CFG.K * 2.0
+    message = "P_FIX, P_RRH, zeta, P_0, P_BT"
+    with pytest.raises(ConfigError, match=message):
+        total_power_at_se(CFG, pm, se)
+    for gamma in (None, 2.0):
+        with pytest.raises(ConfigError, match=message):
+            Design(CFG, pm, gamma).ee(20)
+        with pytest.raises(ConfigError, match=message):
+            operating_point(CFG, pm, gamma)
+    # a point too few antennas for gamma is still None, not an error
+    assert Design(CFG, pm, 2.0).point(1) is None
 
 
 def test_zero_data_symbols_zero_efficiency():
@@ -208,10 +235,9 @@ def test_efficiency_composition_identity():
             ee = energy_efficiency(cfg, PM, gamma)
         except (InfeasibleAntennasError, RateUnachievableError):
             continue
-        brk = sinr_breakdown(cfg)
-        p_d = required_transmit_power(cfg, brk, gamma, cfg.n)
+        p_d = Design(cfg, PM, gamma).transmit_power(cfg.n)
         se = (cfg.T - cfg.tau_u) / cfg.T * cfg.K * gamma
-        assert math.isclose(ee * total_power(cfg, PM, gamma, cfg.n, p_d),
+        assert math.isclose(ee * total_power_at_se(cfg, PM, se, p_d=p_d),
                             cfg.B * se, rel_tol=1e-12)
 
 

@@ -108,6 +108,8 @@ def test_subnormal_antenna_power_exits_cleanly(capsys, p_rrh):
     for command in ("opt-m", "joint"):
         code, out, err = run(capsys, command, "--gamma", "2", "--P-RRH", p_rrh)
         assert code == 3 and out == "" and "infeasible" in err, err
+        # every M is skipped; the message names the reason of the last one
+        assert "no feasible M" in err and "P_RRH" in err, err
     for number in ("5", "9"):
         code, out, _ = run(capsys, "figure", number, "--P-RRH", p_rrh)
         rows = list(csv.DictReader(io.StringIO(out)))
@@ -115,6 +117,28 @@ def test_subnormal_antenna_power_exits_cleanly(capsys, p_rrh):
         for row in rows:
             ee = row.get("ee_star_bits_per_joule", row.get("ee_bits_per_joule"))
             assert row["n_star"] == "-1" and ee == "nan", row
+
+
+@pytest.mark.parametrize("argv", [
+    ("de-curve", "--zeta", "5e-324"), ("de-curve", "--P-BT", "1e300"),
+    ("opt-n", "--gamma", "2", "--P-0", "1e308"),
+    ("opt-m", "--gamma", "2", "--P-0", "1e308")])
+def test_non_finite_total_power_exits_2(capsys, argv):
+    # p_d/zeta, P_BT*B*se or M*P_0 overflows: these printed an infinite
+    # p_total with feasible=1 or an "optimum" among EE = 0 ties, exit 0
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "", (code, out)
+    assert "P_FIX, P_RRH, zeta, P_0, P_BT" in err, err
+
+
+def test_non_finite_total_power_is_no_feasible_row(capsys):
+    # at K = T/psi the data fraction 0 times p_d/zeta = inf was a NaN EE
+    # marked feasible=1; every row is now infeasible
+    code, out, _ = run(capsys, "figure", "7", "--zeta", "5e-324")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and rows
+    for row in rows:
+        assert (row["ee_bits_per_joule"], row["feasible"]) == ("nan", "0"), row
 
 
 def test_underflowing_gains_in_negligible_mode(capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dasee import asymptotic, optimize
 from dasee.asymptotic import (InfeasibleAntennasError, RateUnachievableError,
                               energy_efficiency, min_antennas, rate_margin,
                               sinr_breakdown)
@@ -414,6 +415,20 @@ def test_negligible_antenna_power_is_reported():
             optimal_n(CFG, PM.replace(P_RRH=p_rrh), 2.0)
         with pytest.raises(OptimizationError, match="no feasible M"):
             optimal_m(CFG, PM.replace(P_RRH=p_rrh), 2.0, M_max=4)
+
+
+def test_optimal_n_computes_the_rate_margin_once(monkeypatch):
+    # n_min, the balance point and the floor/ceil candidates all read one
+    # margin; the n-closures recomputed it three times per call
+    calls = []
+
+    def counted(brk, gamma):
+        calls.append(gamma)
+        return rate_margin(brk, gamma)
+    for module in (asymptotic, optimize):
+        monkeypatch.setattr(module, "rate_margin", counted)
+    res = optimal_n(CFG, PM, 2.0)
+    assert res.n == 11 and calls == [2.0]
 
 
 def test_optimal_m_all_infeasible():
