@@ -15,7 +15,7 @@ from .config import (ConfigError, DerivedScalars, PowerModel, SystemConfig,
                      validate_config, watts_from_dbm, write_scenario)
 from .geometry import (CalibrationResult, Layout, build_layout, calibrate,
                        drop_users)
-from .montecarlo import (ChannelRealization, SteeringMatrix, empirical_ee,
+from .montecarlo import (ChannelRealization, empirical_ee,
                          empirical_sinr_rate, generate_realization,
                          steering_matrix)
 from .optimize import (OptimizationError, OptimizationResult, ee_or_none,
@@ -30,7 +30,7 @@ __all__ = [
     "ChannelRealization", "CalibrationResult", "ConfigError",
     "CorrelationSet", "DerivedScalars", "Design", "InfeasibleAntennasError",
     "Layout", "OperatingPoint", "OptimizationError", "OptimizationResult",
-    "PowerModel", "RateUnachievableError", "SinrBreakdown", "SteeringMatrix",
+    "PowerModel", "RateUnachievableError", "SinrBreakdown",
     "SystemConfig", "build_layout", "calibrate", "dbm_from_watts",
     "derived_scalars", "deterministic_sinr", "drop_users", "ee_or_none",
     "empirical_ee", "empirical_sinr_rate", "energy_efficiency",

@@ -25,7 +25,11 @@ from .config import (ConfigError, PowerModel, SystemConfig, _require_count,
 MAX_ANTENNAS = 2.0 ** 53
 
 
-class RateUnachievableError(ValueError):
+class InfeasibleError(ValueError):
+    """No design point meets the request (CLI exit 3, a NaN figure row)."""
+
+
+class RateUnachievableError(InfeasibleError):
     """The target rate exceeds the pilot-contamination ceiling at any n."""
 
     def __init__(self, gamma: float, ceiling: float):
@@ -41,7 +45,7 @@ class RateUnachievableError(ValueError):
                 f"ceiling {ceiling:g} bits/s/Hz")
 
 
-class InfeasibleAntennasError(ValueError):
+class InfeasibleAntennasError(InfeasibleError):
     """n is too small for the target rate at positive transmit power."""
 
     def __init__(self, n: int, n_min: int):
@@ -66,21 +70,16 @@ class OperatingPoint(NamedTuple):
     p_total: float  # cell power draw, W
 
 
-def large_scale_gains(cfg: SystemConfig, nearest=None) -> np.ndarray:
+def large_scale_gains(cfg: SystemConfig) -> np.ndarray:
     """Per-link gains of the averaged interference model, shape (L, M, L, K).
 
     Entry [l, m, j, k] is the large-scale gain between RRH m of cell l and
     user k of cell j: M^(iota/2)*beta for the serving (nearest) RRH,
     alpha1*beta for the other own-cell RRHs, alpha2*beta across cells.
-    ``nearest[k]`` gives the serving RRH index of user slot k (identical in
-    every cell); the default round-robin assignment k % M spreads users as
-    evenly as possible over the RRHs.
+    User slot k is served by RRH k % M in every cell (round robin), which
+    spreads users as evenly as possible over the RRHs.
     """
-    if nearest is None:
-        nearest = np.arange(cfg.K) % cfg.M
-    nearest = np.asarray(nearest, dtype=int)
-    if nearest.shape != (cfg.K,) or nearest.min() < 0 or nearest.max() >= cfg.M:
-        raise ValueError("nearest must hold K RRH indices in [0, M)")
+    nearest = np.arange(cfg.K) % cfg.M
     gains = np.full((cfg.L, cfg.M, cfg.L, cfg.K), cfg.alpha2 * cfg.beta)
     for l in range(cfg.L):
         gains[l, :, l, :] = cfg.alpha1 * cfg.beta
@@ -180,13 +179,17 @@ def _total_power(cfg: SystemConfig, pm: PowerModel, n: int, p_d: float,
                  backhaul: float) -> float:
     """Cell power draw in W, ConfigError where it is not finite; the backhaul
     (the one term without n or p_d) comes last, so it can be computed once."""
-    p_total = (pm.P_FIX + n * cfg.M * pm.P_RRH
-               + (cfg.T - cfg.tau_u) / cfg.T * (p_d / pm.zeta) * cfg.K
-               + backhaul)
-    if not math.isfinite(p_total):
+    return _finite_power(pm.P_FIX + n * cfg.M * pm.P_RRH
+                         + (cfg.T - cfg.tau_u) / cfg.T * (p_d / pm.zeta) * cfg.K
+                         + backhaul)
+
+
+def _finite_power(value: float) -> float:
+    """``value``, a power term; ConfigError (the power rule) if not finite."""
+    if not math.isfinite(value):
         raise ConfigError("the power model (P_FIX, P_RRH, zeta, P_0, P_BT) "
                           "takes the total power beyond the double range")
-    return p_total
+    return value
 
 
 def rate_from_sinr(cfg: SystemConfig, sinr) -> float:

@@ -14,18 +14,18 @@ import math
 import sys
 
 from . import geometry, montecarlo
-from .asymptotic import (InfeasibleAntennasError, OperatingPoint,
-                         RateUnachievableError, operating_point)
+from .asymptotic import InfeasibleError, OperatingPoint, operating_point
 from .config import (_DBM_CONVERTIBLE, _POWER_FIELDS, _SYSTEM_FIELDS,
                      PILOT_NOISE_MODES, ConfigError, PowerModel, SystemConfig,
-                     dbm_from_watts, load_scenario)
-from .optimize import (OptimizationError, optimal_k, optimal_m, optimal_n,
+                     dbm_from_watts, load_fields, load_scenario)
+from .optimize import (DEFAULT_M_MAX, optimal_k, optimal_m, optimal_n,
                        optimal_n_no_pc)
 
 # Every config field, and the dBm form of each power, is a model flag.
 _MODEL_ARGS = {**_SYSTEM_FIELDS,
                **{key + "_dbm": "float" for key in _DBM_CONVERTIBLE},
                **_POWER_FIELDS}
+_FIT_FIELDS = ("M", "L", "K", "Rc", "iota")   # all that calibrate reads
 
 
 def add_model_args(parser: argparse.ArgumentParser) -> None:
@@ -80,9 +80,10 @@ def _int_range(text: str):
 # --- subcommands ----------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
-    cfg, _ = scenario_from_args(args)
-    layout = geometry.build_layout(cfg.M, cfg.Rc, L=cfg.L)
-    result = geometry.calibrate(layout, cfg.iota, cfg.K, args.drops,
+    fit = load_fields(_FIT_FIELDS, args.config,
+                      {key: getattr(args, key) for key in _FIT_FIELDS})
+    layout = geometry.build_layout(fit.M, fit.Rc, L=fit.L)
+    result = geometry.calibrate(layout, fit.iota, fit.K, args.drops,
                                 seed=args.seed,
                                 min_distance=args.min_distance)
     lines = [f"{key} = {value!r}" for key, value in
@@ -167,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="fit (beta, alpha1, alpha2) from geometry")
     p.add_argument("--config", help="key = value config file")
-    for key in ("M", "L", "K", "Rc", "iota"):
+    for key in _FIT_FIELDS:
         p.add_argument("--" + key, type=int if _MODEL_ARGS[key] == "int" else float)
     p.add_argument("--drops", type=int, default=1000)
     p.add_argument("--seed", type=int, default=1)
@@ -205,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("opt-m", help="EE-optimal RRH count")
     add_model_args(p)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--M-max", type=int, default=30)
+    p.add_argument("--M-max", type=int, default=DEFAULT_M_MAX)
     p.add_argument("--fixed-n", action="store_true",
                    help="evaluate every M at the configured n")
     p.set_defaults(fn=cmd_opt_m)
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("joint", help="joint (M, n) search at the configured K")
     add_model_args(p)
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--M-max", type=int, default=30)
+    p.add_argument("--M-max", type=int, default=DEFAULT_M_MAX)
     p.set_defaults(fn=cmd_opt_m, fixed_n=False)
 
     p = sub.add_parser("figure", help="run a predefined study sweep as CSV")
@@ -234,8 +235,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleAntennasError, RateUnachievableError,
-            OptimizationError) as exc:
+    except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

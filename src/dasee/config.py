@@ -12,6 +12,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 PILOT_NOISE_MODES = ("exact", "negligible")
@@ -60,11 +61,6 @@ class SystemConfig:
     def tau_u(self) -> int:
         """Pilot length in symbols."""
         return self.psi * self.K
-
-    @property
-    def N(self) -> int:
-        """Total antennas per cell."""
-        return self.n * self.M
 
     @property
     def P(self) -> int:
@@ -290,6 +286,38 @@ def _coerce(name: str, annotation: str, text: str):
 
 def scenario_from_mapping(values: dict) -> tuple[SystemConfig, PowerModel]:
     """Build (SystemConfig, PowerModel) from a raw key/value mapping."""
+    return load_scenario(overrides=values)
+
+
+def load_scenario(path: str | Path | None = None,
+                  overrides: dict | None = None) -> tuple[SystemConfig, PowerModel]:
+    """Defaults <- config file <- explicit overrides, validated."""
+    sys_kw, pm_kw = _keywords(path, overrides)
+    return SystemConfig(**sys_kw), PowerModel(**pm_kw)
+
+
+def load_fields(names: tuple, path: str | Path | None = None,
+                overrides: dict | None = None) -> SimpleNamespace:
+    """The SystemConfig fields ``names`` as ``load_scenario`` resolves them,
+    checked only by the rules that read no other field (not psi*K <= T)."""
+    sys_kw, _ = _keywords(path, overrides)
+    fields = SimpleNamespace(**{name: sys_kw.get(name, getattr(SystemConfig, name))
+                                for name in names})
+    for read, check in _RULES[SystemConfig]:
+        if set(read) <= set(names):
+            check(fields)
+    return fields
+
+
+def _keywords(path: str | Path | None,
+              overrides: dict | None) -> tuple[dict, dict]:
+    """The config file's raw key/value mapping <- the overrides that are
+    not None, as SystemConfig and PowerModel arguments."""
+    values: dict = {}
+    if path is not None:
+        values.update(parse_config_file(path))
+    if overrides:
+        values.update({k: v for k, v in overrides.items() if v is not None})
     sys_kw: dict = {}
     pm_kw: dict = {}
     for key, text in values.items():
@@ -310,18 +338,7 @@ def scenario_from_mapping(values: dict) -> tuple[SystemConfig, PowerModel]:
             except OverflowError:
                 raise ConfigError(f"{key} = {value!r} is out of range") from None
         target[name] = value
-    return SystemConfig(**sys_kw), PowerModel(**pm_kw)
-
-
-def load_scenario(path: str | Path | None = None,
-                  overrides: dict | None = None) -> tuple[SystemConfig, PowerModel]:
-    """Defaults <- config file <- explicit overrides, validated."""
-    values: dict = {}
-    if path is not None:
-        values.update(parse_config_file(path))
-    if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
-    return scenario_from_mapping(values)
+    return sys_kw, pm_kw
 
 
 def write_scenario(cfg: SystemConfig, pm: PowerModel, path: str | Path) -> None:

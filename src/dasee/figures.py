@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 
 from . import montecarlo
-from .asymptotic import Design, RateUnachievableError, operating_point
-from .config import ConfigError, PowerModel, SystemConfig
-from .optimize import OptimizationError, ee_or_none, optimal_n
+from .asymptotic import Design, InfeasibleError, operating_point
+from .config import PowerModel, SystemConfig
+from .optimize import ee_or_none, optimal_n
 
 GAMMA_DEFAULT = 2.0
 N_SWEEP = tuple(range(2, 61))
@@ -23,7 +23,7 @@ def _optimum(cfg: SystemConfig, pm: PowerModel, gamma: float, M=None):
     try:
         res = optimal_n(cfg, pm, gamma, M=M)
         return res.n, res.ee
-    except (RateUnachievableError, OptimizationError):
+    except InfeasibleError:
         return -1, math.nan
 
 
@@ -40,11 +40,10 @@ def _curve(key, evaluate, values, tail=()):
 
 def _ee_of_n(cfg, pm):
     """n -> EE at rate GAMMA_DEFAULT or None, every n from one evaluator; a
-    breakdown beyond the double range or a rate above the ceiling leaves no
-    n feasible."""
+    rate above the ceiling leaves no n feasible."""
     try:
         return Design(cfg, pm, GAMMA_DEFAULT).ee
-    except (ConfigError, RateUnachievableError):
+    except InfeasibleError:
         return lambda n: None
 
 

@@ -56,9 +56,7 @@ class CalibrationResult:
         return {"beta": self.beta, "alpha1": self.alpha1, "alpha2": self.alpha2}
 
 
-def build_layout(M: int, Rc: float, L: int = 7,
-                 ring_fraction: float = DEFAULT_RING_FRACTION,
-                 spacing_factor: float = DEFAULT_SPACING_FACTOR) -> Layout:
+def build_layout(M: int, Rc: float, L: int = 7) -> Layout:
     """Center cell plus (L-1) neighbors, one central RRH plus an RRH ring."""
     if L not in (1, 7):
         raise ConfigError(f"unsupported cell count L={L} (expected 1 or 7)")
@@ -67,14 +65,14 @@ def build_layout(M: int, Rc: float, L: int = 7,
     centers = [(0.0, 0.0)]
     for k in range(L - 1):
         angle = k * np.pi / 3.0
-        centers.append((spacing_factor * Rc * np.cos(angle),
-                        spacing_factor * Rc * np.sin(angle)))
+        centers.append((DEFAULT_SPACING_FACTOR * Rc * np.cos(angle),
+                        DEFAULT_SPACING_FACTOR * Rc * np.sin(angle)))
     cell_centers = np.asarray(centers)
     rrh = np.empty((L, M, 2))
     rrh[:, 0] = cell_centers
     for m in range(1, M):
         angle = (m - 1) * 2.0 * np.pi / (M - 1)
-        offset = ring_fraction * Rc * np.array([np.cos(angle), np.sin(angle)])
+        offset = DEFAULT_RING_FRACTION * Rc * np.array([np.cos(angle), np.sin(angle)])
         rrh[:, m] = cell_centers + offset
     return Layout(cell_centers=cell_centers, rrh_positions=rrh, Rc=Rc)
 
@@ -83,8 +81,7 @@ def drop_users(K: int, Rc: float, seed=None) -> np.ndarray:
     """K positions uniform on the disk of radius Rc, reproducible from seed."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) \
-        else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     return _disk_points(rng.random(K), rng.random(K), Rc)
 
 

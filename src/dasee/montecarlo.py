@@ -55,47 +55,13 @@ from .config import ConfigError, PowerModel, SystemConfig
 BLOCK = 16384                 # (l, m, k) entries per block of realizations
 
 
-@dataclass(frozen=True)
-class SteeringMatrix:
-    """Orthonormal steering basis of the rank-P channel model."""
-
-    A: np.ndarray  # (n, P), A^H A = I_P
-    kind: str
-    seed: int | None = None
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def P(self) -> int:
-        return self.A.shape[1]
-
-
-def steering_matrix(n: int, P: int | None = None, kind: str = "dft_columns",
-                    seed: int | None = None) -> SteeringMatrix:
-    """Build an n x P steering matrix with orthonormal columns.
-
-    ``dft_columns`` takes the first P columns of the unitary n-point DFT
-    matrix (deterministic); ``random_unitary`` orthonormalizes a complex
-    Gaussian matrix drawn from ``seed`` (bit-reproducible for equal seeds).
-    """
-    if P is None:
-        P = n
+def steering_matrix(n: int, P: int) -> np.ndarray:
+    """The (n, P) steering basis A of the rank-P channel model, A^H A = I_P:
+    the first P columns of the unitary n-point DFT matrix."""
     if P > n or P < 1:
         raise ValueError(f"need 1 <= P <= n, got P={P}, n={n}")
-    if kind == "dft_columns":
-        idx = np.arange(n)
-        A = np.exp(-2j * np.pi * np.outer(idx, idx[:P]) / n) / np.sqrt(n)
-    elif kind == "random_unitary":
-        rng = np.random.default_rng(seed)
-        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        Qm, Rm = np.linalg.qr(G)
-        diag = Rm.diagonal()
-        A = (Qm * (diag.conj() / np.abs(diag)))[:, :P]
-    else:
-        raise ValueError(f"unknown steering kind {kind!r}")
-    return SteeringMatrix(A=A, kind=kind, seed=seed)
+    idx = np.arange(n)
+    return np.exp(-2j * np.pi * np.outer(idx, idx[:P]) / n) / np.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -136,19 +102,19 @@ def _pilot_model(cfg: SystemConfig, gains: np.ndarray):
     return share, copilot, loading, coeff
 
 
-def generate_realization(cfg: SystemConfig, steering: SteeringMatrix,
+def generate_realization(cfg: SystemConfig, A: np.ndarray,
                          seed: int, gains: np.ndarray | None = None
                          ) -> ChannelRealization:
     """Draw one full-space channel realization with its MMSE estimates.
 
-    Channels follow g_{lmjk} = sqrt(beta_{lmjk} n/P) A h with i.i.d. standard
-    complex Gaussian h; estimates apply the MMSE filter to the pilot
-    observation (own channel + co-pilot channels + scaled noise; the noise
-    is drawn but left out when negligible).  ``gains`` overrides the
-    averaged-model betas, e.g. with position-derived values.
+    Channels follow g_{lmjk} = sqrt(beta_{lmjk} n/P) A h with A the (n, P)
+    ``steering_matrix`` and i.i.d. standard complex Gaussian h; estimates
+    apply the MMSE filter to the pilot observation (own channel + co-pilot
+    channels + scaled noise; the noise is drawn but left out when
+    negligible).  ``gains`` overrides the averaged-model betas, e.g. with
+    position-derived values.
     """
     gains = _simulation_gains(cfg, gains)
-    A = steering.A
     if A.shape != (cfg.n, cfg.P):
         raise ValueError(f"steering matrix shape {A.shape} does not match "
                          f"(n, P) = ({cfg.n}, {cfg.P})")

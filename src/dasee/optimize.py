@@ -13,18 +13,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .asymptotic import (MAX_ANTENNAS, Design, InfeasibleAntennasError,
-                         RateUnachievableError, _rate_ceiling,
+from .asymptotic import (MAX_ANTENNAS, Design, InfeasibleError,
+                         RateUnachievableError, _finite_power, _rate_ceiling,
                          energy_efficiency, operating_point, rate_margin,
                          sinr_breakdown)
-from .config import (ConfigError, PowerModel, SystemConfig, derived_scalars,
-                     override)
+from .config import PowerModel, SystemConfig, derived_scalars, override
 
 BISECTION_WIDTH = 1e-3   # interval width on the continuous user count
 DEFAULT_M_MAX = 30
 
 
-class OptimizationError(ValueError):
+class OptimizationError(InfeasibleError):
     """No feasible point exists in the requested search window."""
 
 
@@ -94,11 +93,10 @@ def exhaustive_argmax(evaluate: Callable[[int], float | None],
 
 def ee_or_none(cfg: SystemConfig, pm: PowerModel, gamma: float,
                **point) -> float | None:
-    """``energy_efficiency`` at ``point`` (n, M, K overrides), or None when
-    that point is infeasible or violates the configuration invariants."""
+    """The EE at ``point`` (n, M, K overrides), None where infeasible."""
     try:
         return energy_efficiency(cfg, pm, gamma, **point)
-    except (InfeasibleAntennasError, RateUnachievableError, ConfigError):
+    except InfeasibleError:
         return None
 
 
@@ -115,7 +113,7 @@ def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
     cfg = override(cfg, M=M, K=K)
     design = Design(cfg, pm, gamma)
     n_min = design.n_min  # raises if gamma unachievable
-    data_fraction = (cfg.T - cfg.tau_u) / (cfg.T * pm.zeta)
+    data_fraction = _finite_power((cfg.T - cfg.tau_u) / (cfg.T * pm.zeta))
     antenna_power = design.margin * cfg.M * pm.P_RRH
     balance = (math.sqrt(data_fraction * cfg.sigma2 * cfg.K / antenna_power)
                if antenna_power > 0.0 else math.inf)
@@ -158,9 +156,11 @@ def _user_count_scalars(cfg: SystemConfig, pm: PowerModel, gamma: float):
     margin = rate_margin(sinr_breakdown(clean), gamma)
     xi = derived_scalars(clean).xi
     mu1 = clean.n * margin
-    mu2 = clean.T / gamma * (pm.P_FIX + clean.n * clean.M * pm.P_RRH
-                             + clean.M * pm.P_0)
+    circuit = pm.P_FIX + clean.n * clean.M * pm.P_RRH + clean.M * pm.P_0
+    mu2 = _finite_power(clean.T / gamma * circuit)
     slope = clean.d * clean.beta * xi   # I_MU' = slope * K
+    zeta_gamma = pm.zeta * gamma        # 0 where it underflows: inf power
+    _finite_power(clean.sigma2 / zeta_gamma if zeta_gamma else math.inf)
     return clean, mu1, mu2, slope
 
 
@@ -212,7 +212,9 @@ def optimal_k(cfg: SystemConfig, pm: PowerModel, gamma: float,
         else:
             hi = mid
     k_real = 0.5 * (lo + hi)
-    k_star = floor_ceil_select(k_real, lambda K: ee_or_none(clean, pm, gamma, K=K))
+    # the root < T/(2 psi): ceil(k_real) > T // psi only for T/psi near 2
+    k_star = floor_ceil_select(min(k_real, clean.T // clean.psi),
+                               lambda K: ee_or_none(clean, pm, gamma, K=K))
     ee, p_d, _ = operating_point(clean.replace(K=k_star), pm, gamma)
     return OptimizationResult(ee=ee, p_d=p_d, K=k_star, n=clean.n, M=clean.M,
                               x_real=k_real, window=(0.0, upper))
@@ -240,8 +242,7 @@ def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
             else:
                 ee, p_d, _ = operating_point(cfg.replace(n=n, M=M), pm, gamma)
                 cand = OptimizationResult(ee=ee, p_d=p_d, n=n, M=M, K=cfg.K)
-        except (InfeasibleAntennasError, RateUnachievableError,
-                OptimizationError) as exc:
+        except InfeasibleError as exc:
             skipped = exc   # the reason reported if every M is skipped
             continue
         if best is None or cand.ee > best.ee:

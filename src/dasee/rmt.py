@@ -39,14 +39,6 @@ class CorrelationSet:
         return self.R.shape[0]
 
     @property
-    def M(self) -> int:
-        return self.R.shape[1]
-
-    @property
-    def K(self) -> int:
-        return self.R.shape[3]
-
-    @property
     def n(self) -> int:
         return self.R.shape[4]
 
@@ -96,20 +88,18 @@ class CorrelationSet:
         return self
 
 
-def simplified_correlation_set(cfg: SystemConfig, steering=None,
-                               nearest=None) -> CorrelationSet:
+def simplified_correlation_set(cfg: SystemConfig,
+                               steering=None) -> CorrelationSet:
     """Rank-P correlation set of the averaged gain model.
 
-    R_{lmjk} = beta_{lmjk} * (n/P) * A A^H with A the steering matrix
-    (defaults to the first P columns of the unitary DFT matrix).  Like the
-    simulation, it needs n = d P and raises ConfigError otherwise.
+    R_{lmjk} = beta_{lmjk} * (n/P) * A A^H with A = ``steering``, an (n, P)
+    array (default ``steering_matrix(n, P)``).  Like the simulation, it
+    needs n = d P and raises ConfigError otherwise.
     """
     # local import, avoids a cycle
     from .montecarlo import _simulation_gains, steering_matrix
-    gains = _simulation_gains(cfg, large_scale_gains(cfg, nearest=nearest))
-    if steering is None:
-        steering = steering_matrix(cfg.n, cfg.P)
-    A = getattr(steering, "A", steering)
+    gains = _simulation_gains(cfg, large_scale_gains(cfg))
+    A = steering_matrix(cfg.n, cfg.P) if steering is None else steering
     projector = A @ A.conj().T
     R = gains[..., None, None] * (cfg.d * projector)
     return CorrelationSet(R=R, psi=cfg.psi)

@@ -275,5 +275,3 @@ def test_large_scale_gains_tensor():
     own = gains[0, :, 0, :]
     assert np.isclose(own.max(axis=0), 7 ** 1.25 * CFG.beta).all()
     assert (np.isclose(own, CFG.alpha1 * CFG.beta).sum(axis=0) == 6).all()
-    with pytest.raises(ValueError):
-        large_scale_gains(CFG, nearest=[99] * CFG.K)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import io
@@ -131,14 +132,99 @@ def test_non_finite_total_power_exits_2(capsys, argv):
     assert "P_FIX, P_RRH, zeta, P_0, P_BT" in err, err
 
 
+# Every subcommand form that evaluates the model, each with a breakdown or a
+# power beyond the double range.  figure 10 sets P_0 and P_BT itself.
+_MODEL_FORMS = (("de-curve",), ("opt-n", "--gamma", "2"),
+                ("opt-k", "--gamma", "2"), ("opt-m", "--gamma", "2"),
+                ("opt-m", "--gamma", "2", "--fixed-n"),
+                ("joint", "--gamma", "2"),
+                *(("figure", str(number)) for number in range(2, 11)))
+_BEYOND_DOUBLES = [(*form, *flag) for flag in (("--beta", "1e300"),
+                                               ("--zeta", "5e-324"),
+                                               ("--P-0", "1e308"))
+                   for form in _MODEL_FORMS
+                   if (form, flag[0]) != (("figure", "10"), "--P-0")]
+
+
+@pytest.mark.parametrize("argv", [
+    *_BEYOND_DOUBLES,
+    # sigma2/(zeta*gamma) underflowed to a ZeroDivisionError traceback
+    ("opt-k", "--gamma", "0.05", "--zeta", "5e-324"),
+    # the backhaul overflows at both rounding candidates: was exit 3
+    ("opt-k", "--gamma", "2", "--P-BT", "1e300")], ids=" ".join)
+def test_model_beyond_the_double_range_exits_2_everywhere(capsys, argv):
+    # figures 7, 8 and 10 printed all-NaN rows (exit 0) and the optimizers
+    # blamed P_RRH or the quartic (exit 3): one handler, in main, decides
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "", (code, out)
+    assert err.startswith("configuration error: ") and "double range" in err, err
+
+
+def test_figure10_sets_its_own_backhaul_power(capsys):
+    code, out, _ = run(capsys, "figure", "10", "--P-0", "1e308")
+    assert code == 0 and out == run(capsys, "figure", "10")[1]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("opt-n", "--gamma", "2", "--P-RRH", "1e-320"),
+     "EE grows with n beyond 2^53 antennas per RRH: the antenna power "
+     "P_RRH = 1e-320 W is negligible against the transmit power"),
+    (("opt-n", "--gamma", "2", "--zeta", "1e-300"),
+     "EE grows with n beyond 2^53 antennas per RRH: the antenna power "
+     "P_RRH = 0.2 W is negligible against the transmit power"),
+    (("opt-k", "--gamma", "2", "--zeta", "1e-300"),
+     "no sign change on the feasibility interval"),
+    (("opt-n", "--gamma", "12"),
+     "rate 12 bits/s/Hz exceeds the interference-limited ceiling "
+     "9.06635 bits/s/Hz"),
+    (("opt-m", "--gamma", "1023.9", "--psi", "7"),
+     "no feasible M <= 30: rate 1023.9 bits/s/Hz needs more antennas than "
+     "can be represented (>= 2^53 per RRH)")])
+def test_infeasible_problems_keep_exit_3(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (3, "", f"infeasible: {message}\n")
+
+
+def _except_clauses(node, owner):
+    """(enclosing function, handler) of every except clause under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler):
+            yield owner, child
+        inner = child.name if isinstance(child, ast.FunctionDef) else owner
+        yield from _except_clauses(child, inner)
+
+
+def _caught(handler) -> set:
+    kinds = handler.type.elts if isinstance(handler.type, ast.Tuple) \
+        else [handler.type]
+    return {getattr(kind, "id", getattr(kind, "attr", None)) for kind in kinds}
+
+
+def test_only_main_catches_a_config_error():
+    # the exit contract is decided in cli.main: a handler elsewhere that
+    # caught ConfigError turned a configuration error into a NaN row or a
+    # skipped point; the infeasibility handlers name the one base class
+    clauses = {}
+    for path in Path(dasee.__file__).parent.glob("*.py"):
+        for owner, handler in _except_clauses(ast.parse(path.read_text()),
+                                              "<module>"):
+            clauses.setdefault(f"{path.stem}.{owner}", []).append(
+                _caught(handler))
+    assert [where for where, caught in clauses.items()
+            if any("ConfigError" in names for names in caught)] == ["cli.main"]
+    assert clauses["cli.main"] == [{"ConfigError"}, {"InfeasibleError"},
+                                   {"OSError"}]
+    for where in ("optimize.optimal_m", "optimize.ee_or_none",
+                  "figures._optimum", "figures._ee_of_n"):
+        assert clauses[where] == [{"InfeasibleError"}], where
+
+
 def test_non_finite_total_power_is_no_feasible_row(capsys):
     # at K = T/psi the data fraction 0 times p_d/zeta = inf was a NaN EE
-    # marked feasible=1; every row is now infeasible
-    code, out, _ = run(capsys, "figure", "7", "--zeta", "5e-324")
-    rows = list(csv.DictReader(io.StringIO(out)))
-    assert code == 0 and rows
-    for row in rows:
-        assert (row["ee_bits_per_joule"], row["feasible"]) == ("nan", "0"), row
+    # marked feasible=1; the power rule now rejects the whole figure
+    code, out, err = run(capsys, "figure", "7", "--zeta", "5e-324")
+    assert code == 2 and out == "", (code, out)
+    assert "P_FIX, P_RRH, zeta, P_0, P_BT" in err, err
 
 
 def test_underflowing_gains_in_negligible_mode(capsys):
@@ -381,6 +467,20 @@ def test_calibrate_rejects_invalid_geometry(capsys, flag, value):
         assert "iota" in err
 
 
+def test_calibrate_is_not_bound_by_the_pilot_budget(capsys):
+    # the fit reads M, L, K, Rc and iota only: psi*K <= T does not bind it
+    code, out, err = run(capsys, "calibrate", "--K", "200", "--drops", "2")
+    assert code == 0 and err == "", err
+    values = [float(line.partition(" = ")[2]) for line in out.splitlines()]
+    assert len(values) == 3 and all(map(math.isfinite, values)), out
+    for flag, value, message in (("--K", "0", "K must be a positive integer"),
+                                 ("--L", "3", "unsupported cell count L=3"),
+                                 ("--Rc", "-1", "Rc must be positive"),
+                                 ("--iota", "nan", "iota must be finite")):
+        code, out, err = run(capsys, "calibrate", "--drops", "2", flag, value)
+        assert code == 2 and out == "" and message in err, err
+
+
 def test_calibrate_defaults_come_from_system_config(capsys):
     cfg = SystemConfig()
     explicit = ("--M", str(cfg.M), "--L", str(cfg.L), "--K", str(cfg.K),
@@ -467,8 +567,10 @@ def test_n_sweep_figures_equal_energy_efficiency(changes):
     cfg, pm = SystemConfig(**changes), PowerModel()
     feasible = set()
     for number, point_of in N_SWEEPS.items():
-        if "beta" in changes and number != 10:
-            continue    # the n* column raises ConfigError for the whole figure
+        if "beta" in changes:   # a breakdown beyond the double range
+            with pytest.raises(ConfigError, match="double range"):
+                figures.RUNNERS[number](cfg, pm)
+            continue
         header, rows = figures.RUNNERS[number](cfg, pm)
         n_col = header.index("n")
         for row in rows:
@@ -479,9 +581,9 @@ def test_n_sweep_figures_equal_energy_efficiency(changes):
             if number != 10:
                 assert row[-1] == _n_star_or_missing(cfg_i, pm_i)[0]
             feasible.add(row[n_col + 2])
-    assert feasible == ({0} if "beta" in changes else {0, 1})
     if "beta" in changes:
         return
+    assert feasible == {0, 1}
     _, rows = figures.figure5(cfg, pm)
     for psi, gamma, ee, n_star in rows:
         ref = _n_star_or_missing(cfg.replace(psi=psi), pm, gamma)

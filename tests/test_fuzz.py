@@ -1,6 +1,7 @@
 """Property tests over generated inputs: the CLI ends every run in a clean
-exit with no non-finite row marked feasible (or, for ``calibrate``, no
-non-finite value printed), the Monte-Carlo estimator is
+exit, and on exit 0 every printed EE and power is finite and every
+feasible EE positive (or, for ``calibrate``, no non-finite value
+printed), the Monte-Carlo estimator is
 finite and reproducible on small generated configurations, the
 closed-form optimizers agree with an exhaustive integer scan, and a
 record's ``replace`` builds what its constructor builds."""
@@ -10,6 +11,7 @@ import dataclasses
 import io
 import json
 import math
+import sys
 
 import pytest
 
@@ -39,6 +41,13 @@ def _near(default: float):
                      st.sampled_from(_ODD_FLOATS))
 
 
+def _anywhere(default: float):
+    """Values around a default and over the whole positive double range,
+    its extremes always among the candidates."""
+    return st.one_of(_near(default), st.floats(5e-324, sys.float_info.max),
+                     st.sampled_from([5e-324, 1e-300, 1e300, 1e308]))
+
+
 # Small counts keep every Monte-Carlo run cheap; -1 and 0 are invalid.
 _COUNT = st.integers(-1, 9)
 _MODEL_FLAGS = {
@@ -48,7 +57,9 @@ _MODEL_FLAGS = {
     "alpha2": st.floats(-0.5, 1.5), "iota": _near(2.5), "p-u": _near(0.5),
     "p-d": _near(1.0), "sigma2": _near(1e-7), "p-d-dbm": _near(30.0),
     "pilot-noise-mode": st.sampled_from(["exact", "negligible"]),
-    "P-FIX": _near(9.0), "P-RRH": _near(0.2), "zeta": st.floats(0.01, 1.5),
+    "P-FIX": _near(9.0), "P-RRH": _near(0.2), "P-0": _anywhere(0.825),
+    "P-BT": _anywhere(0.25e-9), "zeta": st.one_of(st.floats(0.01, 1.5),
+                                                   _anywhere(0.4)),
 }
 _GAMMA = st.one_of(st.floats(0.05, 12.0),
                    st.sampled_from([0.0, -1.0, math.nan, 1e-300, 1000.0, 1023.9,
@@ -74,6 +85,13 @@ def _run(argv):
     return code, out.getvalue()
 
 
+def _no_data_symbols(argv, row) -> bool:
+    """A figure 7 row at K = T/psi: every symbol is a pilot, the EE is 0."""
+    T = next((int(arg.partition("=")[2]) for arg in argv
+              if arg.startswith("--T=")), SystemConfig().T)
+    return "psi" in row and "K" in row and int(row["psi"]) * int(row["K"]) == T
+
+
 def _assert_clean(argv):
     code, out = _run(argv)
     assert code in (0, 2, 3), (argv, code)
@@ -84,13 +102,19 @@ def _assert_clean(argv):
         payload = json.loads(out)
         assert all(math.isfinite(payload[key]) for key in
                    ("ee_bits_per_joule", "p_d_watts")), (argv, payload)
+        assert payload["ee_bits_per_joule"] > 0, (argv, payload)
         return
     rows = list(csv.DictReader(io.StringIO(out)))
     assert rows, argv
     for row in rows:
-        if row["feasible"] == "1":
+        # figure 5 has no feasible column: n* = -1 marks its NaN rows
+        if (row["feasible"] == "1" if "feasible" in row
+                else row["n_star"] != "-1"):
             values = [float(v) for k, v in row.items() if k != "feasible"]
             assert all(math.isfinite(v) for v in values), (argv, row)
+            assert all(float(v) > 0 for k, v in row.items()
+                       if k.startswith("ee")) or _no_data_symbols(argv, row), \
+                (argv, row)
 
 
 @FUZZ
@@ -118,6 +142,12 @@ def test_opt_k_exits_cleanly(model, gamma):
 def test_opt_m_exits_cleanly(model, gamma, m_max, fixed_n):
     _assert_clean(["opt-m", f"--gamma={gamma!r}", f"--M-max={m_max}", *model]
                   + (["--fixed-n"] if fixed_n else []))
+
+
+@FUZZ
+@given(model=_MODEL_ARGV, number=st.integers(3, 10))
+def test_figure_exits_cleanly(model, number):
+    _assert_clean(["figure", str(number), *model])
 
 
 @FUZZ

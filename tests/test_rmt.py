@@ -39,7 +39,7 @@ def test_phi_cross_term_coefficient():
     k = 1
     serving = k % cfg.M
     phi = phi_matrix(corr, 1, serving, k, cfg.p_u, cfg.tau_u, cfg.sigma2, j=0)
-    projector = steering.A @ steering.A.conj().T
+    projector = steering @ steering.conj().T
     coeff = cfg.M ** (cfg.iota / 2) * cfg.alpha2 * cfg.beta ** 2 * cfg.d * ds.nu1
     assert np.allclose(phi, coeff * projector, rtol=1e-10)
     # non-serving RRH: alpha1*alpha2*beta^2*d*nu2 * A A^H
