@@ -196,9 +196,15 @@ def rate_from_sinr(cfg: SystemConfig, sinr) -> float:
     """Cell spectral efficiency from per-user SINRs (bits/s/Hz).
 
     The per-user rates are summed in sorted order, so the result does not
-    depend on the order of the users.
+    depend on the order of the users.  Where 1 + SINR rounds to 1 the rate
+    is SINR / ln 2, its first-order value, not 0.
     """
-    rates = np.sort(np.log2(1.0 + np.asarray(sinr)))
+    sinr = np.asarray(sinr)
+    rates = np.log2(1.0 + sinr)
+    if not rates.all():         # a rate is 0 exactly where 1 + SINR == 1
+        small = rates == 0.0
+        rates[small] = sinr[small] / math.log(2.0)
+    rates.sort()
     return float((cfg.T - cfg.tau_u) / cfg.T * rates.sum())
 
 

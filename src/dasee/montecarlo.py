@@ -28,7 +28,11 @@ each (cell l, RRH m, user k) are
 with o = beta_{lm0k} d, s_l = 1 if cell l shares cell 0's pilots (else 0),
 q = (summed co-pilot gains) - s_l o + (pilot loading) and c the MMSE
 coefficient: the joint distribution of drawing every link, as the
-full-space reference ``generate_realization`` does.
+full-space reference ``generate_realization`` does.  That reference
+computes the factors that depend only on the config (amplitudes, co-pilot
+matrix, noise scale, MMSE coefficients) once per config and caches them
+read-only, and takes h and the pilot noise from one Gaussian draw: the
+draws and the output bytes are those of building everything per call.
 
 The estimator needs only scalar statistics of these vectors, and the
 sampler draws those directly, exact in distribution.  Where s_l = 1,
@@ -44,6 +48,7 @@ variates per (l, m, k) and never builds a P-vector.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,12 +79,6 @@ class ChannelRealization:
     seed: int
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    z = rng.standard_normal(tuple(shape) + (2,)).view(np.complex128)[..., 0]
-    z /= np.sqrt(2.0)
-    return z
-
-
 def _simulation_gains(cfg: SystemConfig, gains: np.ndarray | None) -> np.ndarray:
     """``gains`` or the model's, for a cfg with P = n/d whole steering columns."""
     if cfg.n % cfg.d != 0:
@@ -102,6 +101,27 @@ def _pilot_model(cfg: SystemConfig, gains: np.ndarray):
     return share, copilot, loading, coeff
 
 
+def _realization_factors(cfg: SystemConfig, gains: np.ndarray | None):
+    """The factors of a full-space draw that depend only on (cfg, gains): the
+    amplitude sqrt(beta d) per link (n/P = d), the co-pilot matrix, the pilot
+    noise scale sqrt(loading / sigma2) and the MMSE coefficient per (l, m, k),
+    the arrays with a trailing antenna axis."""
+    gains = _simulation_gains(cfg, gains)
+    share, _, loading, coeff = _pilot_model(cfg, gains)
+    return (np.sqrt(gains * cfg.d)[..., None], share,
+            np.sqrt(loading / cfg.sigma2), coeff[..., None])
+
+
+@functools.lru_cache(maxsize=8)
+def _realization_model(cfg: SystemConfig):
+    """``_realization_factors`` at the model's gains, once per config.  The
+    arrays are read-only, so no caller can change a later draw."""
+    amplitude, share, noise_scale, coeff = _realization_factors(cfg, None)
+    for factor in (amplitude, share, coeff):
+        factor.flags.writeable = False
+    return amplitude, share, noise_scale, coeff
+
+
 def generate_realization(cfg: SystemConfig, A: np.ndarray,
                          seed: int, gains: np.ndarray | None = None
                          ) -> ChannelRealization:
@@ -112,25 +132,32 @@ def generate_realization(cfg: SystemConfig, A: np.ndarray,
     apply the MMSE filter to the pilot observation (own channel + co-pilot
     channels + scaled noise; the noise is drawn but left out when
     negligible).  ``gains`` overrides the averaged-model betas, e.g. with
-    position-derived values.
+    position-derived values.  At the model's gains the config-only factors
+    are computed once per config and cached read-only; h and the noise come
+    from one Gaussian draw, the same values as drawing h, then the noise.
     """
-    gains = _simulation_gains(cfg, gains)
+    amplitude, share, noise_scale, coeff = (
+        _realization_model(cfg) if gains is None
+        else _realization_factors(cfg, gains))
     if A.shape != (cfg.n, cfg.P):
         raise ValueError(f"steering matrix shape {A.shape} does not match "
                          f"(n, P) = ({cfg.n}, {cfg.P})")
+    links = (cfg.L, cfg.M, cfg.L, cfg.K, cfg.P)
+    size = math.prod(links)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    h = _complex_normal(rng, (cfg.L, cfg.M, cfg.L, cfg.K, cfg.P))
-    noise = _complex_normal(rng, (cfg.L, cfg.M, cfg.K, cfg.n)) * np.sqrt(cfg.sigma2)
+    z = rng.standard_normal(2 * (size + cfg.L * cfg.M * cfg.K * cfg.n)
+                            ).view(np.complex128)
+    z /= np.sqrt(2.0)
+    h = z[:size].reshape(links)
+    noise = z[size:].reshape(cfg.L, cfg.M, cfg.K, cfg.n)
+    noise *= np.sqrt(cfg.sigma2)
 
-    # n/P = d, so the amplitude per link is sqrt(beta * d).
-    channels = np.sqrt(gains * cfg.d)[..., None] * np.einsum("np,lmjkp->lmjkn", A, h)
-
-    share, _, loading, coeff = _pilot_model(cfg, gains)
+    channels = amplitude * np.einsum("np,lmjkp->lmjkn", A, h)
     observation = np.einsum("lj,lmjkn->lmkn", share, channels)
-    observation += noise * np.sqrt(loading / cfg.sigma2)
+    observation += noise * noise_scale
     projected = np.einsum("np,lmkp->lmkn", A, np.einsum("np,lmkn->lmkp",
                                                         A.conj(), observation))
-    estimates = coeff[..., None] * projected
+    estimates = coeff * projected
     return ChannelRealization(channels=channels, pilot_noise=noise,
                               estimates=estimates, seed=seed)
 
@@ -205,6 +232,18 @@ def _batch_means(cfg: SystemConfig, realizations: int, seed: int,
     return [total / realizations for total in sums]
 
 
+def _normalization(cfg: SystemConfig, wnorm: np.ndarray) -> np.ndarray:
+    """Per-cell precoder normalization K / sum_{m,k} ||w_lmk||^2 from the
+    batch means ``wnorm``; a norm that rounds to 0, or so near it that the
+    quotient overflows, is a ConfigError, not an inf or NaN downstream."""
+    with np.errstate(divide="ignore", over="ignore"):
+        lam = cfg.K / wnorm
+    if not np.isfinite(lam).all():
+        raise ConfigError("beta, p_u and sigma2 take a cell's precoder norm "
+                          "||w||^2 below the double range")
+    return lam
+
+
 def empirical_sinr_rate(cfg: SystemConfig, realizations: int, seed: int,
                         gains: np.ndarray | None = None
                         ) -> tuple[np.ndarray, float]:
@@ -215,7 +254,7 @@ def empirical_sinr_rate(cfg: SystemConfig, realizations: int, seed: int,
     ``(sinr, se)`` with sinr of shape (K,) and se in bits/s/Hz.
     """
     wnorm, eff, eff2, sci, total = _batch_means(cfg, realizations, seed, gains)
-    lam = cfg.K / wnorm
+    lam = _normalization(cfg, wnorm)
     var_eff = eff2 - np.abs(eff) ** 2
     ici = (lam[1:, None] * total[1:]).sum(axis=0)
     sinr = (lam[0] * np.abs(eff) ** 2
@@ -234,9 +273,8 @@ def empirical_transmit_power(cfg: SystemConfig, realizations: int, seed: int,
     consistency check of the precoder second moment.
     """
     wnorm = _batch_means(cfg, realizations, seed, gains)[0]
-    if lam is None:
-        lam = cfg.K / wnorm
-    return cfg.p_d / cfg.K * np.asarray(lam) * wnorm
+    own = _normalization(cfg, wnorm)        # checks wnorm for a given lam too
+    return cfg.p_d / cfg.K * np.asarray(own if lam is None else lam) * wnorm
 
 
 def empirical_ee(cfg: SystemConfig, pm: PowerModel, realizations: int,

@@ -8,8 +8,8 @@ from dasee.asymptotic import (Design, InfeasibleAntennasError,
                               RateUnachievableError, SinrBreakdown,
                               deterministic_sinr, energy_efficiency,
                               large_scale_gains, min_antennas,
-                              operating_point, rate_margin, sinr_breakdown,
-                              total_power_at_se)
+                              operating_point, rate_from_sinr, rate_margin,
+                              sinr_breakdown, total_power_at_se)
 from dasee.config import ConfigError, DerivedScalars, PowerModel, SystemConfig
 
 CFG = SystemConfig()
@@ -215,6 +215,22 @@ def test_non_finite_total_power_is_a_config_error(pm):
             operating_point(CFG, pm, gamma)
     # a point too few antennas for gamma is still None, not an error
     assert Design(CFG, pm, 2.0).point(1) is None
+
+
+def test_rate_of_a_tiny_sinr_is_not_zero():
+    # log2(1 + SINR) rounds to 0 where 1 + SINR == 1; the rate there is its
+    # first-order value SINR / ln 2, and every other rate keeps log2(1 + SINR)
+    cfg = CFG.replace(K=3)
+    fraction = (cfg.T - cfg.tau_u) / cfg.T
+    for sinr in ([1e-300] * 3, [5e-324, 1e-17, 1e-200]):
+        exact = sum(sorted(s / math.log(2.0) for s in sinr))
+        assert math.isclose(rate_from_sinr(cfg, sinr), fraction * exact,
+                            rel_tol=1e-15)
+    for sinr in ([1e-15, 0.3, 5.0], [0.0, 2.0, 1e-300], [3.0] * 3):
+        rates = [s / math.log(2.0) if 1.0 + s == 1.0 else math.log2(1.0 + s)
+                 for s in sinr]
+        assert rate_from_sinr(cfg, sinr) == float(
+            fraction * np.sort(np.array(rates)).sum())
 
 
 def test_zero_data_symbols_zero_efficiency():

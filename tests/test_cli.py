@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -320,21 +321,50 @@ def test_mc_validate_small(capsys):
 
 
 def test_mc_validate_zero_de_ee_row_is_not_feasible(capsys):
-    # a pilot power this small makes the DE EE underflow to 0: the relative
-    # error is not finite, and the row says so instead of raising
+    # a pilot power this small and a bandwidth this narrow make the DE EE
+    # underflow to 0 (the MC EE, biased up at 3 realizations, does not): the
+    # relative error is not finite, and the row says so instead of raising
     code, out, _ = run(capsys, "mc-validate", "--n-range", "10",
-                       "--realizations", "3", "--p-u", "1e-30")
+                       "--realizations", "3", "--p-u", "1e-30",
+                       "--B", "1e-300")
     assert code == 0
     row = list(csv.DictReader(io.StringIO(out)))[0]
     assert float(row["ee_de_bits_per_joule"]) == 0.0
     assert row["rel_error"] == "inf" and row["feasible"] == "0"
 
 
+@pytest.mark.parametrize("flag", ["--p-d", "--p-u"])
+def test_tiny_sinr_row_has_a_positive_ee(capsys, flag):
+    # an SINR near 1e-298 made log2(1 + SINR) round to 0: a feasible row
+    # printed an EE of exactly 0
+    code, out, _ = run(capsys, "de-curve", flag, "1e-300", "--n-range", "20")
+    assert code == 0
+    row = list(csv.DictReader(io.StringIO(out)))[0]
+    assert row["feasible"] == "1"
+    assert 0.0 < float(row["ee_de_bits_per_joule"]) < 1e-280, row
+
+
+@pytest.mark.parametrize("argv", [
+    ["--beta", "1e-300"],
+    ["--p-u=1e-300", "--n-range", "10:20:10", "--realizations", "3"],
+    ["--beta", "1e-160", "--n-range", "10", "--realizations", "5"],
+])
+def test_mc_precoder_norm_underflow_exits_2(capsys, argv):
+    # the per-cell precoder norm rounds to 0 (or to a subnormal whose
+    # normalization K / ||w||^2 overflows): numpy warned, then the NaN rate
+    # was blamed on the power model
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "mc-validate", *argv)
+    assert code == 2 and out == "", (code, out)
+    assert "beta, p_u and sigma2" in err and "Warning" not in err, err
+
+
 def test_figure2_zero_de_ee_reports_infinite_error(capsys):
     # the same underflow in the figure-2 runner: a relative error of inf,
     # as mc-validate reports it, instead of a division by zero
     code, out, _ = run(capsys, "figure", "2", "--realizations", "3",
-                       "--p-u", "1e-30")
+                       "--p-u", "1e-30", "--B", "1e-300")
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
     assert len(rows) == 24

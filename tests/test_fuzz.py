@@ -57,7 +57,7 @@ _MODEL_FLAGS = {
     "alpha2": st.floats(-0.5, 1.5), "iota": _near(2.5), "p-u": _near(0.5),
     "p-d": _near(1.0), "sigma2": _near(1e-7), "p-d-dbm": _near(30.0),
     "pilot-noise-mode": st.sampled_from(["exact", "negligible"]),
-    "P-FIX": _near(9.0), "P-RRH": _near(0.2), "P-0": _anywhere(0.825),
+    "P-FIX": _anywhere(9.0), "P-RRH": _near(0.2), "P-0": _anywhere(0.825),
     "P-BT": _anywhere(0.25e-9), "zeta": st.one_of(st.floats(0.01, 1.5),
                                                    _anywhere(0.4)),
 }

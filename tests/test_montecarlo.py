@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -152,8 +153,9 @@ def test_realizations_must_be_positive():
 
 def test_realization_rejects_wrong_steering():
     cfg = SystemConfig(L=2, M=2, K=2, n=8, d=2, psi=1)
-    with pytest.raises(ValueError, match="steering"):
-        generate_realization(cfg, steering_matrix(8, 8), seed=0)
+    for gains in (None, large_scale_gains(cfg)):
+        with pytest.raises(ValueError, match="steering"):
+            generate_realization(cfg, steering_matrix(8, 8), seed=0, gains=gains)
 
 
 def _link_moments(g0, w):
@@ -452,3 +454,108 @@ def test_realization_complex_normals_bit_identical():
     channels = (np.sqrt(large_scale_gains(cfg) * cfg.d)[..., None]
                 * np.einsum("np,lmjkp->lmjkn", steering, h))
     assert real.channels.tobytes() == channels.tobytes()
+
+
+def _digests(real):
+    """First 16 hex digits of the sha256 of channels, pilot noise and
+    estimates."""
+    return tuple(hashlib.sha256(array.tobytes()).hexdigest()[:16]
+                 for array in (real.channels, real.pilot_noise, real.estimates))
+
+
+# Realization bytes pinned before the config-only factors were cached and
+# the two Gaussian draws merged: psi in {1, L}, d in {1, 2}, both modes.
+PINNED = {
+    (SystemConfig(L=2, M=2, K=2, n=8, d=1, psi=1), 0):
+        ("7d646bcb7d580f29", "a272e3aa5435b3c1", "2bdf7e26bc308661"),
+    (SystemConfig(L=2, M=2, K=2, n=8, d=1, psi=1), 1):
+        ("1e5f6f8491ff20d9", "d4b7bf19ff41c7a8", "0c03f80fc45d6cf9"),
+    (SystemConfig(L=2, M=2, K=2, n=8, d=1, psi=1), 7):
+        ("99191834fb79671c", "587d8692701dad94", "36ffd4a589bcbf83"),
+    (SystemConfig(L=3, M=2, K=2, n=8, d=2, psi=3), 0):
+        ("ddec180435c65981", "c33898d6fbbf2d79", "4a96d2ec14bf5b5b"),
+    (SystemConfig(L=3, M=2, K=2, n=8, d=2, psi=3), 2):
+        ("925c52d28d80f81d", "a925113c568fff19", "7722233c6f7ceb9f"),
+    (SystemConfig(L=3, M=2, K=2, n=8, d=2, psi=3), 9):
+        ("18263146079688ef", "dc4e9de6a7b8fb6e", "d2da0119a236cb10"),
+    (SystemConfig(L=2, M=3, K=2, n=6, d=2, psi=2,
+                  pilot_noise_mode="negligible"), 1):
+        ("85c4796daeae5f42", "57f7d163297c3fe4", "c55e2f9ac11238c9"),
+    (SystemConfig(L=2, M=3, K=2, n=6, d=2, psi=2,
+                  pilot_noise_mode="negligible"), 4):
+        ("df78f9f45ebc6eab", "6ea34288aed368b1", "710ed610845f4d0f"),
+    (SystemConfig(L=2, M=3, K=2, n=6, d=2, psi=2,
+                  pilot_noise_mode="negligible"), 5):
+        ("7c741fd11d15f436", "29895690b9ae799f", "7ebab15963c09308"),
+    (SystemConfig(L=2, M=2, K=3, n=4, d=1, psi=1,
+                  pilot_noise_mode="negligible"), 3):
+        ("44a645bc3e1579c4", "38234042dccee828", "cf644b1c5cc25178"),
+    (SystemConfig(L=2, M=2, K=3, n=4, d=1, psi=1,
+                  pilot_noise_mode="negligible"), 6):
+        ("b3aa957ef252da4b", "6f8abe585a7a0f85", "960ec87edde34433"),
+    (SystemConfig(L=2, M=2, K=3, n=4, d=1, psi=1,
+                  pilot_noise_mode="negligible"), 8):
+        ("4f3f666212a3f88c", "d0209e3b3e6290ac", "63f31e434c2b5136"),
+}
+
+
+@pytest.mark.parametrize("cfg,seed", list(PINNED))
+def test_realization_bytes_are_pinned(cfg, seed):
+    A = steering_matrix(cfg.n, cfg.P)
+    assert _digests(generate_realization(cfg, A, seed=seed)) == PINNED[cfg, seed]
+    # the default gains and the same gains passed in give the same bytes
+    given = generate_realization(cfg, A, seed=seed, gains=large_scale_gains(cfg))
+    assert _digests(given) == PINNED[cfg, seed]
+
+
+def test_realization_gains_override_bytes_are_pinned():
+    cfg = SystemConfig(L=2, M=2, K=2, n=8, d=2, psi=1)
+    gains = large_scale_gains(cfg) * np.linspace(0.5, 2.0, 16).reshape(2, 2, 2, 2)
+    real = generate_realization(cfg, steering_matrix(8, 4), seed=4, gains=gains)
+    assert _digests(real) == ("7db2a2c83e1cac1d", "95854ab30d8a120f",
+                              "b281aa3f4ababc73")
+
+
+def test_realization_owns_its_arrays():
+    # writing into one realization's arrays changes no later draw, and the
+    # cached config-only factors cannot be written at all
+    (cfg, seed), pinned = next(iter(PINNED.items()))
+    A = steering_matrix(cfg.n, cfg.P)
+    real = generate_realization(cfg, A, seed=seed)
+    for array in (real.channels, real.pilot_noise, real.estimates):
+        array[...] = 7.0
+    assert _digests(generate_realization(cfg, A, seed=seed)) == pinned
+    for factor in montecarlo._realization_model(cfg):
+        if isinstance(factor, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                factor[...] = 0.0
+
+
+def test_realization_config_factors_built_once(monkeypatch):
+    calls = {"large_scale_gains": 0, "_pilot_model": 0}
+
+    def counted(name):
+        inner = getattr(montecarlo, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(montecarlo, name, counted(name))
+    montecarlo._realization_model.cache_clear()
+    cfg = SystemConfig(L=2, M=2, K=2, n=16, d=2, psi=1, p_u=0.75)
+    A = steering_matrix(cfg.n, cfg.P)
+    for seed in range(100):
+        generate_realization(cfg, A, seed=seed)
+    assert calls == {"large_scale_gains": 1, "_pilot_model": 1}
+    montecarlo._realization_model.cache_clear()
+
+
+def test_realization_checks_divisibility_before_steering():
+    # n % d is a ConfigError even when the steering matrix is wrong too
+    cfg = SystemConfig(L=2, M=2, K=2, n=9, d=2, psi=1)
+    for gains in (None, large_scale_gains(cfg)):
+        with pytest.raises(ConfigError, match="n not divisible by d"):
+            generate_realization(cfg, steering_matrix(9, 3), seed=0, gains=gains)
