@@ -91,7 +91,7 @@ def sinr_breakdown(cfg: SystemConfig) -> SinrBreakdown:
     """Signal, pilot-contamination, and scaled multi-user powers.
 
     Raises ConfigError when beta and iota take a term beyond the double range
-    (M^iota, beta^2 or, in negligible mode, 1/beta^2 overflows).
+    (M^iota, beta^2 or, in negligible mode, 1/beta^2 overflows) or S to 0.
     """
     try:
         sc = derived_scalars(cfg)
@@ -109,6 +109,8 @@ def sinr_breakdown(cfg: SystemConfig) -> SinrBreakdown:
     except OverflowError:
         raise ConfigError("beta and iota take the SINR terms beyond the "
                           "double range") from None
+    if not signal > 0.0:
+        raise ConfigError("beta, p_u and sigma2 take the signal power S to 0")
     mu_scaled = cfg.beta * cfg.d * cfg.K * sc.xi
     return SinrBreakdown(signal, pc, mu_scaled)
 
@@ -215,7 +217,7 @@ class Design:
     at rate gamma, backhaul power) are computed once; a gamma no n reaches
     raises ConfigError / RateUnachievableError here.  Per n (a positive
     int, not checked) each method returns None where n is too few for
-    gamma; a total power that is not finite raises ConfigError.
+    gamma; a non-finite total power or a zero SINR raises ConfigError.
     """
 
     margin = se = backhaul = None   # at fixed p_d (se and backhaul per n)
@@ -248,7 +250,10 @@ class Design:
             return None
         se, backhaul = self.se, self.backhaul
         if se is None:   # at fixed p_d the rate depends on n
-            se = rate_from_sinr(cfg, [_sinr(cfg, self.brk, n, p_d)] * cfg.K)
+            sinr = _sinr(cfg, self.brk, n, p_d)
+            if not sinr > 0.0:
+                raise ConfigError("p_d, sigma2 and beta take the SINR to 0")
+            se = rate_from_sinr(cfg, [sinr] * cfg.K)
             backhaul = _backhaul(cfg, pm, se)
         p_total = _total_power(cfg, pm, n, p_d, backhaul)
         return OperatingPoint(cfg.B * se / p_total, p_d, p_total)

@@ -28,11 +28,10 @@ each (cell l, RRH m, user k) are
 with o = beta_{lm0k} d, s_l = 1 if cell l shares cell 0's pilots (else 0),
 q = (summed co-pilot gains) - s_l o + (pilot loading) and c the MMSE
 coefficient: the joint distribution of drawing every link, as the
-full-space reference ``generate_realization`` does.  That reference
-computes the factors that depend only on the config (amplitudes, co-pilot
-matrix, noise scale, MMSE coefficients) once per config and caches them
-read-only, and takes h and the pilot noise from one Gaussian draw: the
-draws and the output bytes are those of building everything per call.
+full-space reference ``generate_realization`` does.  One link model
+(``_link_model``: o, q, c, s_l, the co-pilot matrix, the amplitudes), cached
+per config, serves this sampler, the full-space draw and rmt's correlation
+set; the full-space draw takes h and the pilot noise from one Gaussian draw.
 
 The estimator needs only scalar statistics of these vectors, and the
 sampler draws those directly, exact in distribution.  Where s_l = 1,
@@ -51,6 +50,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,66 +79,64 @@ class ChannelRealization:
     seed: int
 
 
-def _simulation_gains(cfg: SystemConfig, gains: np.ndarray | None) -> np.ndarray:
-    """``gains`` or the model's, for a cfg with P = n/d whole steering columns."""
+class _LinkModel(NamedTuple):
+    """The config-only factors of one link model, (L, M, K) unless noted."""
+
+    gains: np.ndarray       # (L, M, L, K) beta_{lmjk}
+    share: np.ndarray       # (L, L) co-pilot matrix (l % psi == j % psi)
+    shared: np.ndarray      # (L,) s_l, cell l shares cell 0's pilots
+    loading: float          # sigma2 / (p_u tau_u), 0 when negligible
+    o: np.ndarray           # beta_{lm0k} d
+    q: np.ndarray           # summed co-pilot gains d - s_l o + loading
+    c: np.ndarray           # MMSE: estimate = c A A^H (observation)
+    amplitude: np.ndarray   # (L, M, L, K, 1) sqrt(beta d), as n/P = d
+
+
+def _link_model(cfg: SystemConfig, gains: np.ndarray | None = None) -> _LinkModel:
+    """The ``_LinkModel`` of ``cfg`` at ``gains``, for a cfg with P = n/d
+    whole steering columns.  At the model's gains it is built once per config
+    and its arrays are read-only, so no caller can change a later draw.  A
+    link with no gain gets c = 0."""
     if cfg.n % cfg.d != 0:
         raise ConfigError("n not divisible by d")
-    return large_scale_gains(cfg) if gains is None else gains
-
-
-def _pilot_model(cfg: SystemConfig, gains: np.ndarray):
-    """Co-pilot matrix share[l, j] = (l % psi == j % psi), the summed co-pilot
-    gains d sum_j share[l, j] beta_{lmjk}, the pilot loading sigma2/(p_u tau_u)
-    (0 when pilot noise is negligible) and the MMSE coefficient per (l, m, k):
-    estimate = coeff * A A^H (observation).  A link with no gain gets 0."""
+    if gains is None:
+        return _config_link_model(cfg)
     group = np.arange(cfg.L) % cfg.psi
     share = (group[:, None] == group).astype(float)
+    shared = share[:, 0] == 1.0
     copilot = np.einsum("lj,lmjk->lmk", share, gains) * cfg.d
     loading = (0.0 if cfg.pilot_noise_mode == "negligible"
                else cfg.sigma2 / (cfg.p_u * cfg.tau_u))
     total = loading + copilot
-    coeff = np.einsum("lmlk->lmk", gains) * cfg.d / np.where(total > 0.0, total, 1.0)
-    return share, copilot, loading, coeff
-
-
-def _realization_factors(cfg: SystemConfig, gains: np.ndarray | None):
-    """The factors of a full-space draw that depend only on (cfg, gains): the
-    amplitude sqrt(beta d) per link (n/P = d), the co-pilot matrix, the pilot
-    noise scale sqrt(loading / sigma2) and the MMSE coefficient per (l, m, k),
-    the arrays with a trailing antenna axis."""
-    gains = _simulation_gains(cfg, gains)
-    share, _, loading, coeff = _pilot_model(cfg, gains)
-    return (np.sqrt(gains * cfg.d)[..., None], share,
-            np.sqrt(loading / cfg.sigma2), coeff[..., None])
+    c = np.einsum("lmlk->lmk", gains) * cfg.d / np.where(total > 0.0, total, 1.0)
+    o = gains[:, :, 0] * cfg.d
+    q = copilot - shared[:, None, None] * o + loading
+    return _LinkModel(gains, share, shared, loading, o, q, c,
+                      np.sqrt(gains * cfg.d)[..., None])
 
 
 @functools.lru_cache(maxsize=8)
-def _realization_model(cfg: SystemConfig):
-    """``_realization_factors`` at the model's gains, once per config.  The
-    arrays are read-only, so no caller can change a later draw."""
-    amplitude, share, noise_scale, coeff = _realization_factors(cfg, None)
-    for factor in (amplitude, share, coeff):
-        factor.flags.writeable = False
-    return amplitude, share, noise_scale, coeff
+def _config_link_model(cfg: SystemConfig) -> _LinkModel:
+    model = _link_model(cfg, large_scale_gains(cfg))
+    for factor in model:
+        if isinstance(factor, np.ndarray):
+            factor.flags.writeable = False
+    return model
 
 
 def generate_realization(cfg: SystemConfig, A: np.ndarray,
-                         seed: int, gains: np.ndarray | None = None
-                         ) -> ChannelRealization:
+                         seed: int) -> ChannelRealization:
     """Draw one full-space channel realization with its MMSE estimates.
 
     Channels follow g_{lmjk} = sqrt(beta_{lmjk} n/P) A h with A the (n, P)
     ``steering_matrix`` and i.i.d. standard complex Gaussian h; estimates
     apply the MMSE filter to the pilot observation (own channel + co-pilot
     channels + scaled noise; the noise is drawn but left out when
-    negligible).  ``gains`` overrides the averaged-model betas, e.g. with
-    position-derived values.  At the model's gains the config-only factors
-    are computed once per config and cached read-only; h and the noise come
-    from one Gaussian draw, the same values as drawing h, then the noise.
+    negligible).  The config-only factors come from the cached
+    ``_link_model``; h and the noise come from one Gaussian draw, the same
+    values as drawing h, then the noise.
     """
-    amplitude, share, noise_scale, coeff = (
-        _realization_model(cfg) if gains is None
-        else _realization_factors(cfg, gains))
+    model = _link_model(cfg)
     if A.shape != (cfg.n, cfg.P):
         raise ValueError(f"steering matrix shape {A.shape} does not match "
                          f"(n, P) = ({cfg.n}, {cfg.P})")
@@ -152,12 +150,12 @@ def generate_realization(cfg: SystemConfig, A: np.ndarray,
     noise = z[size:].reshape(cfg.L, cfg.M, cfg.K, cfg.n)
     noise *= np.sqrt(cfg.sigma2)
 
-    channels = amplitude * np.einsum("np,lmjkp->lmjkn", A, h)
-    observation = np.einsum("lj,lmjkn->lmkn", share, channels)
-    observation += noise * noise_scale
+    channels = model.amplitude * np.einsum("np,lmjkp->lmjkn", A, h)
+    observation = np.einsum("lj,lmjkn->lmkn", model.share, channels)
+    observation += noise * np.sqrt(model.loading / cfg.sigma2)
     projected = np.einsum("np,lmkp->lmkn", A, np.einsum("np,lmkn->lmkp",
                                                         A.conj(), observation))
-    estimates = coeff * projected
+    estimates = model.c[..., None] * projected
     return ChannelRealization(channels=channels, pilot_noise=noise,
                               estimates=estimates, seed=seed)
 
@@ -172,19 +170,16 @@ def _statistics(cfg: SystemConfig, realizations: int, seed: int,
     (., K), and sum_i |y_lki|^2 per cell (., L, K).  Realization r draws
     from its own substream into row r of the block; the arithmetic runs
     once per block, reducing over m and k along their own axes."""
-    gains = _simulation_gains(cfg, gains)
+    model = _link_model(cfg, gains)
     if realizations < 1:
         raise ConfigError(f"realizations must be >= 1, got {realizations}")
-    share, copilot, loading, coeff = _pilot_model(cfg, gains)
-    shared = share[:, 0] == 1.0                     # s_l
+    shared, own0 = model.shared, model.o
     other = ~shared
     mix = shared[:, None, None]
-    own0 = gains[:, :, 0] * cfg.d                   # o
-    rest = copilot - mix * own0 + loading           # q
-    o, q, c = own0[shared], rest[shared], coeff[shared]
+    o, q, c = own0[shared], model.q[shared], model.c[shared]
     co, cx = c * o, c * np.sqrt(o * q)      # g0^T conj(w) = co ||a||^2 + cx a^T conj(b)
     c2o, c2x, c2q = c * co, 2.0 * c * cx, c ** 2 * q
-    c2q_other = coeff[other] ** 2 * rest[other]
+    c2q_other = model.c[other] ** 2 * model.q[other]
     P = cfg.P
     rounds = max(1, BLOCK // (cfg.L * cfg.M * cfg.K))
 
@@ -251,7 +246,7 @@ def empirical_sinr_rate(cfg: SystemConfig, realizations: int, seed: int,
 
     Averages over ``realizations`` independent channel draws with per-cell
     power normalization estimated from the same batch.  Returns
-    ``(sinr, se)`` with sinr of shape (K,) and se in bits/s/Hz.
+    ``(sinr, se)``: sinr (K,), all > 0 or a ConfigError; se in bits/s/Hz.
     """
     wnorm, eff, eff2, sci, total = _batch_means(cfg, realizations, seed, gains)
     lam = _normalization(cfg, wnorm)
@@ -259,6 +254,8 @@ def empirical_sinr_rate(cfg: SystemConfig, realizations: int, seed: int,
     ici = (lam[1:, None] * total[1:]).sum(axis=0)
     sinr = (lam[0] * np.abs(eff) ** 2
             / (lam[0] * var_eff + lam[0] * sci + ici + cfg.sigma2 / cfg.p_d))
+    if not (sinr > 0.0).all():
+        raise ConfigError("beta, p_u, p_d and sigma2 take an MC SINR to 0")
     se = rate_from_sinr(cfg, sinr)
     return sinr, se
 
@@ -278,9 +275,9 @@ def empirical_transmit_power(cfg: SystemConfig, realizations: int, seed: int,
 
 
 def empirical_ee(cfg: SystemConfig, pm: PowerModel, realizations: int,
-                 seed: int, gains: np.ndarray | None = None) -> float:
+                 seed: int) -> float:
     """Empirical energy efficiency (bits/Joule) at the configured p_d."""
-    _, se = empirical_sinr_rate(cfg, realizations, seed, gains=gains)
+    _, se = empirical_sinr_rate(cfg, realizations, seed)
     return cfg.B * se / total_power_at_se(cfg, pm, se)
 
 

@@ -101,16 +101,16 @@ def ee_or_none(cfg: SystemConfig, pm: PowerModel, gamma: float,
 
 
 def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
-              M: int | None = None, K: int | None = None) -> OptimizationResult:
+              M: int | None = None) -> OptimizationResult:
     """Closed-form EE-optimal antennas per RRH for a target rate gamma.
 
     The continuous optimum balances the per-antenna circuit power against
     the transmit power, offset by the minimum feasible antenna count; the
-    integer answer is the EE-preferred neighbor.  Raises OptimizationError
-    when the antenna power is so small against the transmit power that the
-    balance point lies beyond 2^53 antennas.
+    integer answer is the EE-preferred neighbor.  ``M`` replaces cfg.M.
+    Raises OptimizationError when the antenna power is so small against the
+    transmit power that the balance point lies beyond 2^53 antennas.
     """
-    cfg = override(cfg, M=M, K=K)
+    cfg = override(cfg, M=M)
     design = Design(cfg, pm, gamma)
     n_min = design.n_min  # raises if gamma unachievable
     data_fraction = _finite_power((cfg.T - cfg.tau_u) / (cfg.T * pm.zeta))
@@ -131,9 +131,8 @@ def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
                               x_real=n_real, window=(float(n_min), math.inf))
 
 
-def optimal_n_no_pc(cfg: SystemConfig, pm: PowerModel, gamma: float,
-                    M: int | None = None, K: int | None = None
-                    ) -> OptimizationResult:
+def optimal_n_no_pc(cfg: SystemConfig, pm: PowerModel,
+                    gamma: float) -> OptimizationResult:
     """Contamination-free lower bound on the optimal antenna count.
 
     Evaluates the closed form with orthogonal pilots across all cells
@@ -141,7 +140,7 @@ def optimal_n_no_pc(cfg: SystemConfig, pm: PowerModel, gamma: float,
     reuse factor.
     """
     clean = cfg.replace(psi=cfg.L, pilot_noise_mode="negligible")
-    return optimal_n(clean, pm, gamma, M=M, K=K)
+    return optimal_n(clean, pm, gamma)
 
 
 def _user_count_scalars(cfg: SystemConfig, pm: PowerModel, gamma: float):
@@ -164,15 +163,14 @@ def _user_count_scalars(cfg: SystemConfig, pm: PowerModel, gamma: float):
     return clean, mu1, mu2, slope
 
 
-def z_of_k(cfg: SystemConfig, pm: PowerModel, gamma: float, K: float,
-           n: int | None = None, M: int | None = None) -> float:
+def z_of_k(cfg: SystemConfig, pm: PowerModel, gamma: float, K: float) -> float:
     """Sign function of d(1/EE)/dK on the open feasibility interval.
 
     Negative where EE still grows with the user count, positive beyond the
     optimum.  Defined (and evaluated) under negligible pilot noise, where
     the signal and contamination powers do not depend on K.
     """
-    scalars = _user_count_scalars(override(cfg, n=n, M=M), pm, gamma)
+    scalars = _user_count_scalars(cfg, pm, gamma)
     clean, mu1, _, slope = scalars
     upper = min(clean.T / clean.psi, mu1 / slope)
     if not 0.0 < K < upper:
@@ -188,8 +186,8 @@ def _quartic(pm: PowerModel, gamma: float, K: float, clean: SystemConfig,
             * ((clean.T - K * clean.psi) * K) ** 2)
 
 
-def optimal_k(cfg: SystemConfig, pm: PowerModel, gamma: float,
-              n: int | None = None, M: int | None = None) -> OptimizationResult:
+def optimal_k(cfg: SystemConfig, pm: PowerModel,
+              gamma: float) -> OptimizationResult:
     """EE-optimal user count via bisection of the quartic sign function.
 
     Works in negligible pilot-noise mode (the regime where the quartic
@@ -197,7 +195,7 @@ def optimal_k(cfg: SystemConfig, pm: PowerModel, gamma: float,
     For exact pilot noise, scan ``energy_efficiency`` with
     ``exhaustive_argmax`` instead.
     """
-    scalars = _user_count_scalars(override(cfg, n=n, M=M), pm, gamma)
+    scalars = _user_count_scalars(cfg, pm, gamma)
     clean, mu1, _, slope = scalars
     upper = min(clean.T / clean.psi, mu1 / slope)
     z = lambda K: _quartic(pm, gamma, K, *scalars)  # noqa: E731

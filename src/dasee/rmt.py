@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotic import large_scale_gains
 from .config import SystemConfig
 
 
@@ -97,8 +96,8 @@ def simplified_correlation_set(cfg: SystemConfig,
     needs n = d P and raises ConfigError otherwise.
     """
     # local import, avoids a cycle
-    from .montecarlo import _simulation_gains, steering_matrix
-    gains = _simulation_gains(cfg, large_scale_gains(cfg))
+    from .montecarlo import _link_model, steering_matrix
+    gains = _link_model(cfg).gains
     A = steering_matrix(cfg.n, cfg.P) if steering is None else steering
     projector = A @ A.conj().T
     R = gains[..., None, None] * (cfg.d * projector)

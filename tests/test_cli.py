@@ -345,6 +345,22 @@ def test_tiny_sinr_row_has_a_positive_ee(capsys, flag):
 
 
 @pytest.mark.parametrize("argv", [
+    ["de-curve", "--p-d", "5e-324", "--n-range", "20"],
+    ["de-curve", "--sigma2", "1e300", "--n-range", "20"],
+    ["de-curve", "--beta", "1e-200", "--n-range", "20"],
+    ["mc-validate", "--beta", "1e-150", "--n-range", "10",
+     "--realizations", "5"],
+    ["opt-n", "--gamma", "2", "--beta", "1e-200"],
+])
+def test_zero_sinr_exits_2(capsys, argv):
+    # a SINR (or the signal power S) that rounds to 0 printed a feasible EE
+    # of exactly 0, and opt-n blamed the antenna count (exit 3)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "", (code, out)
+    assert "to 0" in err, err
+
+
+@pytest.mark.parametrize("argv", [
     ["--beta", "1e-300"],
     ["--p-u=1e-300", "--n-range", "10:20:10", "--realizations", "3"],
     ["--beta", "1e-160", "--n-range", "10", "--realizations", "5"],

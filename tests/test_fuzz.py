@@ -53,9 +53,10 @@ _COUNT = st.integers(-1, 9)
 _MODEL_FLAGS = {
     "L": _COUNT, "M": _COUNT, "K": _COUNT, "n": st.integers(-1, 40),
     "psi": _COUNT, "d": st.integers(0, 3), "T": st.sampled_from([0, 20, 196]),
-    "beta": _near(2.24e-8), "alpha1": st.floats(-0.5, 1.5),
-    "alpha2": st.floats(-0.5, 1.5), "iota": _near(2.5), "p-u": _near(0.5),
-    "p-d": _near(1.0), "sigma2": _near(1e-7), "p-d-dbm": _near(30.0),
+    "beta": _anywhere(2.24e-8), "alpha1": st.floats(-0.5, 1.5),
+    "alpha2": st.floats(-0.5, 1.5), "iota": _near(2.5),
+    "p-u": _anywhere(0.5), "p-d": _anywhere(1.0), "sigma2": _anywhere(1e-7),
+    "p-d-dbm": _near(30.0),
     "pilot-noise-mode": st.sampled_from(["exact", "negligible"]),
     "P-FIX": _anywhere(9.0), "P-RRH": _near(0.2), "P-0": _anywhere(0.825),
     "P-BT": _anywhere(0.25e-9), "zeta": st.one_of(st.floats(0.01, 1.5),

@@ -11,7 +11,7 @@ from dasee.asymptotic import (deterministic_sinr, large_scale_gains,
                               operating_point, sinr_breakdown)
 from dasee.config import ConfigError, PowerModel, SystemConfig
 from dasee import montecarlo
-from dasee.montecarlo import (_pilot_model, _simulation_gains, _statistics,
+from dasee.montecarlo import (_link_model, _statistics,
                               empirical_ee, empirical_sinr_rate,
                               empirical_transmit_power, generate_realization,
                               rate_from_sinr, steering_matrix)
@@ -153,9 +153,8 @@ def test_realizations_must_be_positive():
 
 def test_realization_rejects_wrong_steering():
     cfg = SystemConfig(L=2, M=2, K=2, n=8, d=2, psi=1)
-    for gains in (None, large_scale_gains(cfg)):
-        with pytest.raises(ValueError, match="steering"):
-            generate_realization(cfg, steering_matrix(8, 8), seed=0, gains=gains)
+    with pytest.raises(ValueError, match="steering"):
+        generate_realization(cfg, steering_matrix(8, 8), seed=0)
 
 
 def _link_moments(g0, w):
@@ -210,7 +209,7 @@ def test_zero_gain_link_gets_zero_coefficient():
     cfg = SystemConfig(L=2, M=2, K=2, n=8, psi=2, alpha1=0.0,
                        pilot_noise_mode="negligible")
     with np.errstate(divide="raise", invalid="raise"):
-        coeff = _pilot_model(cfg, large_scale_gains(cfg))[3]
+        coeff = _link_model(cfg, large_scale_gains(cfg)).c
         sinr, se = empirical_sinr_rate(cfg, 20, seed=3)
         real = generate_realization(cfg, steering_matrix(cfg.n, cfg.P), seed=3)
     assert coeff[:, 1, 0].tolist() == [0.0, 0.0]
@@ -222,16 +221,15 @@ def test_zero_gain_link_gets_zero_coefficient():
 def _reference_draws(cfg, realizations, seed, gains):
     """(g0, w) of every realization, shape (R, L, M, K, P), assembled term
     by term from two Gaussian draws."""
-    share, copilot, loading, coeff = _pilot_model(cfg, gains)
-    own0 = gains[:, :, 0, :, None] * cfg.d
-    mix = share[:, 0, None, None, None]
+    model = _link_model(cfg, gains)
+    mix = model.shared[:, None, None, None]
     rng = np.random.default_rng(seed)
     shape = (realizations, cfg.L, cfg.M, cfg.K, cfg.P, 2)
     a, b = ((z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
             for z in (rng.standard_normal(shape), rng.standard_normal(shape)))
-    g0 = np.sqrt(own0) * a
-    rest = np.sqrt(copilot[..., None] - mix * own0 + loading) * b
-    return g0, coeff[..., None] * (mix * g0 + rest)
+    g0 = np.sqrt(model.o[..., None]) * a
+    rest = np.sqrt(model.q[..., None]) * b
+    return g0, model.c[..., None] * (mix * g0 + rest)
 
 
 def _reference_statistics(cfg, realizations, seed, gains):
@@ -325,17 +323,14 @@ def reference_batch_means(cfg, realizations, seed, gains):
     """The engine one realization at a time, each statistic added into a
     running sum in realization order: the layout the block engine must
     reproduce bit for bit."""
-    gains = _simulation_gains(cfg, gains)
-    share, copilot, loading, coeff = _pilot_model(cfg, gains)
-    shared = share[:, 0] == 1.0
+    model = _link_model(cfg, gains)
+    shared, own0 = model.shared, model.o
     other = ~shared
     mix = shared[:, None, None]
-    own0 = gains[:, :, 0] * cfg.d
-    rest = copilot - mix * own0 + loading
-    o, q, c = own0[shared], rest[shared], coeff[shared]
+    o, q, c = own0[shared], model.q[shared], model.c[shared]
     co, cx = c * o, c * np.sqrt(o * q)
     c2o, c2x, c2q = c * co, 2.0 * c * cx, c ** 2 * q
-    c2q_other = coeff[other] ** 2 * rest[other]
+    c2q_other = model.c[other] ** 2 * model.q[other]
 
     def realization(r):
         rng = np.random.default_rng(
@@ -503,59 +498,55 @@ PINNED = {
 def test_realization_bytes_are_pinned(cfg, seed):
     A = steering_matrix(cfg.n, cfg.P)
     assert _digests(generate_realization(cfg, A, seed=seed)) == PINNED[cfg, seed]
-    # the default gains and the same gains passed in give the same bytes
-    given = generate_realization(cfg, A, seed=seed, gains=large_scale_gains(cfg))
-    assert _digests(given) == PINNED[cfg, seed]
 
 
-def test_realization_gains_override_bytes_are_pinned():
-    cfg = SystemConfig(L=2, M=2, K=2, n=8, d=2, psi=1)
-    gains = large_scale_gains(cfg) * np.linspace(0.5, 2.0, 16).reshape(2, 2, 2, 2)
-    real = generate_realization(cfg, steering_matrix(8, 4), seed=4, gains=gains)
-    assert _digests(real) == ("7db2a2c83e1cac1d", "95854ab30d8a120f",
-                              "b281aa3f4ababc73")
+@pytest.mark.parametrize("cfg", sorted({cfg for cfg, _ in PINNED}, key=repr))
+def test_cached_link_model_is_the_model_at_its_gains(cfg):
+    # the cached model and one built at the same gains agree byte for byte
+    cached, built = _link_model(cfg), _link_model(cfg, large_scale_gains(cfg))
+    assert cached._fields == built._fields
+    for name, a, b in zip(cached._fields, cached, built):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_realization_owns_its_arrays():
-    # writing into one realization's arrays changes no later draw, and the
-    # cached config-only factors cannot be written at all
+    # writing into one realization's arrays changes no later draw, and no
+    # array of the cached link model can be written at all
     (cfg, seed), pinned = next(iter(PINNED.items()))
     A = steering_matrix(cfg.n, cfg.P)
     real = generate_realization(cfg, A, seed=seed)
     for array in (real.channels, real.pilot_noise, real.estimates):
         array[...] = 7.0
     assert _digests(generate_realization(cfg, A, seed=seed)) == pinned
-    for factor in montecarlo._realization_model(cfg):
-        if isinstance(factor, np.ndarray):
-            with pytest.raises(ValueError, match="read-only"):
-                factor[...] = 0.0
+    model = _link_model(cfg)
+    arrays = [name for name, value in model._asdict().items()
+              if isinstance(value, np.ndarray)]
+    assert arrays == [name for name in model._fields if name != "loading"]
+    for name in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name)[...] = 0.0
 
 
 def test_realization_config_factors_built_once(monkeypatch):
-    calls = {"large_scale_gains": 0, "_pilot_model": 0}
-
-    def counted(name):
-        inner = getattr(montecarlo, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(montecarlo, name, counted(name))
-    montecarlo._realization_model.cache_clear()
+    # the full-space draws and the sampler share one build of the model
+    calls = []
+    inner = montecarlo.large_scale_gains
+    monkeypatch.setattr(montecarlo, "large_scale_gains",
+                        lambda cfg: calls.append(cfg) or inner(cfg))
+    montecarlo._config_link_model.cache_clear()
     cfg = SystemConfig(L=2, M=2, K=2, n=16, d=2, psi=1, p_u=0.75)
     A = steering_matrix(cfg.n, cfg.P)
     for seed in range(100):
         generate_realization(cfg, A, seed=seed)
-    assert calls == {"large_scale_gains": 1, "_pilot_model": 1}
-    montecarlo._realization_model.cache_clear()
+    empirical_sinr_rate(cfg, 20, seed=1)
+    assert calls == [cfg]
+    montecarlo._config_link_model.cache_clear()
 
 
 def test_realization_checks_divisibility_before_steering():
     # n % d is a ConfigError even when the steering matrix is wrong too
     cfg = SystemConfig(L=2, M=2, K=2, n=9, d=2, psi=1)
-    for gains in (None, large_scale_gains(cfg)):
-        with pytest.raises(ConfigError, match="n not divisible by d"):
-            generate_realization(cfg, steering_matrix(9, 3), seed=0, gains=gains)
+    with pytest.raises(ConfigError, match="n not divisible by d"):
+        generate_realization(cfg, steering_matrix(9, 3), seed=0)

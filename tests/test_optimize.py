@@ -357,14 +357,14 @@ def test_optimal_m_skips_m_without_integer_optimum(monkeypatch):
     import dasee.optimize as op
     real = op.optimal_n
 
-    def failing_at_5(cfg, pm, gamma, M=None, K=None):
+    def failing_at_5(cfg, pm, gamma, M=None):
         if M == 5:
             raise OptimizationError("both neighbors of 17.2 are infeasible")
-        return real(cfg, pm, gamma, M=M, K=K)
+        return real(cfg, pm, gamma, M=M)
 
     monkeypatch.setattr(op, "optimal_n", failing_at_5)
     result = optimal_m(CFG, PM, 2.0, K=10, M_max=8)
-    assert (result.M, result.n) == (6, real(CFG, PM, 2.0, M=6, K=10).n)
+    assert (result.M, result.n) == (6, real(CFG.replace(K=10), PM, 2.0, M=6).n)
 
 
 def test_unrepresentable_antenna_optimum_is_unachievable():
