@@ -54,8 +54,8 @@ class CorrelationSet:
         below -delta, delta = tol * max(1, max|R|).  The test is a Cholesky
         factorization of R + delta I, which exists when that eigenvalue is
         above -delta; only where it fails are eigenvalues computed, to decide
-        the boundary and word the error.  The scans run one cell block R[l]
-        at a time.
+        the boundary and word the error.  Each distinct matrix (by exact
+        bytes) is checked once, so a repeated matrix costs one check.
         """
         if self.R.size == 0:
             raise ValueError("empty correlation set")
@@ -65,8 +65,14 @@ class CorrelationSet:
                              f"got {self.R.shape}")
         if self.L % self.psi != 0:
             raise ValueError("L not divisible by psi")
+        fresh, _ = _distinct(self.R)
+
+        def blocks():  # the distinct matrices of each cell block R[l], if any
+            for block, own in zip(self.R, fresh):
+                if own.any():
+                    yield block if own.all() else block[own]
         herm_gap = scale = 0.0
-        for block in self.R:
+        for block in blocks():
             if not np.isfinite(block).all():
                 raise ValueError("correlation matrices have non-finite entries")
             herm_gap = max(herm_gap, np.abs(
@@ -77,14 +83,36 @@ class CorrelationSet:
         delta = tol * max(1.0, scale)
         shift = delta * np.eye(self.n)
         try:
-            for block in self.R:
+            for block in blocks():
                 np.linalg.cholesky(block + shift)
         except np.linalg.LinAlgError:
-            eigmin = np.linalg.eigvalsh(self.R.reshape(-1, self.n, self.n)).min()
+            eigmin = min(np.linalg.eigvalsh(block).min() for block in blocks())
             if eigmin < -delta:
                 raise ValueError(f"correlation matrices not nonnegative-definite "
                                  f"({eigmin:.2e})") from None
         return self
+
+
+def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(fresh, inverse) of the (n, n) matrices of ``stack`` grouped by exact
+    bytes: fresh marks each group's first matrix, inverse maps every matrix
+    (C order) to its group's place among them.  The key is the first row; a
+    matrix unequal to its key's first holder, compared in full one
+    ``stack[b]`` at a time, is a group of its own."""
+    rows = stack[..., 0, :].reshape(-1, stack.shape[-1])
+    seen = {}                     # first row's bytes -> index of its first holder
+    rep = np.array([seen.setdefault(row.tobytes(), i) for i, row in enumerate(rows)])
+    size = len(rep) // len(stack)
+    word = f"i{np.gcd(8, rows[0].nbytes)}"      # compare bytes as integers
+    for b, block in enumerate(stack):
+        span = np.arange(b * size, (b + 1) * size)
+        if (rep[span] != span).any():
+            ref = stack[np.unravel_index(rep[span], stack.shape[:-2])]
+            same = (np.ascontiguousarray(block).reshape(size, -1).view(word)
+                    == ref.reshape(size, -1).view(word)).all(axis=1)
+            rep[span[~same]] = span[~same]
+    fresh = rep == np.arange(len(rep))
+    return fresh.reshape(stack.shape[:-2]), (np.cumsum(fresh) - 1)[rep]
 
 
 def simplified_correlation_set(cfg: SystemConfig,
@@ -99,6 +127,9 @@ def simplified_correlation_set(cfg: SystemConfig,
     from .montecarlo import _link_model, steering_matrix
     gains = _link_model(cfg).gains
     A = steering_matrix(cfg.n, cfg.P) if steering is None else steering
+    if A.shape != (cfg.n, cfg.P):
+        raise ValueError(f"steering matrix shape {A.shape} does not match "
+                         f"(n, P) = ({cfg.n}, {cfg.P})")
     projector = A @ A.conj().T
     R = gains[..., None, None] * (cfg.d * projector)
     return CorrelationSet(R=R, psi=cfg.psi)
@@ -108,14 +139,15 @@ def _estimation_filters(corr: CorrelationSet, p_u: float, tau_u: float,
                         sigma2: float) -> np.ndarray:
     """Q_{lmlk} = (sigma^2/(p_u tau_u) I + sum_{j in group(l)} R_{lmjk})^-1."""
     L, M, _, K, n, _ = corr.R.shape
-    Q = np.empty((L, M, K, n, n), dtype=complex)
+    Q = np.empty((L, M * K, n, n), dtype=complex)
     eye = np.eye(n)
     for l in range(L):
         group = corr.pilot_group(l)
-        # sum over co-pilot cells -> (M, K, n, n)
-        stacked = corr.R[l][:, group].sum(axis=1)
-        Q[l] = np.linalg.inv(sigma2 / (p_u * tau_u) * eye + stacked)
-    return Q
+        # the loading plus the sum over co-pilot cells -> (M, K, n, n)
+        filters = sigma2 / (p_u * tau_u) * eye + corr.R[l][:, group].sum(axis=1)
+        fresh, inverse = _distinct(filters)     # invert each distinct one once
+        Q[l] = np.linalg.inv(filters[fresh])[inverse]
+    return Q.reshape(L, M, K, n, n)
 
 
 def phi_matrix(corr: CorrelationSet, l: int, m: int, k: int, p_u: float,
@@ -153,11 +185,17 @@ def general_deterministic_sinr(corr: CorrelationSet, p_d: float, p_u: float,
     L, M, _, K, n, _ = corr.R.shape
     Q = _estimation_filters(corr, p_u, tau_u, sigma2)
 
-    # Own-link estimate covariances and their aggregates.
+    # Own-link estimate covariances and their aggregates; the same R_l Q_l
+    # gives the co-pilot traces t[l, j] = (1/n) sum_m tr Phi_{lmjk}.
     phi_own = np.empty((L, M, K, n, n), dtype=complex)
+    t = np.zeros((L, L, K), dtype=complex)
     for l in range(L):
         own = corr.R[l, :, l]                      # (M, K, n, n)
-        phi_own[l] = own @ Q[l] @ own
+        RQ = own @ Q[l]
+        phi_own[l] = RQ @ own
+        for j in corr.pilot_group(l):
+            if j != l:
+                t[l, j] = np.einsum("mkaa->k", RQ @ corr.R[l, :, j]) / n
     tr_own = np.einsum("lmkaa->lmk", phi_own).real          # (L, M, K)
     psi_sum = phi_own.sum(axis=2)                           # (L, M, n, n)
     lam_bar = 1.0 / (tr_own.sum(axis=1).mean(axis=1) / n)   # (L,)
@@ -173,11 +211,8 @@ def general_deterministic_sinr(corr: CorrelationSet, p_d: float, p_u: float,
     pc = np.zeros((L, K))
     for j in range(L):
         for l in corr.pilot_group(j):
-            if l == j:
-                continue
-            phi_cross = corr.R[l, :, l] @ Q[l] @ corr.R[l, :, j]  # (M, K, n, n)
-            t = np.einsum("mkaa->k", phi_cross) / n
-            pc[j] += lam_bar[l] * np.abs(t) ** 2
+            if l != j:
+                pc[j] += lam_bar[l] * np.abs(t[l, j]) ** 2
 
     denominator = pc + interference + sigma2 / (p_d * n)
     return numerator / denominator

@@ -1,11 +1,19 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
+from dasee import rmt
 from dasee.asymptotic import deterministic_sinr
 from dasee.config import ConfigError, SystemConfig, derived_scalars
 from dasee.montecarlo import steering_matrix
 from dasee.rmt import (CorrelationSet, general_deterministic_sinr, phi_matrix,
                        simplified_correlation_set)
+
+# the two sets of the rmt cross-check ops in bench/workloads.py
+RMT_CONFIGS = (SystemConfig(L=7, M=5, K=10, n=16),
+               SystemConfig(L=7, M=7, K=14, n=20, d=2, psi=7))
 
 
 def scalar_correlation_set(n=6, c=0.7):
@@ -169,3 +177,116 @@ def test_validation_accepts_rank_deficient_sets():
                                                    psi=7))
     assert np.linalg.eigvalsh(corr.R[0, 0, 0, 0]).min() < 1e-20
     assert corr.validate() is corr
+
+
+def test_correlation_set_rejects_a_misshaped_steering_matrix():
+    # (n, P) = (16, 8): a (16, 4) basis once gave SINR[0, 0] = 1.320 instead
+    # of 2.634, and a (12, 8) one built 12 x 12 matrices for n = 16
+    cfg = SystemConfig(L=2, M=2, K=2, n=16, d=2, psi=1, p_u=1.0)
+    for shape in ((16, 4), (12, 8)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"steering matrix shape {shape} does not match (n, P) = (16, 8)")):
+            simplified_correlation_set(cfg, steering=np.ones(shape, complex))
+    corr = simplified_correlation_set(cfg, steering=steering_matrix(16, 8))
+    sinr = general_deterministic_sinr(corr, cfg.p_d, cfg.p_u, cfg.tau_u,
+                                      cfg.sigma2)
+    assert sinr[0, 0] == pytest.approx(2.634, abs=1e-3)
+
+
+# First 16 hex digits of the sha256 of general_deterministic_sinr's bytes,
+# recorded before validation and the filters skipped repeated matrices.
+PINNED_SINR = {RMT_CONFIGS[0]: "bf97fcbfa7eb9481",
+               RMT_CONFIGS[1]: "67e46afa02f0130d",
+               SystemConfig(L=4, M=2, K=6, n=12, d=3, psi=2, alpha2=0.2):
+                   "ec225e53d2d3b3a4"}
+
+
+@pytest.mark.parametrize("cfg", list(PINNED_SINR))
+def test_general_sinr_bytes_are_pinned(cfg):
+    sinr = general_deterministic_sinr(simplified_correlation_set(cfg), cfg.p_d,
+                                      cfg.p_u, cfg.tau_u, cfg.sigma2)
+    assert hashlib.sha256(sinr.tobytes()).hexdigest()[:16] == PINNED_SINR[cfg]
+
+
+def test_distinct_groups_by_exact_bytes():
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    stack = base[[0, 1, 0, 2, 1, 0, 2, 2]].reshape(2, 4, 4, 4)
+    stack[1, 1, 2, 3] += 1e-9j       # same first row as base[0], one entry off
+    stack[0, 3, 1, 1] = np.nan       # NaN copies with equal bytes group together
+    stack[1, 2] = stack[0, 3]        # and apart from base[2], same first row
+    fresh, inverse = rmt._distinct(stack)
+    assert fresh.shape == (2, 4)
+    assert list(np.flatnonzero(fresh)) == [0, 1, 3, 5, 7]
+    assert stack[fresh][inverse].tobytes() == stack.tobytes()
+    zero = np.zeros((1, 2, 3, 3))
+    zero[0, 1, 2, 2] = -0.0          # equal values, different bytes
+    assert rmt._distinct(zero)[0].all()
+
+
+def _broken_copy(how):
+    """The averaged (7, 5, 10, 16) set with one repeated matrix broken."""
+    R = simplified_correlation_set(RMT_CONFIGS[0]).R.copy()
+    target = R[3, 2, 5, 7]           # a repeat of the cross-cell matrix
+    if how == "nan":
+        target[2, 3] = np.nan
+    elif how == "skew":
+        target[4, 1] += 1e-3
+    else:       # push one eigenvalue of g I to about -2 delta, first row kept
+        delta = 1e-10 * max(1.0, np.abs(R).max())
+        v = np.arange(16) + 1j * np.arange(16, 0, -1)
+        v[0] = 0.0
+        v /= np.linalg.norm(v)
+        g = np.vdot(v, target @ v).real
+        target -= (g + 2.0 * delta) * np.outer(v, v.conj())
+    return CorrelationSet(R=R, psi=1)
+
+
+@pytest.mark.parametrize("how", ["nan", "skew", "rank-one"])
+def test_validation_finds_one_bad_copy_among_repeats(how):
+    corr = _broken_copy(how)
+    R, n = corr.R, corr.n
+    if how == "nan":
+        expected = "correlation matrices have non-finite entries"
+    elif how == "skew":
+        gap = np.abs(R - R.conj().swapaxes(-1, -2)).max()
+        expected = f"correlation matrices not Hermitian ({gap:.2e})"
+    else:
+        eigmin = np.linalg.eigvalsh(R.reshape(-1, n, n)).min()
+        expected = f"correlation matrices not nonnegative-definite ({eigmin:.2e})"
+    with pytest.raises(ValueError) as exc:
+        corr.validate()
+    assert str(exc.value) == expected
+
+
+def _counting(monkeypatch, name):
+    """Count the matrices that rmt hands to np.linalg.<name>."""
+    seen = []
+    real = getattr(rmt.np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        seen.append(a.size // a.shape[-1] ** 2)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(rmt.np.linalg, name, counted)
+    return seen
+
+
+def test_repeated_matrices_are_factored_and_inverted_once(monkeypatch):
+    cfg = RMT_CONFIGS[1]
+    corr = simplified_correlation_set(cfg)
+    rng = np.random.default_rng(0)
+    scale = 1.0 + rng.uniform(0.0, 1e-3, corr.R.shape[:4])
+    perturbed = CorrelationSet(R=corr.R * scale[..., None, None], psi=cfg.psi)
+    factored = _counting(monkeypatch, "cholesky")
+    inverted = _counting(monkeypatch, "inv")
+    assert corr.validate() is corr and sum(factored) == 3
+    factored.clear()
+    assert perturbed.validate() is perturbed and sum(factored) == 4802
+    # psi = L: one filter per (l, m, k); serving and other RRHs differ
+    general_deterministic_sinr(corr, cfg.p_d, cfg.p_u, cfg.tau_u, cfg.sigma2)
+    assert sum(inverted) == cfg.L * 2
+    inverted.clear()
+    general_deterministic_sinr(perturbed, cfg.p_d, cfg.p_u, cfg.tau_u,
+                               cfg.sigma2)
+    assert sum(inverted) == cfg.L * cfg.M * cfg.K
