@@ -9,37 +9,54 @@ correlation set here and comparing is the library's internal cross-check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .config import SystemConfig
 
 
-@dataclass(frozen=True)
 class CorrelationSet:
     """Per-link correlation matrices plus the pilot-sharing structure.
 
-    Parameters
-    ----------
-    R : np.ndarray
-        Complex array of shape (L, M, L, K, n, n); entry [l, m, j, k] is the
-        correlation matrix of the channel between RRH m of cell l and user k
-        of cell j.  Each matrix must be Hermitian nonnegative-definite.
-    psi : int
-        Pilot reuse factor; cells l and j share pilots iff l % psi == j % psi.
+    ``CorrelationSet(R, psi)`` factors R, a complex array of shape (L, M, L,
+    K, n, n) whose entry [l, m, j, k] is the correlation matrix of the
+    channel between RRH m of cell l and user k of cell j, into ``table``
+    (G, n, n), its G distinct matrices (by exact bytes), and ``index`` (L,
+    M, L, K), the place of every link's matrix in the table; a factored set
+    may also be given as ``table=`` and ``index=``.  ``R`` rebuilds the full
+    array on demand.  Cells l and j share pilots iff l % psi == j % psi.
+    Each matrix must be Hermitian nonnegative-definite (see ``validate``).
     """
 
-    R: np.ndarray
-    psi: int
+    def __init__(self, R: np.ndarray | None = None, psi: int | None = None, *,
+                 table: np.ndarray | None = None,
+                 index: np.ndarray | None = None):
+        if R is not None:
+            R = np.asarray(R)
+            if R.size == 0:
+                raise ValueError("empty correlation set")
+            if R.ndim != 6 or R.shape[2] != R.shape[0] or \
+                    R.shape[5] != R.shape[4]:
+                raise ValueError(f"R must have shape (L, M, L, K, n, n), "
+                                 f"got {R.shape}")
+            fresh, inverse = _distinct(R)
+            table, index = R[fresh], inverse.reshape(R.shape[:4])
+        self.table, self.index = np.asarray(table), np.asarray(index)
+        self.psi = psi
+
+    @property
+    def R(self) -> np.ndarray:
+        """The full (L, M, L, K, n, n) array, built anew on each access."""
+        return self.table[self.index]
 
     @property
     def L(self) -> int:
-        return self.R.shape[0]
+        return self.index.shape[0]
 
     @property
     def n(self) -> int:
-        return self.R.shape[4]
+        return self.table.shape[-1]
 
     def pilot_group(self, cell: int) -> np.ndarray:
         """Indices of the cells sharing cell's pilot set (cell included)."""
@@ -47,46 +64,47 @@ class CorrelationSet:
         return cells[cells % self.psi == cell % self.psi]
 
     def validate(self, tol: float = 1e-10) -> "CorrelationSet":
-        """Check that R is nonempty, shaped, finite, Hermitian (to ``tol``)
-        and nonnegative-definite; raise ValueError, else return self.
+        """Check that psi is a positive integer dividing L and that every
+        matrix is finite, Hermitian (to ``tol``) and nonnegative-definite;
+        raise ValueError, else return self.
 
         A matrix passes the last check when its least eigenvalue is not
         below -delta, delta = tol * max(1, max|R|).  The test is a Cholesky
         factorization of R + delta I, which exists when that eigenvalue is
         above -delta; only where it fails are eigenvalues computed, to decide
-        the boundary and word the error.  Each distinct matrix (by exact
-        bytes) is checked once, so a repeated matrix costs one check.
+        the boundary and word the error.  The checks run on the table, so a
+        repeated matrix costs one check, in chunks of about 1 MB.
         """
-        if self.R.size == 0:
-            raise ValueError("empty correlation set")
-        if self.R.ndim != 6 or self.R.shape[2] != self.L or \
-                self.R.shape[5] != self.n:
-            raise ValueError(f"R must have shape (L, M, L, K, n, n), "
-                             f"got {self.R.shape}")
+        table, index = self.table, self.index
+        shaped = (table.ndim == 3 and table.size > 0
+                  and table.shape[1] == table.shape[2] and index.ndim == 4
+                  and index.size > 0 and index.shape[2] == index.shape[0]
+                  and np.issubdtype(index.dtype, np.integer))
+        if not (shaped and 0 <= index.min() and index.max() < len(table)):
+            raise ValueError(f"table must be (G, n, n) and index (L, M, L, K) "
+                             f"into it, got {table.shape} and {index.shape}")
+        if not isinstance(self.psi, (int, np.integer)) or self.psi < 1:
+            raise ValueError(f"psi must be a positive integer, got {self.psi!r}")
         if self.L % self.psi != 0:
             raise ValueError("L not divisible by psi")
-        fresh, _ = _distinct(self.R)
-
-        def blocks():  # the distinct matrices of each cell block R[l], if any
-            for block, own in zip(self.R, fresh):
-                if own.any():
-                    yield block if own.all() else block[own]
+        step = max(1, 2 ** 16 // self.n ** 2)
+        chunks = [table[i:i + step] for i in range(0, len(table), step)]
         herm_gap = scale = 0.0
-        for block in blocks():
-            if not np.isfinite(block).all():
+        for chunk in chunks:
+            if not np.isfinite(chunk).all():
                 raise ValueError("correlation matrices have non-finite entries")
             herm_gap = max(herm_gap, np.abs(
-                block - block.conj().swapaxes(-1, -2)).max())
-            scale = max(scale, np.abs(block).max())
+                chunk - chunk.conj().swapaxes(-1, -2)).max())
+            scale = max(scale, np.abs(chunk).max())
         if herm_gap > tol:
             raise ValueError(f"correlation matrices not Hermitian ({herm_gap:.2e})")
         delta = tol * max(1.0, scale)
         shift = delta * np.eye(self.n)
         try:
-            for block in blocks():
-                np.linalg.cholesky(block + shift)
+            for chunk in chunks:
+                np.linalg.cholesky(chunk + shift)
         except np.linalg.LinAlgError:
-            eigmin = min(np.linalg.eigvalsh(block).min() for block in blocks())
+            eigmin = np.linalg.eigvalsh(table).min()
             if eigmin < -delta:
                 raise ValueError(f"correlation matrices not nonnegative-definite "
                                  f"({eigmin:.2e})") from None
@@ -121,7 +139,8 @@ def simplified_correlation_set(cfg: SystemConfig,
 
     R_{lmjk} = beta_{lmjk} * (n/P) * A A^H with A = ``steering``, an (n, P)
     array (default ``steering_matrix(n, P)``).  Like the simulation, it
-    needs n = d P and raises ConfigError otherwise.
+    needs n = d P and raises ConfigError otherwise.  The table holds one
+    matrix per distinct gain (by exact bytes).
     """
     # local import, avoids a cycle
     from .montecarlo import _link_model, steering_matrix
@@ -130,24 +149,28 @@ def simplified_correlation_set(cfg: SystemConfig,
     if A.shape != (cfg.n, cfg.P):
         raise ValueError(f"steering matrix shape {A.shape} does not match "
                          f"(n, P) = ({cfg.n}, {cfg.P})")
-    projector = A @ A.conj().T
-    R = gains[..., None, None] * (cfg.d * projector)
-    return CorrelationSet(R=R, psi=cfg.psi)
+    words, index = np.unique(gains.view(np.int64), return_inverse=True)
+    table = words.view(gains.dtype)[:, None, None] * (cfg.d * (A @ A.conj().T))
+    return CorrelationSet(psi=cfg.psi, table=table,
+                          index=index.reshape(gains.shape))
 
 
-def _estimation_filters(corr: CorrelationSet, p_u: float, tau_u: float,
-                        sigma2: float) -> np.ndarray:
-    """Q_{lmlk} = (sigma^2/(p_u tau_u) I + sum_{j in group(l)} R_{lmjk})^-1."""
-    L, M, _, K, n, _ = corr.R.shape
-    Q = np.empty((L, M * K, n, n), dtype=complex)
-    eye = np.eye(n)
-    for l in range(L):
-        group = corr.pilot_group(l)
-        # the loading plus the sum over co-pilot cells -> (M, K, n, n)
-        filters = sigma2 / (p_u * tau_u) * eye + corr.R[l][:, group].sum(axis=1)
-        fresh, inverse = _distinct(filters)     # invert each distinct one once
-        Q[l] = np.linalg.inv(filters[fresh])[inverse]
-    return Q.reshape(L, M, K, n, n)
+def _check_scalars(**scalars: float) -> None:
+    for name, value in scalars.items():
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _estimation_filters(corr: CorrelationSet, l: int, p_u: float, tau_u: float,
+                        sigma2: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, key) of cell l: Q (F, n, n) its distinct MMSE filters
+    (sigma^2/(p_u tau_u) I + sum_{j in group(l)} R_{lmjk})^-1, one per
+    distinct co-pilot index tuple, and key (M, K) the filter of each (m, k)."""
+    copilot = corr.index[l][:, corr.pilot_group(l)]          # (M, |group|, K)
+    tuples, key = np.unique(copilot.swapaxes(1, 2).reshape(-1, copilot.shape[1]),
+                            axis=0, return_inverse=True)
+    filters = sigma2 / (p_u * tau_u) * np.eye(corr.n) + corr.table[tuples].sum(axis=1)
+    return np.linalg.inv(filters), key.reshape(copilot.shape[0], -1)
 
 
 def phi_matrix(corr: CorrelationSet, l: int, m: int, k: int, p_u: float,
@@ -159,16 +182,22 @@ def phi_matrix(corr: CorrelationSet, l: int, m: int, k: int, p_u: float,
     Phi_{lmjk} = R_{lmlk} Q_{lmlk} R_{lmjk} couples the contaminated
     estimate to the co-pilot user's channel.
     """
+    corr.validate()
+    _check_scalars(p_u=p_u, tau_u=tau_u, sigma2=sigma2)
     if j is None:
         j = l
+    L, M, _, K = corr.index.shape
+    for name, value, size in (("l", l, L), ("m", m, M), ("k", k, K), ("j", j, L)):
+        if not (isinstance(value, (int, np.integer)) and 0 <= value < size):
+            raise ValueError(f"{name} must be an index in range({size}), "
+                             f"got {value!r}")
     group = corr.pilot_group(l)
     if j not in group:
         raise ValueError(f"cell {j} does not share pilots with cell {l}")
-    n = corr.n
-    eye = np.eye(n)
-    summed = corr.R[l, m, group, k].sum(axis=0)
-    Q = np.linalg.inv(sigma2 / (p_u * tau_u) * eye + summed)
-    return corr.R[l, m, l, k] @ Q @ corr.R[l, m, j, k]
+    table, links = corr.table, corr.index[l, m, :, k]
+    summed = table[links[group]].sum(axis=0)
+    Q = np.linalg.inv(sigma2 / (p_u * tau_u) * np.eye(corr.n) + summed)
+    return table[links[l]] @ Q @ table[links[j]]
 
 
 def general_deterministic_sinr(corr: CorrelationSet, p_d: float, p_u: float,
@@ -182,37 +211,48 @@ def general_deterministic_sinr(corr: CorrelationSet, p_d: float, p_u: float,
     noise sigma^2/(p_d n).
     """
     corr.validate()
-    L, M, _, K, n, _ = corr.R.shape
-    Q = _estimation_filters(corr, p_u, tau_u, sigma2)
-
-    # Own-link estimate covariances and their aggregates; the same R_l Q_l
-    # gives the co-pilot traces t[l, j] = (1/n) sum_m tr Phi_{lmjk}.
-    phi_own = np.empty((L, M, K, n, n), dtype=complex)
-    t = np.zeros((L, L, K), dtype=complex)
+    _check_scalars(p_d=p_d, p_u=p_u, tau_u=tau_u, sigma2=sigma2)
+    table, index = corr.table, corr.index
+    L, M, _, K = index.shape
+    n = corr.n
+    tr_own = np.empty((L, M, K))
+    t = np.zeros((L, L, K), dtype=complex)   # t[l, j] = (1/n) sum_m tr Phi_{lmjk}
+    cross = np.empty((L, L, K))              # sum_m tr(R_{lmjk} Psi_lm)
     for l in range(L):
-        own = corr.R[l, :, l]                      # (M, K, n, n)
-        RQ = own @ Q[l]
-        phi_own[l] = RQ @ own
-        for j in corr.pilot_group(l):
-            if j != l:
-                t[l, j] = np.einsum("mkaa->k", RQ @ corr.R[l, :, j]) / n
-    tr_own = np.einsum("lmkaa->lmk", phi_own).real          # (L, M, K)
-    psi_sum = phi_own.sum(axis=2)                           # (L, M, n, n)
+        Q, key = _estimation_filters(corr, l, p_u, tau_u, sigma2)
+        # Own-link estimate covariances, once per distinct (own, filter) pair
+        pairs, pair = np.unique(np.stack([index[l, :, l], key], axis=-1)
+                                .reshape(-1, 2), axis=0, return_inverse=True)
+        pair = pair.reshape(M, K)
+        own = table[pairs[:, 0]]
+        RQ = own @ Q[pairs[:, 1]]
+        phi = RQ @ own
+        tr_own[l] = np.einsum("gaa->g", phi).real[pair]
+        psi_sum = phi[pair].sum(axis=1)                     # (M, n, n)
+        group = corr.pilot_group(l)
+        # Blocks of cell l's row with equal link indices give equal terms.
+        terms = {}
+        for j in range(L):
+            links = index[l, :, j]
+            block = (links.tobytes(), j != l and j in group)
+            if block not in terms:
+                R_lj = table[links]                          # (M, K, n, n)
+                terms[block] = (np.einsum("mkab,mba->k", R_lj, psi_sum).real,
+                                np.einsum("mkaa->k", RQ[pair] @ R_lj) / n
+                                if block[1] else 0.0)
+                del R_lj                 # one (M, K, n, n) block alive at a time
+            cross[l, j], t[l, j] = terms[block]
     lam_bar = 1.0 / (tr_own.sum(axis=1).mean(axis=1) / n)   # (L,)
 
     signal_trace = tr_own.sum(axis=1) / n                   # (L, K): user of cell l
     numerator = lam_bar[:, None] * signal_trace ** 2        # (L, K)
 
     # Trace-product interference: (1/n^2) sum_{l,m} lam_l tr(R_{lmjk} Psi_lm).
-    cross = np.einsum("lmjkab,lmba->ljk", corr.R, psi_sum).real
     interference = np.einsum("l,ljk->jk", lam_bar, cross) / n ** 2
 
-    # Coherent pilot-contamination terms from co-pilot cells l != j.
-    pc = np.zeros((L, K))
-    for j in range(L):
-        for l in corr.pilot_group(j):
-            if l != j:
-                pc[j] += lam_bar[l] * np.abs(t[l, j]) ** 2
+    # Coherent pilot-contamination terms from co-pilot cells l != j (t is 0
+    # elsewhere).
+    pc = (lam_bar[:, None, None] * np.abs(t) ** 2).sum(axis=0)
 
     denominator = pc + interference + sigma2 / (p_d * n)
     return numerator / denominator

@@ -1,11 +1,12 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dasee import rmt
-from dasee.asymptotic import deterministic_sinr
+from dasee.asymptotic import deterministic_sinr, large_scale_gains
 from dasee.config import ConfigError, SystemConfig, derived_scalars
 from dasee.montecarlo import steering_matrix
 from dasee.rmt import (CorrelationSet, general_deterministic_sinr, phi_matrix,
@@ -290,3 +291,88 @@ def test_repeated_matrices_are_factored_and_inverted_once(monkeypatch):
     general_deterministic_sinr(perturbed, cfg.p_d, cfg.p_u, cfg.tau_u,
                                cfg.sigma2)
     assert sum(inverted) == cfg.L * cfg.M * cfg.K
+
+
+@pytest.mark.parametrize("psi", [0, -1, 1.0, None])
+def test_validation_rejects_a_psi_that_is_not_a_positive_integer(psi):
+    # psi = 0 once raised ZeroDivisionError and psi = -1 passed as full reuse
+    R = simplified_correlation_set(SystemConfig(L=2, M=2, K=2, n=6, psi=1)).R
+    corr = CorrelationSet(R=R, psi=psi)
+    message = f"psi must be a positive integer, got {psi!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        corr.validate()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        general_deterministic_sinr(corr, 1.0, 1.0, 1.0, 1.0)
+
+
+def test_validation_rejects_an_index_outside_the_table():
+    corr = simplified_correlation_set(SystemConfig(L=2, M=2, K=2, n=6, psi=1))
+    for index in (corr.index - 1, corr.index + 3, corr.index[0], corr.index * 0.5):
+        with pytest.raises(ValueError, match=r"table must be \(G, n, n\)"):
+            CorrelationSet(psi=1, table=corr.table, index=index).validate()
+    with pytest.raises(ValueError, match=r"table must be \(G, n, n\)"):
+        CorrelationSet(psi=1, table=corr.table[:0], index=corr.index).validate()
+
+
+@pytest.mark.parametrize("name", ["p_d", "p_u", "tau_u", "sigma2"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_scalar_arguments_must_be_finite_and_positive(name, value):
+    # p_u = 0 once raised ZeroDivisionError
+    cfg = SystemConfig(L=2, M=2, K=2, n=6, psi=1)
+    corr = simplified_correlation_set(cfg)
+    scalars = dict(p_d=cfg.p_d, p_u=cfg.p_u, tau_u=cfg.tau_u, sigma2=cfg.sigma2)
+    scalars[name] = value
+    message = re.escape(f"{name} must be finite and positive, got {value!r}")
+    with pytest.raises(ValueError, match=message):
+        general_deterministic_sinr(corr, **scalars)
+    if name != "p_d":
+        del scalars["p_d"]
+        with pytest.raises(ValueError, match=message):
+            phi_matrix(corr, 0, 0, 0, **scalars)
+
+
+@pytest.mark.parametrize("name, args", [
+    ("l", (5, 0, 0)), ("l", (-1, 0, 0)), ("m", (0, 2, 0)), ("k", (0, 0, 3)),
+    ("k", (0, 0, 1.0)), ("j", (0, 0, 0, 2)),
+])
+def test_phi_rejects_an_index_out_of_range(name, args):
+    # cell 5 of a 2-cell set once read "cell 5 does not share pilots with cell 5"
+    cfg = SystemConfig(L=2, M=2, K=3, n=6, psi=1)
+    corr = simplified_correlation_set(cfg)
+    l, m, k, *j = args
+    size = {"l": 2, "m": 2, "k": 3, "j": 2}[name]
+    value = dict(zip("lmkj", args))[name]
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} must be an index in range({size}), got {value!r}")):
+        phi_matrix(corr, l, m, k, cfg.p_u, cfg.tau_u, cfg.sigma2, *j)
+
+
+@pytest.mark.parametrize("cfg", list(PINNED_SINR))
+def test_factored_set_stores_each_distinct_matrix_once(cfg):
+    corr = simplified_correlation_set(cfg)
+    gains = large_scale_gains(cfg)
+    A = steering_matrix(cfg.n, cfg.P)
+    full = gains[..., None, None] * (cfg.d * (A @ A.conj().T))
+    assert corr.R.tobytes() == full.tobytes()
+    assert len(corr.table) == len(np.unique(gains)) == 3
+    assert corr.index.shape == gains.shape
+    # the general constructor factors the full array into the same set
+    general = CorrelationSet(R=full, psi=cfg.psi)
+    assert general.R.tobytes() == full.tobytes()
+    args = (cfg.p_d, cfg.p_u, cfg.tau_u, cfg.sigma2)
+    assert (general_deterministic_sinr(general, *args).tobytes()
+            == general_deterministic_sinr(corr, *args).tobytes())
+
+
+def test_factored_cross_check_never_forms_the_full_array():
+    # the (7, 7, 7, 14, 20, 20) array alone is 30.7 MB; building it and the
+    # dense per-link products once peaked at 40.8 MB
+    cfg = RMT_CONFIGS[1]
+    tracemalloc.start()
+    try:
+        corr = simplified_correlation_set(cfg)
+        general_deterministic_sinr(corr, cfg.p_d, cfg.p_u, cfg.tau_u, cfg.sigma2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
