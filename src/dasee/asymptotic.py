@@ -8,21 +8,68 @@ transmit power needed for a target per-user rate, the total consumed power,
 and the energy efficiency are all elementary scalar expressions.  n enters
 them only through +, -, * and /, so one ``Design`` evaluates every n of a
 sweep from one breakdown and gives the same bits as a configuration per n.
+The RRH count M enters through the same operations and Python's float
+power, so a ``Design`` over ``Lanes`` (an array of RRH counts) evaluates
+every M at once, with the bits of a configuration per M.
 """
 from __future__ import annotations
 
 import math
+import operator
+from functools import partialmethod
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import (ConfigError, PowerModel, SystemConfig, _require_count,
-                     derived_scalars, override)
+from .config import (ConfigError, PowerModel, SystemConfig, _pow,
+                     _require_count, derived_scalars, override)
 
 
 # From 2**53 on, not every integer is a double: floor/ceil of an antenna
 # count that large no longer name its integer neighbors.
 MAX_ANTENNAS = 2.0 ** 53
+
+
+# Lanes.fail: the kind of the first error a lane's scalar evaluation raises.
+CONFIG, INFEASIBLE = 1, 2
+
+
+# How a scalar evaluation computes and checks (``Lanes`` is the array one):
+# Python's float power, math.isfinite and math.sqrt, and a check
+# ``config_error(ok)`` / ``infeasible(ok)`` returns whether ``ok`` fails,
+# so that the caller raises.
+SCALAR = SimpleNamespace(pow=operator.pow, finite=math.isfinite,
+                         sqrt=math.sqrt, config_error=operator.not_,
+                         infeasible=operator.not_)
+
+
+class Lanes:
+    """RRH counts ``M`` (an int64 array) evaluated at once, one lane each.
+
+    The same expressions as a scalar evaluation (``SCALAR``), over arrays:
+    ``pow`` is still Python's, lane by lane, and a check raises nothing.
+    It marks instead, in ``fail``, the lanes still at 0 that fail it:
+    CONFIG where the scalar evaluation at that M raises a ConfigError,
+    INFEASIBLE where it raises an InfeasibleError.  A failed lane's values
+    are meaningless.
+    """
+
+    pow = staticmethod(_pow)
+    finite = staticmethod(np.isfinite)
+    sqrt = staticmethod(np.sqrt)
+
+    def __init__(self, M: np.ndarray):
+        self.M = M
+        self.fail = np.zeros(M.shape, np.int8)
+
+    def _mark(self, ok, kind: int) -> bool:
+        if not np.all(ok):
+            self.fail[np.logical_not(ok) & (self.fail == 0)] = kind
+        return False
+
+    config_error = partialmethod(_mark, kind=CONFIG)
+    infeasible = partialmethod(_mark, kind=INFEASIBLE)
 
 
 class InfeasibleError(ValueError):
@@ -87,29 +134,34 @@ def large_scale_gains(cfg: SystemConfig) -> np.ndarray:
     return gains
 
 
-def sinr_breakdown(cfg: SystemConfig) -> SinrBreakdown:
+def sinr_breakdown(cfg: SystemConfig,
+                   lanes: Lanes | None = None) -> SinrBreakdown:
     """Signal, pilot-contamination, and scaled multi-user powers.
 
     Raises ConfigError when beta and iota take a term beyond the double range
     (M^iota, beta^2 or, in negligible mode, 1/beta^2 overflows) or S to 0.
+    With ``lanes`` the terms are arrays over the RRH counts lanes.M, which
+    replace cfg.M, and a count where the scalar raises is marked CONFIG.
     """
+    ev, M = (SCALAR, cfg.M) if lanes is None else (lanes, lanes.M)
     try:
-        sc = derived_scalars(cfg)
-        M, alpha1, nu1, nu2 = cfg.M, cfg.alpha1, sc.nu1, sc.nu2
-        m_half = M ** (cfg.iota / 2.0)
+        sc = derived_scalars(cfg, M)
+        alpha1, nu1, nu2 = cfg.alpha1, sc.nu1, sc.nu2
+        m_half = ev.pow(M, cfg.iota / 2.0)
         beta2 = cfg.beta ** 2
-        coherent = M ** cfg.iota * nu1 + (M - 1) * alpha1 ** 2 * nu2
+        coherent = ev.pow(M, cfg.iota) * nu1 + (M - 1) * alpha1 ** 2 * nu2
         signal = beta2 * coherent
         pc = (beta2 * cfg.alpha2 * (sc.L_bar1 - m_half)
-              * (m_half * nu1 + (M - 1) * alpha1 * nu2) ** 2 / coherent)
+              * ev.pow(m_half * nu1 + (M - 1) * alpha1 * nu2, 2) / coherent)
         # In negligible mode a subnormal beta overflows nu1 to inf without
-        # raising, and beta^2 * inf is NaN.
-        if not (math.isfinite(signal) and math.isfinite(pc)):
+        # raising, and beta^2 * inf is NaN.  Over lanes a power that
+        # overflows is inf and takes signal or pc beyond the range too.
+        if ev.config_error(ev.finite(signal) & ev.finite(pc)):
             raise OverflowError
     except OverflowError:
         raise ConfigError("beta and iota take the SINR terms beyond the "
                           "double range") from None
-    if not signal > 0.0:
+    if ev.config_error(signal > 0.0):
         raise ConfigError("beta, p_u and sigma2 take the signal power S to 0")
     mu_scaled = cfg.beta * cfg.d * cfg.K * sc.xi
     return SinrBreakdown(signal, pc, mu_scaled)
@@ -126,20 +178,23 @@ def _sinr(cfg: SystemConfig, brk: SinrBreakdown, n: int, p_d: float) -> float:
     return brk.S / (cfg.sigma2 / (p_d * n) + brk.I_PC + brk.I_MU_scaled / n)
 
 
-def rate_margin(brk: SinrBreakdown, gamma: float) -> float:
-    """S/(2^gamma - 1) - I_PC > 0, or ConfigError / RateUnachievableError."""
-    if not (math.isfinite(gamma) and gamma > 0.0):
+def rate_margin(brk: SinrBreakdown, gamma: float,
+                lanes: Lanes | None = None) -> float:
+    """S/(2^gamma - 1) - I_PC > 0, or ConfigError / RateUnachievableError
+    (marked in ``lanes`` for a breakdown over lanes)."""
+    ev = lanes or SCALAR
+    if ev.config_error(math.isfinite(gamma) and gamma > 0.0):
         raise ConfigError(f"gamma must be finite and positive, got {gamma!r}")
     # 2**gamma overflows a double from gamma = 1024 on; S/inf is then 0.
     if gamma >= 1024.0:
         margin = 0.0 - brk.I_PC
     else:
         target = 2.0 ** gamma - 1.0
-        if target == 0.0:   # gamma below about 1.6e-16
+        if ev.config_error(target != 0.0):   # gamma below about 1.6e-16
             raise ConfigError(f"gamma {gamma!r} is too small: 2**gamma - 1 "
                               f"rounds to 0")
         margin = brk.S / target - brk.I_PC
-    if margin <= 0.0:
+    if ev.infeasible(margin > 0.0):
         raise RateUnachievableError(gamma, _rate_ceiling(brk))
     return margin
 
@@ -158,40 +213,48 @@ def min_antennas(cfg: SystemConfig, brk: SinrBreakdown, gamma: float) -> int:
     return _min_antennas(brk, gamma, rate_margin(brk, gamma))
 
 
-def _min_antennas(brk: SinrBreakdown, gamma: float, margin: float) -> int:
+def _min_antennas(brk: SinrBreakdown, gamma: float, margin: float,
+                  lanes: Lanes | None = None) -> int:
     n_real = brk.I_MU_scaled / margin
-    if not n_real < MAX_ANTENNAS:
+    if (lanes or SCALAR).infeasible(n_real < MAX_ANTENNAS):
         raise RateUnachievableError(gamma, _rate_ceiling(brk))
-    return math.floor(n_real) + 1
+    return math.floor(n_real) + 1 if lanes is None else np.floor(n_real) + 1
 
 
 def total_power_at_se(cfg: SystemConfig, pm: PowerModel, se: float,
                       n: int | None = None, p_d: float | None = None) -> float:
     """Cell power draw at spectral efficiency ``se`` (bits/s/Hz)."""
-    return _total_power(cfg, pm, cfg.n if n is None else n,
+    return _total_power(cfg, pm, cfg.M, cfg.n if n is None else n,
                         cfg.p_d if p_d is None else p_d,
-                        _backhaul(cfg, pm, se))
+                        _backhaul(cfg, pm, cfg.M, se))
 
 
-def _backhaul(cfg: SystemConfig, pm: PowerModel, se: float) -> float:
-    return cfg.M * (pm.P_0 + pm.P_BT * cfg.B * se)
+def _backhaul(cfg: SystemConfig, pm: PowerModel, M, se: float) -> float:
+    return M * (pm.P_0 + pm.P_BT * cfg.B * se)
 
 
-def _total_power(cfg: SystemConfig, pm: PowerModel, n: int, p_d: float,
-                 backhaul: float) -> float:
+def _total_power(cfg: SystemConfig, pm: PowerModel, M, n: int, p_d: float,
+                 backhaul: float, lanes: Lanes | None = None) -> float:
     """Cell power draw in W, ConfigError where it is not finite; the backhaul
-    (the one term without n or p_d) comes last, so it can be computed once."""
-    return _finite_power(pm.P_FIX + n * cfg.M * pm.P_RRH
+    (the one term without n or p_d) comes last, so it can be computed once.
+    Over lanes, one whose p_d is NaN (not evaluated) is not checked."""
+    return _finite_power(pm.P_FIX + n * M * pm.P_RRH
                          + (cfg.T - cfg.tau_u) / cfg.T * (p_d / pm.zeta) * cfg.K
-                         + backhaul)
+                         + backhaul, lanes, lanes is not None and np.isnan(p_d))
 
 
-def _finite_power(value: float) -> float:
-    """``value``, a power term; ConfigError (the power rule) if not finite."""
-    if not math.isfinite(value):
-        raise ConfigError("the power model (P_FIX, P_RRH, zeta, P_0, P_BT) "
-                          "takes the total power beyond the double range")
-    return value
+def _finite_power(value: float, lanes: Lanes | None = None,
+                  skip=False) -> float:
+    """``value``, a power term; ConfigError (the power rule) if not finite.
+    Over lanes the lanes where it is not finite are marked, but not those
+    where ``skip``."""
+    if lanes is None:
+        if math.isfinite(value):
+            return value
+    elif not lanes.config_error(lanes.finite(value) | skip):
+        return value
+    raise ConfigError("the power model (P_FIX, P_RRH, zeta, P_0, P_BT) "
+                      "takes the total power beyond the double range")
 
 
 def rate_from_sinr(cfg: SystemConfig, sinr) -> float:
@@ -218,30 +281,38 @@ class Design:
     raises ConfigError / RateUnachievableError here.  Per n (a positive
     int, not checked) each method returns None where n is too few for
     gamma; a non-finite total power or a zero SINR raises ConfigError.
+
+    With ``lanes`` every RRH count of lanes.M replaces cfg.M: the terms are
+    arrays, n may be an array of floats too (NaN: a lane not evaluated), a
+    missing point is NaN instead of None, and the errors are marked in
+    lanes.fail instead of raised.
     """
 
     margin = se = backhaul = None   # at fixed p_d (se and backhaul per n)
 
     def __init__(self, cfg: SystemConfig, pm: PowerModel,
-                 gamma: float | None = None):
-        self.cfg, self.pm, self.gamma = cfg, pm, gamma
-        self.brk = sinr_breakdown(cfg)
+                 gamma: float | None = None, lanes: Lanes | None = None):
+        self.cfg, self.pm, self.gamma, self.lanes = cfg, pm, gamma, lanes
+        self.M = cfg.M if lanes is None else lanes.M
+        self.brk = sinr_breakdown(cfg, lanes)
         if gamma is not None:
-            self.margin = rate_margin(self.brk, gamma)
+            self.margin = rate_margin(self.brk, gamma, lanes)
             self.se = (cfg.T - cfg.tau_u) / cfg.T * cfg.K * gamma
-            self.backhaul = _backhaul(cfg, pm, self.se)
+            self.backhaul = _backhaul(cfg, pm, self.M, self.se)
 
     @property
     def n_min(self) -> int:
         """Smallest feasible n, as ``min_antennas`` (1 at fixed p_d)."""
-        return (1 if self.gamma is None
-                else _min_antennas(self.brk, self.gamma, self.margin))
+        return (1 if self.gamma is None else
+                _min_antennas(self.brk, self.gamma, self.margin, self.lanes))
 
     def transmit_power(self, n: int) -> float | None:
         """The p_d that realizes gamma with n antennas per RRH."""
         if self.gamma is None:
             return self.cfg.p_d
         denom = n * self.margin - self.brk.I_MU_scaled
+        if self.lanes is not None:
+            return np.where(denom > 0.0, self.cfg.sigma2 / denom, np.nan)
         return self.cfg.sigma2 / denom if denom > 0.0 else None
 
     def point(self, n: int) -> OperatingPoint | None:
@@ -251,11 +322,13 @@ class Design:
         se, backhaul = self.se, self.backhaul
         if se is None:   # at fixed p_d the rate depends on n
             sinr = _sinr(cfg, self.brk, n, p_d)
-            if not sinr > 0.0:
+            if (self.lanes or SCALAR).config_error(sinr > 0.0):
                 raise ConfigError("p_d, sigma2 and beta take the SINR to 0")
-            se = rate_from_sinr(cfg, [sinr] * cfg.K)
-            backhaul = _backhaul(cfg, pm, se)
-        p_total = _total_power(cfg, pm, n, p_d, backhaul)
+            se = (rate_from_sinr(cfg, [sinr] * cfg.K) if self.lanes is None
+                  else np.array([rate_from_sinr(cfg, [lane] * cfg.K)
+                                 for lane in sinr.tolist()]))
+            backhaul = _backhaul(cfg, pm, self.M, se)
+        p_total = _total_power(cfg, pm, self.M, n, p_d, backhaul, self.lanes)
         return OperatingPoint(cfg.B * se / p_total, p_d, p_total)
 
     def ee(self, n: int) -> float | None:

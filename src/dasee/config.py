@@ -11,9 +11,12 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
+
+import numpy as np
 
 PILOT_NOISE_MODES = ("exact", "negligible")
 
@@ -216,8 +219,31 @@ def _rules_reading(cls, names: frozenset) -> tuple:
                  if not names.isdisjoint(fields))
 
 
-def derived_scalars(cfg: SystemConfig) -> DerivedScalars:
+def _pow(base, exponent):
+    """``base ** exponent`` by Python's float power, also over an array of
+    bases (numpy's power differs from it in the last bit for some), where
+    a power beyond the double range is inf instead of an OverflowError.
+    math.pow and ``**`` both return the C library's pow."""
+    if not isinstance(base, np.ndarray):
+        return base ** exponent
+    values = base.tolist()
+    try:
+        return np.array(list(map(math.pow, values, repeat(exponent))))
+    except OverflowError:
+        powers = []
+        for value in values:
+            try:
+                powers.append(value ** exponent)
+            except OverflowError:
+                powers.append(math.inf)
+        return np.array(powers)
+
+
+def derived_scalars(cfg: SystemConfig, M=None) -> DerivedScalars:
     """Aggregate scalars of the averaged interference model.
+
+    ``M`` replaces cfg.M; an array of RRH counts makes L_bar1, nu1 and xi
+    arrays that hold, per count, the bits of the scalar evaluation.
 
     In ``negligible`` pilot-noise mode the noise term is dropped from the
     estimation-quality factors, which then reduce to 1/(L_bar * beta).
@@ -225,8 +251,9 @@ def derived_scalars(cfg: SystemConfig) -> DerivedScalars:
     the SINR multiplied by alpha1, so those terms are 0 as in exact mode.
     So does an L_bar2 * beta too small for its inverse to be a double.
     """
-    M, L, alpha1, alpha2, beta = cfg.M, cfg.L, cfg.alpha1, cfg.alpha2, cfg.beta
-    m_half = M ** (cfg.iota / 2.0)
+    M = cfg.M if M is None else M
+    L, alpha1, alpha2, beta = cfg.L, cfg.alpha1, cfg.alpha2, cfg.beta
+    m_half = _pow(M, cfg.iota / 2.0)
     copilot = alpha2 * (L / cfg.psi - 1.0)
     l_bar1 = m_half + copilot
     l_bar2 = alpha1 + copilot

@@ -12,16 +12,16 @@ import math
 from . import montecarlo
 from .asymptotic import Design, InfeasibleError, operating_point
 from .config import PowerModel, SystemConfig
-from .optimize import ee_or_none, optimal_n
+from .optimize import ee_or_none, optimal_n, scan_m
 
 GAMMA_DEFAULT = 2.0
 N_SWEEP = tuple(range(2, 61))
 
 
-def _optimum(cfg: SystemConfig, pm: PowerModel, gamma: float, M=None):
+def _optimum(cfg: SystemConfig, pm: PowerModel, gamma: float):
     """(n*, EE) of ``optimal_n``, or (-1, NaN) when no n reaches gamma."""
     try:
-        res = optimal_n(cfg, pm, gamma, M=M)
+        res = optimal_n(cfg, pm, gamma)
         return res.n, res.ee
     except InfeasibleError:
         return -1, math.nan
@@ -142,10 +142,12 @@ def figure9(cfg, pm, realizations=0, seed=1):
     header = ["K", "M", "n_star", "ee_bits_per_joule", "feasible"]
     rows = []
     for K in (10, 50, 100):
-        base = cfg.replace(K=K)
-        for M in range(1, 16):
-            n_star, ee = _optimum(base, pm, GAMMA_DEFAULT, M=M)
-            rows.append([K, M, n_star, ee, int(n_star > 0)])
+        for M, feasible, n_star, ee, *_ in scan_m(cfg.replace(K=K), pm,
+                                                  GAMMA_DEFAULT, 15):
+            rows += [[K, m, int(n) if ok else -1, e if ok else math.nan,
+                      int(ok)] for m, ok, n, e in zip(
+                          M.tolist(), feasible.tolist(), n_star.tolist(),
+                          ee.tolist())]
     return header, rows
 
 

@@ -3,7 +3,8 @@
 The antenna count per RRH has a closed-form continuous optimum (square-root
 power balance plus the feasibility offset), the user count is the unique
 root of a quartic found by bisection, and the RRH count comes from a
-one-dimensional scan.  Every routine rounds its continuous optimum with the
+one-dimensional scan, which evaluates every candidate M in one array pass
+(``scan_m``).  Every routine rounds its continuous optimum with the
 EE-comparison rule (take whichever of floor/ceil achieves the higher EE) and
 an exhaustive integer scan is provided as the reference oracle.
 """
@@ -11,16 +12,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
-from .asymptotic import (MAX_ANTENNAS, Design, InfeasibleError,
+import numpy as np
+
+from .asymptotic import (CONFIG, MAX_ANTENNAS, SCALAR, Design,
+                         InfeasibleError, Lanes, OperatingPoint,
                          RateUnachievableError, _finite_power, _rate_ceiling,
                          energy_efficiency, operating_point, rate_margin,
                          sinr_breakdown)
-from .config import PowerModel, SystemConfig, derived_scalars, override
+from .config import (ConfigError, PowerModel, SystemConfig, derived_scalars,
+                     override)
 
 BISECTION_WIDTH = 1e-3   # interval width on the continuous user count
 DEFAULT_M_MAX = 30
+M_CHUNK = 4096           # RRH counts per array pass of scan_m
 
 
 class OptimizationError(InfeasibleError):
@@ -112,23 +118,35 @@ def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
     """
     cfg = override(cfg, M=M)
     design = Design(cfg, pm, gamma)
+    n_min, n_real = _antenna_optimum(design)
+    n_star = floor_ceil_select(n_real, design.ee)
+    ee, p_d, _ = design.point(n_star)
+    return OptimizationResult(ee=ee, p_d=p_d, n=n_star, M=cfg.M, K=cfg.K,
+                              x_real=n_real, window=(float(n_min), math.inf))
+
+
+def _antenna_optimum(design: Design):
+    """(n_min, the continuous EE-optimal n) of ``design``, arrays over its
+    lanes, with optimal_n's errors (marked in the lanes over lanes)."""
+    cfg, pm, lanes = design.cfg, design.pm, design.lanes
+    ev = lanes or SCALAR
     n_min = design.n_min  # raises if gamma unachievable
-    data_fraction = _finite_power((cfg.T - cfg.tau_u) / (cfg.T * pm.zeta))
-    antenna_power = design.margin * cfg.M * pm.P_RRH
-    balance = (math.sqrt(data_fraction * cfg.sigma2 * cfg.K / antenna_power)
-               if antenna_power > 0.0 else math.inf)
-    if not balance < MAX_ANTENNAS:
+    data_fraction = _finite_power((cfg.T - cfg.tau_u) / (cfg.T * pm.zeta),
+                                  lanes)
+    antenna_power = design.margin * design.M * pm.P_RRH
+    # numpy's x / 0 is inf (or NaN), infeasible like the scalar's inf
+    balance = (math.inf if lanes is None and not antenna_power > 0.0 else
+               ev.sqrt(data_fraction * cfg.sigma2 * cfg.K / antenna_power))
+    if ev.infeasible(balance < MAX_ANTENNAS):
         raise OptimizationError(
             f"EE grows with n beyond 2^53 antennas per RRH: the antenna "
             f"power P_RRH = {pm.P_RRH!r} W is negligible against the "
             f"transmit power")
     n_real = balance + design.brk.I_MU_scaled / design.margin
-    if not n_real < MAX_ANTENNAS:   # no integer neighbors, as for n_min
-        raise RateUnachievableError(gamma, _rate_ceiling(design.brk))
-    n_star = floor_ceil_select(n_real, design.ee)
-    ee, p_d, _ = design.point(n_star)
-    return OptimizationResult(ee=ee, p_d=p_d, n=n_star, M=cfg.M, K=cfg.K,
-                              x_real=n_real, window=(float(n_min), math.inf))
+    # no integer neighbors, as for n_min
+    if ev.infeasible(n_real < MAX_ANTENNAS):
+        raise RateUnachievableError(design.gamma, _rate_ceiling(design.brk))
+    return n_min, n_real
 
 
 def optimal_n_no_pc(cfg: SystemConfig, pm: PowerModel,
@@ -218,6 +236,62 @@ def optimal_k(cfg: SystemConfig, pm: PowerModel,
                               x_real=k_real, window=(0.0, upper))
 
 
+def _at_m(cfg: SystemConfig, pm: PowerModel, gamma: float, M: int,
+          n: int | None) -> OptimizationResult:
+    """One RRH count evaluated alone: optimal_n at M, or with ``n`` (which
+    cfg.n already holds) the operating point."""
+    if n is None:
+        return optimal_n(cfg, pm, gamma, M=M)
+    ee, p_d, _ = operating_point(cfg.replace(M=M), pm, gamma)
+    return OptimizationResult(ee=ee, p_d=p_d, n=n, M=M, K=cfg.K)
+
+
+def _floor_ceil_lanes(x: np.ndarray, design: Design):
+    """``floor_ceil_select`` of every lane: (n*, its OperatingPoint) as
+    arrays, a lane with both neighbors infeasible marked INFEASIBLE."""
+    lo, hi = np.floor(x), np.ceil(x)
+    at_lo = design.point(np.where(lo >= 1.0, lo, np.nan))   # NaN: skipped
+    at_hi = design.point(np.where(lo != hi, hi, np.nan))
+    ok_lo, ok_hi = ~np.isnan(at_lo.ee), ~np.isnan(at_hi.ee)
+    design.lanes.infeasible(ok_lo | ok_hi)
+    take_lo = ok_lo & ~(at_hi.ee >= at_lo.ee)   # a NaN compares false
+    return np.where(take_lo, lo, hi), OperatingPoint(
+        *(np.where(take_lo, a, b) for a, b in zip(at_lo, at_hi)))
+
+
+def scan_m(cfg: SystemConfig, pm: PowerModel, gamma: float, M_max: int,
+           n: int | None = None) -> Iterator[tuple]:
+    """Every RRH count M = 1..M_max at once, ``M_CHUNK`` counts at a time.
+
+    Yields per chunk the arrays (M, feasible, n*, ee, p_d, x_real).  Each
+    feasible lane holds the bits of ``optimal_n(cfg, pm, gamma, M=M)``;
+    with ``n`` (a positive int below 2^53, validated by the caller into
+    cfg.n) those of the operating point at n and M, n* = n and x_real
+    None.  A lane is infeasible where that evaluation raises an
+    InfeasibleError; at the first M where it raises a ConfigError, that M
+    is evaluated alone to raise it.
+    """
+    for start in range(1, M_max + 1, M_CHUNK):
+        lanes = Lanes(np.arange(start, min(start + M_CHUNK, M_max + 1)))
+        with np.errstate(all="ignore"):
+            design = Design(cfg, pm, gamma, lanes)
+            if n is None:
+                x_real = _antenna_optimum(design)[1]
+                n_star, (ee, p_d, _) = _floor_ceil_lanes(x_real, design)
+            else:
+                n_star, x_real = n, None
+                ee, p_d, _ = design.point(float(n))
+                p_d = np.broadcast_to(p_d, ee.shape)   # one value at fixed p_d
+                lanes.infeasible(~np.isnan(ee))
+        config = np.flatnonzero(lanes.fail == CONFIG)
+        if config.size:
+            M = int(lanes.M[config[0]])
+            _at_m(cfg, pm, gamma, M, n)
+            raise AssertionError(f"M={M}: the array pass marks a "
+                                 f"ConfigError that the scalar does not")
+        yield lanes.M, lanes.fail == 0, n_star, ee, p_d, x_real
+
+
 def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
               K: int | None = None, M_max: int = DEFAULT_M_MAX,
               n: int | None = None) -> OptimizationResult:
@@ -227,26 +301,26 @@ def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
     otherwise each candidate M uses its own closed-form optimal n.  The
     averaged-model gains (beta, alpha1, alpha2) are held fixed while the
     serving-RRH gain keeps its M^(iota/2) scaling.  Ties break toward the
-    smaller M; an M without a feasible (integer) optimum is skipped.
+    smaller M; an M without a feasible (integer) optimum is skipped.  The
+    scan is ``scan_m``, bit-identical to evaluating each M alone.
     """
     if M_max < 1:
-        raise OptimizationError("M_max must be >= 1")
-    cfg = override(cfg, K=K)
-    best: OptimizationResult | None = None
-    for M in range(1, M_max + 1):
+        raise ConfigError(f"M_max must be >= 1, got {M_max!r}")
+    cfg = override(override(cfg, K=K), n=n)
+    best = None
+    for M, feasible, n_star, ee, p_d, x_real in scan_m(cfg, pm, gamma,
+                                                        M_max, n):
+        i = np.argmax(np.where(feasible, ee, -np.inf))  # first of the best
+        if feasible[i] and (best is None or ee[i] > best.ee):
+            best = OptimizationResult(
+                ee=float(ee[i]), p_d=float(p_d[i]), K=cfg.K, M=int(M[i]),
+                n=n if n is not None else int(n_star[i]),
+                x_real=None if x_real is None else float(x_real[i]),
+                window=(1.0, float(M_max)))
+    if best is None:   # every M skipped: report why the last one was
         try:
-            if n is None:
-                cand = optimal_n(cfg, pm, gamma, M=M)
-            else:
-                ee, p_d, _ = operating_point(cfg.replace(n=n, M=M), pm, gamma)
-                cand = OptimizationResult(ee=ee, p_d=p_d, n=n, M=M, K=cfg.K)
+            _at_m(cfg, pm, gamma, M_max, n)
         except InfeasibleError as exc:
-            skipped = exc   # the reason reported if every M is skipped
-            continue
-        if best is None or cand.ee > best.ee:
-            best = cand
-    if best is None:
-        raise OptimizationError(f"no feasible M <= {M_max}: {skipped}")
-    return OptimizationResult(ee=best.ee, p_d=best.p_d, n=best.n, K=cfg.K,
-                              M=best.M, x_real=best.x_real,
-                              window=(1.0, float(M_max)))
+            raise OptimizationError(f"no feasible M <= {M_max}: {exc}") \
+                from None
+    return best

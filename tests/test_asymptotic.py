@@ -4,13 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from dasee.asymptotic import (Design, InfeasibleAntennasError,
+from dasee.asymptotic import (Design, InfeasibleAntennasError, Lanes,
                               RateUnachievableError, SinrBreakdown,
                               deterministic_sinr, energy_efficiency,
                               large_scale_gains, min_antennas,
                               operating_point, rate_from_sinr, rate_margin,
                               sinr_breakdown, total_power_at_se)
-from dasee.config import ConfigError, DerivedScalars, PowerModel, SystemConfig
+from dasee.config import (ConfigError, DerivedScalars, PowerModel,
+                          SystemConfig, derived_scalars)
 
 CFG = SystemConfig()
 PM = PowerModel()
@@ -143,6 +144,36 @@ def test_records_are_tuples_with_named_fields():
     assert repr(brk) == "SinrBreakdown(S=1.0, I_PC=0.5, I_MU_scaled=2.0)"
     assert DerivedScalars._fields == ("L_bar1", "L_bar2", "nu1", "nu2", "xi",
                                       "tau_u")
+
+
+def test_scalar_evaluation_returns_plain_floats():
+    # the formulas also take an array of RRH counts; a numpy scalar leaking
+    # into a scalar evaluation would slow every per-n and per-K point
+    for cfg, n in ((CFG, 17),
+                   (CFG.replace(M=1, pilot_noise_mode="negligible"), 178)):
+        design = Design(cfg, PM, 2.0)
+        for record in (sinr_breakdown(cfg), design.point(n)):
+            assert {type(v) for v in record} == {float}, record
+        scalars = derived_scalars(cfg)
+        assert {type(v) for v in scalars[:-1]} == {float}, scalars
+        assert type(design.margin) is float and type(design.n_min) is int
+
+
+def test_breakdown_over_lanes_has_the_bits_of_each_m():
+    # one breakdown over M = 1..60 holds, per M, the scalar's bits: Python's
+    # float power, which numpy's differs from in the last bit for some M
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        cfg = CFG.replace(iota=float(rng.uniform(2.0, 4.0)),
+                          pilot_noise_mode=str(rng.choice(["exact",
+                                                           "negligible"])),
+                          alpha1=float(rng.uniform(0.0, 1.0)))
+        lanes = Lanes(np.arange(1, 61))
+        got = sinr_breakdown(cfg, lanes)
+        want = [sinr_breakdown(cfg.replace(M=M)) for M in range(1, 61)]
+        assert not lanes.fail.any()
+        for field, values in zip(SinrBreakdown._fields, got):
+            assert values.tolist() == [getattr(w, field) for w in want], field
 
 
 @pytest.mark.parametrize("gamma", [None, 2.0, 6.0])

@@ -482,6 +482,9 @@ def test_dbm_flags(capsys):
     ("joint", "--gamma", "inf"),
     ("de-curve", "--config", "K = inf"),
     ("opt-n", "--gamma", "2", "--config", "beta = abc"),
+    ("opt-m", "--gamma", "2", "--M-max", "0"),
+    ("joint", "--gamma", "2", "--M-max", "-3"),
+    ("opt-m", "--gamma", "2", "--fixed-n", "--M-max", "0"),
 ])
 def test_bad_sweep_arguments_exit_2(capsys, tmp_path, argv):
     if "--config" in argv:  # the argument after --config is the file's text

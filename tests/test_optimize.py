@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from dasee import asymptotic, optimize
-from dasee.asymptotic import (InfeasibleAntennasError, RateUnachievableError,
-                              energy_efficiency, min_antennas, rate_margin,
+from dasee import asymptotic, figures, optimize
+from dasee.asymptotic import (InfeasibleAntennasError, InfeasibleError,
+                              RateUnachievableError, energy_efficiency,
+                              min_antennas, operating_point, rate_margin,
                               sinr_breakdown)
 from dasee.config import ConfigError, PowerModel, SystemConfig, derived_scalars
 from dasee.optimize import (BISECTION_WIDTH, OptimizationError,
-                            exhaustive_argmax, floor_ceil_select, optimal_k,
-                            optimal_m, optimal_n, optimal_n_no_pc, z_of_k)
+                            OptimizationResult, exhaustive_argmax,
+                            floor_ceil_select, optimal_k, optimal_m,
+                            optimal_n, optimal_n_no_pc, z_of_k)
 from dasee.optimize import ee_or_none as ee_or_none_at
 
 CFG = SystemConfig()
@@ -353,18 +355,23 @@ def test_bad_rate_is_a_config_error(gamma):
 
 def test_optimal_m_skips_m_without_integer_optimum(monkeypatch):
     # an OptimizationError at one M (both rounding neighbors infeasible)
-    # skips that M like any other infeasible M instead of ending the scan
-    import dasee.optimize as op
-    real = op.optimal_n
+    # skips that M like any other infeasible M instead of ending the scan;
+    # no n has a transmit power at M = 5 (the optimum), both in optimal_n
+    # at M = 5 and in that lane of optimal_m's array pass
+    real = asymptotic.Design.transmit_power
 
-    def failing_at_5(cfg, pm, gamma, M=None):
-        if M == 5:
-            raise OptimizationError("both neighbors of 17.2 are infeasible")
-        return real(cfg, pm, gamma, M=M)
+    def none_at_5(self, n):
+        p_d = real(self, n)
+        if self.lanes is None:
+            return None if self.M == 5 else p_d
+        return np.where(self.M == 5, np.nan, p_d)
 
-    monkeypatch.setattr(op, "optimal_n", failing_at_5)
+    monkeypatch.setattr(asymptotic.Design, "transmit_power", none_at_5)
+    cfg = CFG.replace(K=10)
+    with pytest.raises(OptimizationError, match="both neighbors of 17.12"):
+        optimal_n(cfg, PM, 2.0, M=5)
     result = optimal_m(CFG, PM, 2.0, K=10, M_max=8)
-    assert (result.M, result.n) == (6, real(CFG.replace(K=10), PM, 2.0, M=6).n)
+    assert (result.M, result.n) == (6, optimal_n(cfg, PM, 2.0, M=6).n)
 
 
 def test_unrepresentable_antenna_optimum_is_unachievable():
@@ -376,34 +383,134 @@ def test_unrepresentable_antenna_optimum_is_unachievable():
             optimal_n(clean, PM, gamma, M=M)
 
 
-def test_joint_optimal_m_equals_scan_of_optimal_n():
-    # joint optimal_m against its definition: the best optimal_n over
-    # M = 1..M_max, ties to the smaller M, an M with no optimum skipped
+def _each_m(cfg, pm, gamma, m_max, n=None):
+    """optimal_n (with ``n``: the operating point at n) at each M =
+    1..m_max alone: the feasible results and the last M's InfeasibleError;
+    a ConfigError is raised at the first M with one."""
+    results, skipped = [], None
+    for M in range(1, m_max + 1):
+        try:
+            if n is None:
+                results.append(optimal_n(cfg, pm, gamma, M=M))
+            else:
+                ee, p_d, _ = operating_point(cfg.replace(n=n, M=M), pm, gamma)
+                results.append(OptimizationResult(ee=ee, p_d=p_d, n=n, M=M,
+                                                  K=cfg.K))
+        except InfeasibleError as exc:
+            skipped = exc
+    return results, skipped
+
+
+def _optimal_m_by_scan(cfg, pm, gamma, m_max, n=None):
+    """optimal_m by its definition, one M at a time: the best of
+    ``_each_m``, ties to the smaller M, an M with no optimum skipped, and
+    the last M's reason if every M is skipped."""
+    results, skipped = _each_m(cfg, pm, gamma, m_max, n)
+    best = None
+    for cand in results:
+        if best is None or cand.ee > best.ee:
+            best = cand
+    if best is None:
+        raise OptimizationError(f"no feasible M <= {m_max}: {skipped}")
+    return OptimizationResult(ee=best.ee, p_d=best.p_d, n=best.n, K=cfg.K,
+                              M=best.M, x_real=best.x_real,
+                              window=(1.0, float(m_max)))
+
+
+def _scan_lanes(cfg, pm, gamma, m_max, n=None):
+    """(M, n*, EE, p_d, x_real) of every feasible lane of scan_m."""
+    out = []
+    for M, feasible, n_star, ee, p_d, x_real in optimize.scan_m(
+            cfg, pm, gamma, m_max, n):
+        out += [(int(M[i]), n or int(n_star[i]), float(ee[i]),
+                 float(p_d[i]), x_real if n else float(x_real[i]))
+                for i in np.flatnonzero(feasible)]
+    return out
+
+
+def _figure9_by_m(cfg, pm):
+    """figure9 with figures._optimum's per-M evaluation: optimal_n at each
+    M alone, (-1, NaN) where it raises an InfeasibleError."""
+    rows = []
+    for K in (10, 50, 100):
+        for M in range(1, 16):
+            try:
+                res = optimal_n(cfg.replace(K=K), pm, 2.0, M=M)
+                n_star, ee = res.n, res.ee
+            except InfeasibleError:
+                n_star, ee = -1, math.nan
+            rows.append([K, M, n_star, ee, int(n_star > 0)])
+    return ["K", "M", "n_star", "ee_bits_per_joule", "feasible"], rows
+
+
+def _outcome(call):
+    """repr of the result (so a numpy scalar shows), or (type, message)."""
+    try:
+        return repr(call())
+    except (ConfigError, InfeasibleError) as exc:
+        return type(exc), str(exc)
+
+
+def test_joint_optimal_m_equals_scan_of_optimal_n(monkeypatch):
+    # optimal_m (joint and fixed-n) against its definition, one M at a
+    # time, result for result and error for error, and every M's lane of
+    # its array pass against that M alone, whatever the number of RRH
+    # counts per pass; so are figure 9's rows against optimal_n per M
     rng = np.random.default_rng(23)
-    feasible = 0
+    cases = []
     for _ in range(40):
         cfg, pm, _ = random_scenario(rng)
         if rng.uniform() < 0.5:
             cfg = cfg.replace(psi=7, K=min(cfg.K, 28))
-        gamma = float(rng.uniform(0.5, 9.0))
-        m_max = int(rng.integers(1, 31))
-        best = None
-        for M in range(1, m_max + 1):
-            try:
-                cand = optimal_n(cfg, pm, gamma, M=M)
-            except (RateUnachievableError, OptimizationError):
-                continue
-            if best is None or cand.ee > best.ee:
-                best = cand
-        if best is None:
-            with pytest.raises(OptimizationError):
-                optimal_m(cfg, pm, gamma, M_max=m_max)
-            continue
-        feasible += 1
-        res = optimal_m(cfg, pm, gamma, M_max=m_max)
-        assert (res.M, res.n, res.ee, res.p_d) == (best.M, best.n, best.ee,
-                                                   best.p_d)
-    assert 10 <= feasible < 40
+        cfg = cfg.replace(iota=float(rng.uniform(2.0, 4.0)),
+                          pilot_noise_mode=str(rng.choice(
+                              ["exact", "negligible"])))
+        cases.append((cfg, pm, float(rng.uniform(0.5, 9.0)),
+                      int(rng.integers(1, 61))))
+    cases += [(CFG.replace(beta=1e300), PM, 2.0, 8),     # S beyond range
+              (CFG, PM.replace(P_0=1e308), 2.0, 8),      # M = 1 fine, 2 not
+              (CFG.replace(iota=400.0), PM, 9.0, 60),    # M^iota from M = 6
+              (CFG, PM.replace(P_RRH=1e-320), 2.0, 8),   # joint: all skipped
+              (CFG.replace(n=1), PM, 3.0, 8),            # fixed: all skipped
+              (CFG, PM, 2.0, 60)]
+    expected = [(_outcome(lambda: _optimal_m_by_scan(cfg, pm, gamma, m_max)),
+                 _outcome(lambda: _optimal_m_by_scan(cfg, pm, gamma, m_max,
+                                                     n=cfg.n)))
+                for cfg, pm, gamma, m_max in cases]
+    per_m = [tuple(_outcome(lambda: [(r.M, r.n, r.ee, r.p_d, r.x_real)
+                                     for r in _each_m(cfg, pm, gamma, m_max,
+                                                      n)[0]])
+                   for n in (None, cfg.n))
+             for cfg, pm, gamma, m_max in cases]
+    for outcomes in zip(*expected):   # results and both kinds of error
+        assert sum(isinstance(o, str) for o in outcomes) >= 10
+        assert {o[0] for o in outcomes if not isinstance(o, str)} == {
+            ConfigError, OptimizationError}
+    fixed_power = [(cfg, m_max, _outcome(lambda: _optimal_m_by_scan(
+        cfg, PM, None, m_max, n=cfg.n)))      # gamma None: at the fixed p_d
+        for cfg, m_max in ((CFG.replace(psi=7, K=20, p_d=1e-3), 40),
+                           (CFG.replace(p_d=5e-324), 8))]
+    figure_cases = [(CFG, PM), (CFG.replace(d=2, iota=3.3), PM),
+                    (CFG.replace(pilot_noise_mode="negligible"), PM),
+                    (CFG, PM.replace(P_RRH=1e-320))]
+    figure_rows = [repr(_figure9_by_m(cfg, pm)) for cfg, pm in figure_cases]
+    for chunk in (1, 7, optimize.M_CHUNK):
+        monkeypatch.setattr(optimize, "M_CHUNK", chunk)
+        for (cfg, pm, gamma, m_max), want, lanes in zip(cases, expected,
+                                                       per_m):
+            got = (_outcome(lambda: optimal_m(cfg, pm, gamma, M_max=m_max)),
+                   _outcome(lambda: optimal_m(cfg, pm, gamma, M_max=m_max,
+                                              n=cfg.n)))
+            assert got == want, (chunk, cfg, pm, gamma, m_max)
+            got = tuple(_outcome(lambda: _scan_lanes(cfg, pm, gamma, m_max,
+                                                     n))
+                        for n in (None, cfg.n))
+            assert got == lanes, (chunk, cfg, pm, gamma, m_max)
+        for cfg, m_max, want in fixed_power:
+            assert _outcome(lambda: optimal_m(cfg, PM, None, M_max=m_max,
+                                              n=cfg.n)) == want, cfg
+        for (cfg, pm), want in zip(figure_cases, figure_rows):
+            assert repr(figures.figure9(cfg, pm)) == want, (chunk, cfg, pm)
 
 
 def test_negligible_antenna_power_is_reported():
@@ -422,9 +529,9 @@ def test_optimal_n_computes_the_rate_margin_once(monkeypatch):
     # margin; the n-closures recomputed it three times per call
     calls = []
 
-    def counted(brk, gamma):
+    def counted(brk, gamma, lanes=None):
         calls.append(gamma)
-        return rate_margin(brk, gamma)
+        return rate_margin(brk, gamma, lanes)
     for module in (asymptotic, optimize):
         monkeypatch.setattr(module, "rate_margin", counted)
     res = optimal_n(CFG, PM, 2.0)
