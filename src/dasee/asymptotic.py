@@ -161,6 +161,8 @@ def sinr_breakdown(cfg: SystemConfig,
     except OverflowError:
         raise ConfigError("beta and iota take the SINR terms beyond the "
                           "double range") from None
+    except ZeroDivisionError:   # by coherent = 0: nu1 = nu2 = 0, and S = 0
+        pass
     if ev.config_error(signal > 0.0):
         raise ConfigError("beta, p_u and sigma2 take the signal power S to 0")
     mu_scaled = cfg.beta * cfg.d * cfg.K * sc.xi
@@ -229,6 +231,18 @@ def total_power_at_se(cfg: SystemConfig, pm: PowerModel, se: float,
                         _backhaul(cfg, pm, cfg.M, se))
 
 
+def _throughput(cfg: SystemConfig, se: float,
+                lanes: Lanes | None = None) -> float:
+    """B * se, the cell throughput in bit/s; ConfigError where it is not
+    finite (marked in ``lanes``), since an EE of inf is no answer."""
+    ev = lanes or SCALAR
+    bits = cfg.B * se
+    if ev.config_error(ev.finite(bits)):
+        raise ConfigError(f"the bandwidth B = {cfg.B!r} Hz takes the cell "
+                          f"throughput B*se beyond the double range")
+    return bits
+
+
 def _backhaul(cfg: SystemConfig, pm: PowerModel, M, se: float) -> float:
     return M * (pm.P_0 + pm.P_BT * cfg.B * se)
 
@@ -237,8 +251,11 @@ def _total_power(cfg: SystemConfig, pm: PowerModel, M, n: int, p_d: float,
                  backhaul: float, lanes: Lanes | None = None) -> float:
     """Cell power draw in W, ConfigError where it is not finite; the backhaul
     (the one term without n or p_d) comes last, so it can be computed once.
-    Over lanes, one whose p_d is NaN (not evaluated) is not checked."""
-    return _finite_power(pm.P_FIX + n * M * pm.P_RRH
+    Over lanes, one whose p_d is NaN (not evaluated) is not checked, and an
+    int n is multiplied by each M as integers, as the scalar does."""
+    antennas = (np.array([float(n * m) for m in M.tolist()])
+                if lanes is not None and isinstance(n, int) else n * M)
+    return _finite_power(pm.P_FIX + antennas * pm.P_RRH
                          + (cfg.T - cfg.tau_u) / cfg.T * (p_d / pm.zeta) * cfg.K
                          + backhaul, lanes, lanes is not None and np.isnan(p_d))
 
@@ -277,18 +294,19 @@ class Design:
     """The cell (cfg, pm) at per-user rate gamma (None: at cfg.p_d), any n.
 
     The terms without n (SINR breakdown, rate margin, spectral efficiency
-    at rate gamma, backhaul power) are computed once; a gamma no n reaches
-    raises ConfigError / RateUnachievableError here.  Per n (a positive
-    int, not checked) each method returns None where n is too few for
-    gamma; a non-finite total power or a zero SINR raises ConfigError.
+    at rate gamma, throughput, backhaul power) are computed once; a gamma
+    no n reaches raises ConfigError / RateUnachievableError here.  Per n
+    (a positive int, not checked) each method returns None where n is too
+    few for gamma; a non-finite total power or throughput or a zero SINR
+    raises ConfigError.
 
     With ``lanes`` every RRH count of lanes.M replaces cfg.M: the terms are
-    arrays, n may be an array of floats too (NaN: a lane not evaluated), a
-    missing point is NaN instead of None, and the errors are marked in
-    lanes.fail instead of raised.
+    arrays, n may be a float, an array of floats (NaN: a lane not
+    evaluated) or an int beyond 2^53, a missing point is NaN instead of
+    None, and the errors are marked in lanes.fail instead of raised.
     """
 
-    margin = se = backhaul = None   # at fixed p_d (se and backhaul per n)
+    margin = se = throughput = backhaul = None   # at fixed p_d: per n
 
     def __init__(self, cfg: SystemConfig, pm: PowerModel,
                  gamma: float | None = None, lanes: Lanes | None = None):
@@ -298,6 +316,7 @@ class Design:
         if gamma is not None:
             self.margin = rate_margin(self.brk, gamma, lanes)
             self.se = (cfg.T - cfg.tau_u) / cfg.T * cfg.K * gamma
+            self.throughput = _throughput(cfg, self.se, lanes)
             self.backhaul = _backhaul(cfg, pm, self.M, self.se)
 
     @property
@@ -319,7 +338,7 @@ class Design:
         cfg, pm, p_d = self.cfg, self.pm, self.transmit_power(n)
         if p_d is None:
             return None
-        se, backhaul = self.se, self.backhaul
+        se, throughput, backhaul = self.se, self.throughput, self.backhaul
         if se is None:   # at fixed p_d the rate depends on n
             sinr = _sinr(cfg, self.brk, n, p_d)
             if (self.lanes or SCALAR).config_error(sinr > 0.0):
@@ -327,9 +346,10 @@ class Design:
             se = (rate_from_sinr(cfg, [sinr] * cfg.K) if self.lanes is None
                   else np.array([rate_from_sinr(cfg, [lane] * cfg.K)
                                  for lane in sinr.tolist()]))
+            throughput = _throughput(cfg, se, self.lanes)
             backhaul = _backhaul(cfg, pm, self.M, se)
         p_total = _total_power(cfg, pm, self.M, n, p_d, backhaul, self.lanes)
-        return OperatingPoint(cfg.B * se / p_total, p_d, p_total)
+        return OperatingPoint(throughput / p_total, p_d, p_total)
 
     def ee(self, n: int) -> float | None:
         return None if (point := self.point(n)) is None else point.ee

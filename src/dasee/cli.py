@@ -22,24 +22,50 @@ from .optimize import (DEFAULT_M_MAX, optimal_k, optimal_m, optimal_n,
                        optimal_n_no_pc)
 
 # Every config field, and the dBm form of each power, is a model flag.
-_MODEL_ARGS = {**_SYSTEM_FIELDS,
-               **{key + "_dbm": "float" for key in _DBM_CONVERTIBLE},
-               **_POWER_FIELDS}
+_MODEL_ARGS = (*_SYSTEM_FIELDS, *(key + "_dbm" for key in _DBM_CONVERTIBLE),
+               *_POWER_FIELDS)
 _FIT_FIELDS = ("M", "L", "K", "Rc", "iota")   # all that calibrate reads
 
+# The subcommands' flags other than the config keys, each declared once.
+_FLAGS = {"number": {"type": int},
+          "--gamma": {"type": float, "required": True},
+          "--M-max": {"type": int, "default": DEFAULT_M_MAX},
+          "--n-range": {"default": "10:60:10"},
+          "--drops": {"type": int, "default": 1000},
+          "--realizations": {"type": int, "default": 1000},
+          "--seed": {"type": int, "default": 1},
+          "--min-distance": {"type": float,
+                             "default": geometry.DEFAULT_MIN_DISTANCE},
+          "--output": {},
+          "--no-pc": {"action": "store_true",
+                      "help": "contamination-free bound (orthogonal pilots)"},
+          "--fixed-n": {"action": "store_true",
+                        "help": "evaluate every M at the configured n"}}
 
-def add_model_args(parser: argparse.ArgumentParser) -> None:
+
+def model_flags(keys=_MODEL_ARGS) -> argparse.ArgumentParser:
+    """A parent parser of ``--config`` and a flag per config key in ``keys``.
+
+    A flag's text is read as the key's line in a config file is, by
+    ``config._keywords``, so no flag has a type or choices of its own.
+    """
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", help="key = value config file")
-    for key, annotation in _MODEL_ARGS.items():
-        kind = ({"choices": PILOT_NOISE_MODES} if annotation == "str"
-                else {"type": int if annotation == "int" else float})
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, **kind)
+    for key in keys:
+        modes = ({"metavar": "{" + ",".join(PILOT_NOISE_MODES) + "}"}
+                 if key == "pilot_noise_mode" else {})
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, **modes)
+    return parser
+
+
+def _overrides(args) -> dict:
+    """The text of the config-key flags given on the line (None if not)."""
+    return {key: getattr(args, key, None) for key in _MODEL_ARGS}
 
 
 def scenario_from_args(args) -> tuple[SystemConfig, PowerModel]:
     """Defaults <- ``--config`` file <- the model flags given on the line."""
-    overrides = {key: getattr(args, key, None) for key in _MODEL_ARGS}
-    return load_scenario(getattr(args, "config", None), overrides)
+    return load_scenario(args.config, _overrides(args))
 
 
 def write_rows(header, rows, output=None) -> None:
@@ -80,8 +106,7 @@ def _int_range(text: str):
 # --- subcommands ----------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
-    fit = load_fields(_FIT_FIELDS, args.config,
-                      {key: getattr(args, key) for key in _FIT_FIELDS})
+    fit = load_fields(_FIT_FIELDS, args.config, _overrides(args))
     layout = geometry.build_layout(fit.M, fit.Rc, L=fit.L)
     result = geometry.calibrate(layout, fit.iota, fit.K, args.drops,
                                 seed=args.seed,
@@ -165,65 +190,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "antenna downlinks: deterministic equivalents, Monte-"
                     "Carlo validation, and EE-optimal n / K / M.")
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {}
+    for flag, spec in _FLAGS.items():
+        flags[flag] = argparse.ArgumentParser(add_help=False)
+        flags[flag].add_argument(flag, **spec)
+    model = model_flags()
 
-    p = sub.add_parser("calibrate", help="fit (beta, alpha1, alpha2) from geometry")
-    p.add_argument("--config", help="key = value config file")
-    for key in _FIT_FIELDS:
-        p.add_argument("--" + key, type=int if _MODEL_ARGS[key] == "int" else float)
-    p.add_argument("--drops", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--min-distance", type=float,
-                   default=geometry.DEFAULT_MIN_DISTANCE)
-    p.add_argument("--output")
-    p.set_defaults(fn=cmd_calibrate)
+    def command(name, help, fn, *names, model=model, **defaults):
+        sub.add_parser(name, help=help, parents=[
+            model, *map(flags.get, names)]).set_defaults(fn=fn, **defaults)
 
-    p = sub.add_parser("de-curve", help="deterministic-equivalent EE vs n at fixed p_d")
-    add_model_args(p)
-    p.add_argument("--n-range", default="10:60:10")
-    p.add_argument("--output")
-    p.set_defaults(fn=cmd_de_curve)
-
-    p = sub.add_parser("mc-validate", help="Monte-Carlo EE vs the deterministic curve")
-    add_model_args(p)
-    p.add_argument("--n-range", default="10:60:10")
-    p.add_argument("--realizations", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--output")
-    p.set_defaults(fn=cmd_mc_validate)
-
-    p = sub.add_parser("opt-n", help="EE-optimal antennas per RRH")
-    add_model_args(p)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--no-pc", action="store_true",
-                   help="contamination-free bound (orthogonal pilots)")
-    p.set_defaults(fn=cmd_opt_n)
-
-    p = sub.add_parser("opt-k", help="EE-optimal user count")
-    add_model_args(p)
-    p.add_argument("--gamma", type=float, required=True)
-    p.set_defaults(fn=cmd_opt_k)
-
-    p = sub.add_parser("opt-m", help="EE-optimal RRH count")
-    add_model_args(p)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--M-max", type=int, default=DEFAULT_M_MAX)
-    p.add_argument("--fixed-n", action="store_true",
-                   help="evaluate every M at the configured n")
-    p.set_defaults(fn=cmd_opt_m)
-
-    p = sub.add_parser("joint", help="joint (M, n) search at the configured K")
-    add_model_args(p)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--M-max", type=int, default=DEFAULT_M_MAX)
-    p.set_defaults(fn=cmd_opt_m, fixed_n=False)
-
-    p = sub.add_parser("figure", help="run a predefined study sweep as CSV")
-    p.add_argument("number", type=int)
-    add_model_args(p)
-    p.add_argument("--realizations", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--output")
-    p.set_defaults(fn=cmd_figure)
+    command("calibrate", "fit (beta, alpha1, alpha2) from geometry",
+            cmd_calibrate, "--drops", "--seed", "--min-distance", "--output",
+            model=model_flags(_FIT_FIELDS))
+    command("de-curve", "deterministic-equivalent EE vs n at fixed p_d",
+            cmd_de_curve, "--n-range", "--output")
+    command("mc-validate", "Monte-Carlo EE vs the deterministic curve",
+            cmd_mc_validate, "--n-range", "--realizations", "--seed",
+            "--output")
+    command("opt-n", "EE-optimal antennas per RRH", cmd_opt_n, "--gamma",
+            "--no-pc")
+    command("opt-k", "EE-optimal user count", cmd_opt_k, "--gamma")
+    command("opt-m", "EE-optimal RRH count", cmd_opt_m, "--gamma", "--M-max",
+            "--fixed-n")
+    command("joint", "joint (M, n) search at the configured K", cmd_opt_m,
+            "--gamma", "--M-max", fixed_n=False)
+    command("figure", "run a predefined study sweep as CSV", cmd_figure,
+            "number", "--realizations", "--seed", "--output")
     return parser
 
 

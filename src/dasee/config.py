@@ -298,8 +298,15 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def _coerce(name: str, annotation: str, text: str):
+    """The value of a config key's text, from a file line or a flag alike.
+    Integer text of an int field is read exactly, beyond 2^53 too."""
     if annotation == "str":
         return text
+    if annotation == "int":
+        try:
+            return int(text)
+        except ValueError:
+            pass
     try:
         value = float(text)
     except ValueError:
@@ -309,11 +316,6 @@ def _coerce(name: str, annotation: str, text: str):
             raise ConfigError(f"{name} must be an integer, got {text!r}")
         return int(value)
     return value
-
-
-def scenario_from_mapping(values: dict) -> tuple[SystemConfig, PowerModel]:
-    """Build (SystemConfig, PowerModel) from a raw key/value mapping."""
-    return load_scenario(overrides=values)
 
 
 def load_scenario(path: str | Path | None = None,

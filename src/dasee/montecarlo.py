@@ -54,7 +54,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .asymptotic import large_scale_gains, rate_from_sinr, total_power_at_se
+from .asymptotic import (_throughput, large_scale_gains, rate_from_sinr,
+                         total_power_at_se)
 from .config import ConfigError, PowerModel, SystemConfig
 
 BLOCK = 16384                 # (l, m, k) entries per block of realizations
@@ -278,7 +279,7 @@ def empirical_ee(cfg: SystemConfig, pm: PowerModel, realizations: int,
                  seed: int) -> float:
     """Empirical energy efficiency (bits/Joule) at the configured p_d."""
     _, se = empirical_sinr_rate(cfg, realizations, seed)
-    return cfg.B * se / total_power_at_se(cfg, pm, se)
+    return _throughput(cfg, se) / total_power_at_se(cfg, pm, se)
 
 
 def relative_error(estimate: float, reference: float) -> float:

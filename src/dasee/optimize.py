@@ -199,9 +199,14 @@ def z_of_k(cfg: SystemConfig, pm: PowerModel, gamma: float, K: float) -> float:
 def _quartic(pm: PowerModel, gamma: float, K: float, clean: SystemConfig,
              mu1: float, mu2: float, slope: float) -> float:
     """``z_of_k`` at K from the scalars of ``_user_count_scalars``."""
-    return (mu2 * (2.0 * K * clean.psi - clean.T) * (mu1 - slope * K) ** 2
-            + clean.sigma2 / (pm.zeta * gamma) * slope
-            * ((clean.T - K * clean.psi) * K) ** 2)
+    try:
+        return (mu2 * (2.0 * K * clean.psi - clean.T) * (mu1 - slope * K) ** 2
+                + clean.sigma2 / (pm.zeta * gamma) * slope
+                * ((clean.T - K * clean.psi) * K) ** 2)
+    except OverflowError:   # mu1 = n * margin grows as beta * M^(iota/2)
+        raise ConfigError(f"beta, iota, n and gamma = {gamma!r} take the "
+                          f"user-count quartic beyond the double range") \
+            from None
 
 
 def optimal_k(cfg: SystemConfig, pm: PowerModel,
@@ -265,11 +270,11 @@ def scan_m(cfg: SystemConfig, pm: PowerModel, gamma: float, M_max: int,
 
     Yields per chunk the arrays (M, feasible, n*, ee, p_d, x_real).  Each
     feasible lane holds the bits of ``optimal_n(cfg, pm, gamma, M=M)``;
-    with ``n`` (a positive int below 2^53, validated by the caller into
-    cfg.n) those of the operating point at n and M, n* = n and x_real
-    None.  A lane is infeasible where that evaluation raises an
-    InfeasibleError; at the first M where it raises a ConfigError, that M
-    is evaluated alone to raise it.
+    with ``n`` (a positive int, validated by the caller into cfg.n) those
+    of the operating point at n and M, n* = n and x_real None.  A lane is
+    infeasible where that evaluation raises an InfeasibleError; at the
+    first M where it raises a ConfigError, that M is evaluated alone to
+    raise it.
     """
     for start in range(1, M_max + 1, M_CHUNK):
         lanes = Lanes(np.arange(start, min(start + M_CHUNK, M_max + 1)))
@@ -280,7 +285,9 @@ def scan_m(cfg: SystemConfig, pm: PowerModel, gamma: float, M_max: int,
                 n_star, (ee, p_d, _) = _floor_ceil_lanes(x_real, design)
             else:
                 n_star, x_real = n, None
-                ee, p_d, _ = design.point(float(n))
+                # an n that is no double (beyond 2^53) stays an int, which
+                # Design multiplies by each M exactly, as the scalar does
+                ee, p_d, _ = design.point(float(n) if float(n) == n else n)
                 p_d = np.broadcast_to(p_d, ee.shape)   # one value at fixed p_d
                 lanes.infeasible(~np.isnan(ee))
         config = np.flatnonzero(lanes.fail == CONFIG)

@@ -17,7 +17,7 @@ from dasee import figures
 from dasee.asymptotic import (InfeasibleAntennasError, RateUnachievableError,
                               deterministic_sinr, energy_efficiency,
                               total_power_at_se)
-from dasee.cli import build_parser, main, n_sweep
+from dasee.cli import build_parser, main, n_sweep, scenario_from_args
 from dasee.config import (_DBM_CONVERTIBLE, ConfigError, PowerModel,
                           SystemConfig, load_scenario)
 from dasee.montecarlo import rate_from_sinr
@@ -142,7 +142,8 @@ _MODEL_FORMS = (("de-curve",), ("opt-n", "--gamma", "2"),
                 *(("figure", str(number)) for number in range(2, 11)))
 _BEYOND_DOUBLES = [(*form, *flag) for flag in (("--beta", "1e300"),
                                                ("--zeta", "5e-324"),
-                                               ("--P-0", "1e308"))
+                                               ("--P-0", "1e308"),
+                                               ("--B", "1.7e308"))
                    for form in _MODEL_FORMS
                    if (form, flag[0]) != (("figure", "10"), "--P-0")]
 
@@ -152,10 +153,14 @@ _BEYOND_DOUBLES = [(*form, *flag) for flag in (("--beta", "1e300"),
     # sigma2/(zeta*gamma) underflowed to a ZeroDivisionError traceback
     ("opt-k", "--gamma", "0.05", "--zeta", "5e-324"),
     # the backhaul overflows at both rounding candidates: was exit 3
-    ("opt-k", "--gamma", "2", "--P-BT", "1e300")], ids=" ".join)
+    ("opt-k", "--gamma", "2", "--P-BT", "1e300"),
+    # (mu1 - slope*K)**2 overflowed to an OverflowError traceback
+    ("opt-k", "--gamma", "0.5", "--iota", "300", "--alpha2", "0",
+     "--P-RRH", "0.5", "--beta", "1e30")], ids=" ".join)
 def test_model_beyond_the_double_range_exits_2_everywhere(capsys, argv):
     # figures 7, 8 and 10 printed all-NaN rows (exit 0) and the optimizers
-    # blamed P_RRH or the quartic (exit 3): one handler, in main, decides
+    # blamed P_RRH or the quartic (exit 3): one handler, in main, decides;
+    # B*se beyond the range printed an EE of inf, feasible, or Infinity
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "", (code, out)
     assert err.startswith("configuration error: ") and "double range" in err, err
@@ -351,10 +356,15 @@ def test_tiny_sinr_row_has_a_positive_ee(capsys, flag):
     ["mc-validate", "--beta", "1e-150", "--n-range", "10",
      "--realizations", "5"],
     ["opt-n", "--gamma", "2", "--beta", "1e-200"],
+    ["mc-validate", "--p-u", "5e-324", "--sigma2", "1e300", "--n-range",
+     "10", "--realizations", "3"],
+    *([*form, "--p-u", "5e-324", "--sigma2", "1e300"]
+      for form in _MODEL_FORMS if form[0] != "opt-k"),
 ])
 def test_zero_sinr_exits_2(capsys, argv):
     # a SINR (or the signal power S) that rounds to 0 printed a feasible EE
-    # of exactly 0, and opt-n blamed the antenna count (exit 3)
+    # of exactly 0, and opt-n blamed the antenna count (exit 3); where nu1
+    # and nu2 both underflow, S was a ZeroDivisionError traceback
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "", (code, out)
     assert "to 0" in err, err
@@ -654,6 +664,32 @@ def test_every_config_field_is_a_flag_on_every_model_subcommand():
         for name in names:
             flag = "--" + name.replace("_", "-")
             assert flag in flags and flags[flag].dest == name, (command, flag)
+            # read as config-file text: no type or choices of the flag's own
+            assert flags[flag].type is flags[flag].choices is None, flag
+
+
+@pytest.mark.parametrize("text", ["10", "10.0", "1e1", "9007199254740993",
+                                  "0.5", "nan", "abc", "exact", "bogus"])
+@pytest.mark.parametrize("key", [
+    *(f.name for cls in (SystemConfig, PowerModel)
+      for f in dataclasses.fields(cls)),
+    *(name + "_dbm" for name in _DBM_CONVERTIBLE)])
+def test_a_flag_reads_as_its_config_file_line(capsys, tmp_path, key, text):
+    # one reader: "--key TEXT" and the line "key = TEXT" give the same
+    # (cfg, pm), or exit 2 with the same message; argparse typed the flags,
+    # so --K 1e1 was a usage error and 2^53 + 1 loaded from a file as 2^53
+    path = tmp_path / "line.cfg"
+    path.write_text(f"{key} = {text}\n")
+    outcomes = []
+    for argv in (("--" + key.replace("_", "-"), text), ("--config", str(path))):
+        try:
+            outcomes.append(scenario_from_args(
+                build_parser().parse_args(["de-curve", *argv])))
+        except ConfigError:
+            code, out, err = run(capsys, "de-curve", *argv)
+            assert code == 2 and out == "", (code, out)
+            outcomes.append(err)
+    assert outcomes[0] == outcomes[1]
 
 
 def test_gainless_non_serving_links_run(capsys):

@@ -6,8 +6,7 @@ import pytest
 from dasee.asymptotic import energy_efficiency, sinr_breakdown
 from dasee.config import (_RULES, ConfigError, PowerModel, SystemConfig,
                           dbm_from_watts, derived_scalars, load_scenario,
-                          scenario_from_mapping, validate_config,
-                          watts_from_dbm, write_scenario)
+                          validate_config, watts_from_dbm, write_scenario)
 from dasee.montecarlo import (empirical_ee, generate_realization,
                               steering_matrix)
 
@@ -185,12 +184,14 @@ def test_dbm_round_trip():
 
 
 def test_config_file_round_trip(tmp_path):
-    cfg = SystemConfig(M=5, K=12, n=24, d=2, beta=3.3e-8, p_u=0.7)
-    pm = PowerModel(P_RRH=0.31)
     path = tmp_path / "scenario.cfg"
-    write_scenario(cfg, pm, path)
-    cfg2, pm2 = load_scenario(path)
-    assert cfg2 == cfg and pm2 == pm
+    for cfg, pm in ((SystemConfig(M=5, K=12, n=24, d=2, beta=3.3e-8, p_u=0.7),
+                     PowerModel(P_RRH=0.31)),
+                    # integers no double holds: they loaded as 2^53 and 2^60
+                    (SystemConfig(n=2 ** 53 + 1, T=2 ** 60 + 7), PowerModel())):
+        write_scenario(cfg, pm, path)
+        cfg2, pm2 = load_scenario(path)
+        assert cfg2 == cfg and pm2 == pm
 
 
 def test_config_file_dbm_and_overrides(tmp_path):
@@ -203,4 +204,4 @@ def test_config_file_dbm_and_overrides(tmp_path):
 
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown config key"):
-        scenario_from_mapping({"bandwidth": 1.0})
+        load_scenario(overrides={"bandwidth": 1.0})

@@ -54,7 +54,8 @@ _MODEL_FLAGS = {
     "L": _COUNT, "M": _COUNT, "K": _COUNT, "n": st.integers(-1, 40),
     "psi": _COUNT, "d": st.integers(0, 3), "T": st.sampled_from([0, 20, 196]),
     "beta": _anywhere(2.24e-8), "alpha1": st.floats(-0.5, 1.5),
-    "alpha2": st.floats(-0.5, 1.5), "iota": _near(2.5),
+    "alpha2": st.floats(-0.5, 1.5),
+    "iota": st.one_of(_near(2.5), st.floats(2.5, 500.0)), "B": _anywhere(20e6),
     "p-u": _anywhere(0.5), "p-d": _anywhere(1.0), "sigma2": _anywhere(1e-7),
     "p-d-dbm": _near(30.0),
     "pilot-noise-mode": st.sampled_from(["exact", "negligible"]),
