@@ -251,13 +251,23 @@ def _total_power(cfg: SystemConfig, pm: PowerModel, M, n: int, p_d: float,
                  backhaul: float, lanes: Lanes | None = None) -> float:
     """Cell power draw in W, ConfigError where it is not finite; the backhaul
     (the one term without n or p_d) comes last, so it can be computed once.
-    Over lanes, one whose p_d is NaN (not evaluated) is not checked, and an
-    int n is multiplied by each M as integers, as the scalar does."""
-    antennas = (np.array([float(n * m) for m in M.tolist()])
-                if lanes is not None and isinstance(n, int) else n * M)
+    An int n is multiplied by M as integers and the product rounded once,
+    to inf beyond the double range; over lanes, one whose p_d is NaN (not
+    evaluated) is not checked."""
+    antennas = (_as_double(n * M) if lanes is None
+                else np.array([_as_double(n * m) for m in M.tolist()])
+                if isinstance(n, int) else n * M)
     return _finite_power(pm.P_FIX + antennas * pm.P_RRH
                          + (cfg.T - cfg.tau_u) / cfg.T * (p_d / pm.zeta) * cfg.K
                          + backhaul, lanes, lanes is not None and np.isnan(p_d))
+
+
+def _as_double(count: int) -> float:
+    """``count`` rounded to a double, inf beyond the double range."""
+    try:
+        return float(count)
+    except OverflowError:
+        return math.inf
 
 
 def _finite_power(value: float, lanes: Lanes | None = None,
@@ -301,9 +311,9 @@ class Design:
     raises ConfigError.
 
     With ``lanes`` every RRH count of lanes.M replaces cfg.M: the terms are
-    arrays, n may be a float, an array of floats (NaN: a lane not
-    evaluated) or an int beyond 2^53, a missing point is NaN instead of
-    None, and the errors are marked in lanes.fail instead of raised.
+    arrays, n may be an int, a float or an array of floats (NaN: a lane
+    not evaluated), a missing point is NaN instead of None, and the errors
+    are marked in lanes.fail instead of raised.
     """
 
     margin = se = throughput = backhaul = None   # at fixed p_d: per n
@@ -335,12 +345,15 @@ class Design:
         return self.cfg.sigma2 / denom if denom > 0.0 else None
 
     def point(self, n: int) -> OperatingPoint | None:
-        cfg, pm, p_d = self.cfg, self.pm, self.transmit_power(n)
+        # an int n is rounded to a double for p_d and the SINR, as Python
+        # rounds it there, and multiplied by M exactly in the total power
+        x = float(n) if isinstance(n, int) else n
+        cfg, pm, p_d = self.cfg, self.pm, self.transmit_power(x)
         if p_d is None:
             return None
         se, throughput, backhaul = self.se, self.throughput, self.backhaul
         if se is None:   # at fixed p_d the rate depends on n
-            sinr = _sinr(cfg, self.brk, n, p_d)
+            sinr = _sinr(cfg, self.brk, x, p_d)
             if (self.lanes or SCALAR).config_error(sinr > 0.0):
                 raise ConfigError("p_d, sigma2 and beta take the SINR to 0")
             se = (rate_from_sinr(cfg, [sinr] * cfg.K) if self.lanes is None

@@ -304,9 +304,11 @@ def _coerce(name: str, annotation: str, text: str):
         return text
     if annotation == "int":
         try:
-            return int(text)
-        except ValueError:
-            pass
+            value = int(text)
+            float(value)   # OverflowError beyond the double range
+            return value
+        except (ValueError, OverflowError):
+            pass   # read as a float below: not an integer, or inf
     try:
         value = float(text)
     except ValueError:

@@ -285,9 +285,7 @@ def scan_m(cfg: SystemConfig, pm: PowerModel, gamma: float, M_max: int,
                 n_star, (ee, p_d, _) = _floor_ceil_lanes(x_real, design)
             else:
                 n_star, x_real = n, None
-                # an n that is no double (beyond 2^53) stays an int, which
-                # Design multiplies by each M exactly, as the scalar does
-                ee, p_d, _ = design.point(float(n) if float(n) == n else n)
+                ee, p_d, _ = design.point(n)
                 p_d = np.broadcast_to(p_d, ee.shape)   # one value at fixed p_d
                 lanes.infeasible(~np.isnan(ee))
         config = np.flatnonzero(lanes.fail == CONFIG)

@@ -156,7 +156,9 @@ _BEYOND_DOUBLES = [(*form, *flag) for flag in (("--beta", "1e300"),
     ("opt-k", "--gamma", "2", "--P-BT", "1e300"),
     # (mu1 - slope*K)**2 overflowed to an OverflowError traceback
     ("opt-k", "--gamma", "0.5", "--iota", "300", "--alpha2", "0",
-     "--P-RRH", "0.5", "--beta", "1e30")], ids=" ".join)
+     "--P-RRH", "0.5", "--beta", "1e30"),
+    # the int n * M beyond the double range was an OverflowError traceback
+    ("opt-m", "--gamma", "2", "--fixed-n", "--n", "1e307")], ids=" ".join)
 def test_model_beyond_the_double_range_exits_2_everywhere(capsys, argv):
     # figures 7, 8 and 10 printed all-NaN rows (exit 0) and the optimizers
     # blamed P_RRH or the quartic (exit 3): one handler, in main, decides;
@@ -495,6 +497,9 @@ def test_dbm_flags(capsys):
     ("opt-m", "--gamma", "2", "--M-max", "0"),
     ("joint", "--gamma", "2", "--M-max", "-3"),
     ("opt-m", "--gamma", "2", "--fixed-n", "--M-max", "0"),
+    # an integer beyond the double range, from a flag or a file line alike
+    ("opt-m", "--gamma", "2", "--fixed-n", "--n", "1" + "0" * 400),
+    ("opt-m", "--gamma", "2", "--fixed-n", "--config", "n = 1" + "0" * 400),
 ])
 def test_bad_sweep_arguments_exit_2(capsys, tmp_path, argv):
     if "--config" in argv:  # the argument after --config is the file's text
@@ -669,7 +674,8 @@ def test_every_config_field_is_a_flag_on_every_model_subcommand():
 
 
 @pytest.mark.parametrize("text", ["10", "10.0", "1e1", "9007199254740993",
-                                  "0.5", "nan", "abc", "exact", "bogus"])
+                                  "1" + "0" * 400, "0.5", "nan", "abc",
+                                  "exact", "bogus"], ids=lambda text: text[:20])
 @pytest.mark.parametrize("key", [
     *(f.name for cls in (SystemConfig, PowerModel)
       for f in dataclasses.fields(cls)),

@@ -473,6 +473,8 @@ def test_joint_optimal_m_equals_scan_of_optimal_n(monkeypatch):
               (CFG, PM.replace(P_RRH=1e-320), 2.0, 8),   # joint: all skipped
               (CFG.replace(n=1), PM, 3.0, 8),            # fixed: all skipped
               (CFG.replace(n=2 ** 53 + 1), PM, 2.0, 30),  # n is no double
+              (CFG.replace(n=2 ** 64 + 1), PM, 2.0, 30),  # nor an int64
+              (CFG.replace(n=10 ** 307), PM, 2.0, 30),    # n * M beyond range
               (CFG, PM, 2.0, 60)]
     expected = [(_outcome(lambda: _optimal_m_by_scan(cfg, pm, gamma, m_max)),
                  _outcome(lambda: _optimal_m_by_scan(cfg, pm, gamma, m_max,
