@@ -8,9 +8,10 @@ transmit power needed for a target per-user rate, the total consumed power,
 and the energy efficiency are all elementary scalar expressions.  n enters
 them only through +, -, * and /, so one ``Design`` evaluates every n of a
 sweep from one breakdown and gives the same bits as a configuration per n.
-The RRH count M enters through the same operations and Python's float
-power, so a ``Design`` over ``Lanes`` (an array of RRH counts) evaluates
-every M at once, with the bits of a configuration per M.
+The RRH count M and the user count K enter through the same operations
+and Python's float power, so a ``Design`` over ``Lanes`` (an array of RRH
+counts or of user counts) evaluates every M, or every K, at once, with the
+bits of a configuration per count.
 """
 from __future__ import annotations
 
@@ -38,19 +39,23 @@ CONFIG, INFEASIBLE = 1, 2
 # How a scalar evaluation computes and checks (``Lanes`` is the array one):
 # Python's float power, math.isfinite and math.sqrt, and a check
 # ``config_error(ok)`` / ``infeasible(ok)`` returns whether ``ok`` fails,
-# so that the caller raises.
+# so that the caller raises.  ``counts(cfg)`` is the (M, K) evaluated.
 SCALAR = SimpleNamespace(pow=operator.pow, finite=math.isfinite,
                          sqrt=math.sqrt, config_error=operator.not_,
-                         infeasible=operator.not_)
+                         infeasible=operator.not_,
+                         counts=operator.attrgetter("M", "K"))
 
 
 class Lanes:
-    """RRH counts ``M`` (an int64 array) evaluated at once, one lane each.
+    """RRH counts ``M`` or user counts ``K`` (an int64 array, the other
+    count left None) evaluated at once, one lane each; the counts replace
+    cfg.M or cfg.K.  User counts are at most T/psi, so their pilot and
+    data symbol counts are exact doubles as long as T is.
 
     The same expressions as a scalar evaluation (``SCALAR``), over arrays:
     ``pow`` is still Python's, lane by lane, and a check raises nothing.
     It marks instead, in ``fail``, the lanes still at 0 that fail it:
-    CONFIG where the scalar evaluation at that M raises a ConfigError,
+    CONFIG where the scalar evaluation at that count raises a ConfigError,
     INFEASIBLE where it raises an InfeasibleError.  A failed lane's values
     are meaningless.
     """
@@ -59,9 +64,15 @@ class Lanes:
     finite = staticmethod(np.isfinite)
     sqrt = staticmethod(np.sqrt)
 
-    def __init__(self, M: np.ndarray):
-        self.M = M
-        self.fail = np.zeros(M.shape, np.int8)
+    def __init__(self, M: np.ndarray | None = None,
+                 K: np.ndarray | None = None):
+        self.M, self.K = M, K
+        self.fail = np.zeros((M if K is None else K).shape, np.int8)
+
+    def counts(self, cfg: SystemConfig) -> tuple:
+        """(M, K) of cfg, the swept one replaced by the lanes' array."""
+        return (cfg.M if self.M is None else self.M,
+                cfg.K if self.K is None else self.K)
 
     def _mark(self, ok, kind: int) -> bool:
         if not np.all(ok):
@@ -70,6 +81,18 @@ class Lanes:
 
     config_error = partialmethod(_mark, kind=CONFIG)
     infeasible = partialmethod(_mark, kind=INFEASIBLE)
+
+    def raise_config(self, alone) -> None:
+        """Raise the ConfigError of the first lane marked CONFIG, if any:
+        ``alone(count)`` evaluates that lane's count by itself, by the
+        scalar evaluation, which raises it."""
+        config = np.flatnonzero(self.fail == CONFIG)
+        if config.size:
+            name, counts = ("M", self.M) if self.K is None else ("K", self.K)
+            count = int(counts[config[0]])
+            alone(count)
+            raise AssertionError(f"{name}={count}: the array pass marks a "
+                                 f"ConfigError that the scalar does not")
 
 
 class InfeasibleError(ValueError):
@@ -140,12 +163,13 @@ def sinr_breakdown(cfg: SystemConfig,
 
     Raises ConfigError when beta and iota take a term beyond the double range
     (M^iota, beta^2 or, in negligible mode, 1/beta^2 overflows) or S to 0.
-    With ``lanes`` the terms are arrays over the RRH counts lanes.M, which
-    replace cfg.M, and a count where the scalar raises is marked CONFIG.
+    With ``lanes`` the terms are arrays over the lanes' counts, and a count
+    where the scalar raises is marked CONFIG.
     """
-    ev, M = (SCALAR, cfg.M) if lanes is None else (lanes, lanes.M)
+    ev = lanes or SCALAR
+    M, K = ev.counts(cfg)
     try:
-        sc = derived_scalars(cfg, M)
+        sc = derived_scalars(cfg, M, K)
         alpha1, nu1, nu2 = cfg.alpha1, sc.nu1, sc.nu2
         m_half = ev.pow(M, cfg.iota / 2.0)
         beta2 = cfg.beta ** 2
@@ -165,7 +189,7 @@ def sinr_breakdown(cfg: SystemConfig,
         pass
     if ev.config_error(signal > 0.0):
         raise ConfigError("beta, p_u and sigma2 take the signal power S to 0")
-    mu_scaled = cfg.beta * cfg.d * cfg.K * sc.xi
+    mu_scaled = cfg.beta * cfg.d * K * sc.xi
     return SinrBreakdown(signal, pc, mu_scaled)
 
 
@@ -226,7 +250,7 @@ def _min_antennas(brk: SinrBreakdown, gamma: float, margin: float,
 def total_power_at_se(cfg: SystemConfig, pm: PowerModel, se: float,
                       n: int | None = None, p_d: float | None = None) -> float:
     """Cell power draw at spectral efficiency ``se`` (bits/s/Hz)."""
-    return _total_power(cfg, pm, cfg.M, cfg.n if n is None else n,
+    return _total_power(cfg, pm, cfg.M, cfg.K, cfg.n if n is None else n,
                         cfg.p_d if p_d is None else p_d,
                         _backhaul(cfg, pm, cfg.M, se))
 
@@ -247,18 +271,20 @@ def _backhaul(cfg: SystemConfig, pm: PowerModel, M, se: float) -> float:
     return M * (pm.P_0 + pm.P_BT * cfg.B * se)
 
 
-def _total_power(cfg: SystemConfig, pm: PowerModel, M, n: int, p_d: float,
-                 backhaul: float, lanes: Lanes | None = None) -> float:
+def _total_power(cfg: SystemConfig, pm: PowerModel, M, K, n: int,
+                 p_d: float, backhaul: float,
+                 lanes: Lanes | None = None) -> float:
     """Cell power draw in W, ConfigError where it is not finite; the backhaul
     (the one term without n or p_d) comes last, so it can be computed once.
     An int n is multiplied by M as integers and the product rounded once,
     to inf beyond the double range; over lanes, one whose p_d is NaN (not
     evaluated) is not checked."""
     antennas = (_as_double(n * M) if lanes is None
+                else n * M if not isinstance(n, int)
                 else np.array([_as_double(n * m) for m in M.tolist()])
-                if isinstance(n, int) else n * M)
+                if lanes.K is None else _as_double(n * M))
     return _finite_power(pm.P_FIX + antennas * pm.P_RRH
-                         + (cfg.T - cfg.tau_u) / cfg.T * (p_d / pm.zeta) * cfg.K
+                         + (cfg.T - cfg.psi * K) / cfg.T * (p_d / pm.zeta) * K
                          + backhaul, lanes, lanes is not None and np.isnan(p_d))
 
 
@@ -307,13 +333,14 @@ class Design:
     at rate gamma, throughput, backhaul power) are computed once; a gamma
     no n reaches raises ConfigError / RateUnachievableError here.  Per n
     (a positive int, not checked) each method returns None where n is too
-    few for gamma; a non-finite total power or throughput or a zero SINR
-    raises ConfigError.
+    few for gamma; a non-finite total power or throughput, a zero SINR or
+    a positive throughput whose EE rounds to 0 raises ConfigError.
 
-    With ``lanes`` every RRH count of lanes.M replaces cfg.M: the terms are
-    arrays, n may be an int, a float or an array of floats (NaN: a lane
-    not evaluated), a missing point is NaN instead of None, and the errors
-    are marked in lanes.fail instead of raised.
+    With ``lanes`` every count of the lanes replaces cfg.M or cfg.K: the
+    terms are arrays, n may be an int, a float or an array of floats (NaN:
+    a lane not evaluated), a missing point is NaN instead of None, and the
+    errors are marked in lanes.fail instead of raised.  Lanes of user
+    counts need a rate gamma.
     """
 
     margin = se = throughput = backhaul = None   # at fixed p_d: per n
@@ -321,11 +348,11 @@ class Design:
     def __init__(self, cfg: SystemConfig, pm: PowerModel,
                  gamma: float | None = None, lanes: Lanes | None = None):
         self.cfg, self.pm, self.gamma, self.lanes = cfg, pm, gamma, lanes
-        self.M = cfg.M if lanes is None else lanes.M
+        self.M, self.K = (lanes or SCALAR).counts(cfg)
         self.brk = sinr_breakdown(cfg, lanes)
         if gamma is not None:
             self.margin = rate_margin(self.brk, gamma, lanes)
-            self.se = (cfg.T - cfg.tau_u) / cfg.T * cfg.K * gamma
+            self.se = (cfg.T - cfg.psi * self.K) / cfg.T * self.K * gamma
             self.throughput = _throughput(cfg, self.se, lanes)
             self.backhaul = _backhaul(cfg, pm, self.M, self.se)
 
@@ -361,8 +388,18 @@ class Design:
                                  for lane in sinr.tolist()]))
             throughput = _throughput(cfg, se, self.lanes)
             backhaul = _backhaul(cfg, pm, self.M, se)
-        p_total = _total_power(cfg, pm, self.M, n, p_d, backhaul, self.lanes)
-        return OperatingPoint(throughput / p_total, p_d, p_total)
+        p_total = _total_power(cfg, pm, self.M, self.K, n, p_d, backhaul,
+                               self.lanes)
+        ee = throughput / p_total
+        if self.lanes is None:
+            if ee == 0.0 and throughput > 0.0:
+                raise ConfigError(f"the throughput B*se = {throughput!r} "
+                                  f"bit/s against the total power "
+                                  f"{p_total!r} W: the EE B*se/p_total "
+                                  f"rounds to 0")
+        elif np.count_nonzero(ee) < ee.size:   # NaN (not evaluated) is not 0
+            self.lanes.config_error((ee != 0.0) | (throughput == 0.0))
+        return OperatingPoint(ee, p_d, p_total)
 
     def ee(self, n: int) -> float | None:
         return None if (point := self.point(n)) is None else point.ee

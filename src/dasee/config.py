@@ -32,7 +32,10 @@ def watts_from_dbm(dbm: float) -> float:
 def dbm_from_watts(watts: float) -> float:
     if watts <= 0.0:
         raise ValueError("power must be positive to convert to dBm")
-    return 10.0 * math.log10(watts * 1000.0)
+    milliwatts = watts * 1000.0
+    if math.isinf(milliwatts):   # watts beyond the double range over 1000
+        return 10.0 * math.log10(watts) + 30.0
+    return 10.0 * math.log10(milliwatts)
 
 
 @dataclass(frozen=True)
@@ -239,11 +242,12 @@ def _pow(base, exponent):
         return np.array(powers)
 
 
-def derived_scalars(cfg: SystemConfig, M=None) -> DerivedScalars:
+def derived_scalars(cfg: SystemConfig, M=None, K=None) -> DerivedScalars:
     """Aggregate scalars of the averaged interference model.
 
-    ``M`` replaces cfg.M; an array of RRH counts makes L_bar1, nu1 and xi
-    arrays that hold, per count, the bits of the scalar evaluation.
+    ``M`` replaces cfg.M and ``K`` cfg.K; an array of RRH counts makes
+    L_bar1, nu1 and xi arrays, an array of user counts tau_u and, in exact
+    mode, nu1 and nu2: per count, the bits of the scalar evaluation.
 
     In ``negligible`` pilot-noise mode the noise term is dropped from the
     estimation-quality factors, which then reduce to 1/(L_bar * beta).
@@ -257,7 +261,7 @@ def derived_scalars(cfg: SystemConfig, M=None) -> DerivedScalars:
     copilot = alpha2 * (L / cfg.psi - 1.0)
     l_bar1 = m_half + copilot
     l_bar2 = alpha1 + copilot
-    tau_u = cfg.tau_u
+    tau_u = cfg.psi * (cfg.K if K is None else K)
     if cfg.pilot_noise_mode == "negligible":
         nu1 = 1.0 / (l_bar1 * beta)
         gain2 = l_bar2 * beta

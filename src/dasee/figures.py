@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from . import montecarlo
-from .asymptotic import Design, InfeasibleError, operating_point
+from .asymptotic import (Design, InfeasibleError, energy_efficiency,
+                         operating_point)
 from .config import PowerModel, SystemConfig
-from .optimize import ee_or_none, optimal_n, scan_m
+from .optimize import lane_chunks, optimal_n, scan_m
 
 GAMMA_DEFAULT = 2.0
 N_SWEEP = tuple(range(2, 61))
@@ -53,6 +56,24 @@ def _n_curve(key, cfg, pm, step=1):
     tail = (_optimum(cfg, pm, GAMMA_DEFAULT)[0],)
     return _curve(key, _ee_of_n(cfg, pm),
                   [n for n in N_SWEEP if n % step == 0], tail)
+
+
+def _k_curve(key, cfg, pm):
+    """EE vs every user count K = 1..T/psi at n = cfg.n, one array pass
+    over the counts: each row holds the bits of ``energy_efficiency`` at
+    that K, NaN with feasible=0 where it raises an InfeasibleError.  A
+    ConfigError is raised from the first K where it raises one."""
+    rows = []
+    for lanes in lane_chunks("K", cfg.T // cfg.psi):
+        with np.errstate(all="ignore"):
+            ee = Design(cfg, pm, GAMMA_DEFAULT, lanes).ee(cfg.n)
+        lanes.infeasible(~np.isnan(ee))
+        lanes.raise_config(
+            lambda K: energy_efficiency(cfg, pm, GAMMA_DEFAULT, K=K))
+        feasible = (lanes.fail == 0).tolist()
+        rows += [[*key, K, e if ok else math.nan, int(ok)] for K, e, ok
+                 in zip(lanes.K.tolist(), ee.tolist(), feasible)]
+    return rows
 
 
 def figure2(cfg, pm, realizations=1000, seed=1):
@@ -121,10 +142,7 @@ def figure7(cfg, pm, realizations=0, seed=1):
     header = ["psi", "d", "K", "ee_bits_per_joule", "feasible"]
     rows = []
     for psi, d in ((1, 1), (cfg.L, 1), (1, 2)):
-        point = cfg.replace(psi=psi, d=d, n=20)
-        rows += _curve([psi, d],
-                       lambda K: ee_or_none(point, pm, GAMMA_DEFAULT, K=K),
-                       range(1, cfg.T // psi + 1))
+        rows += _k_curve([psi, d], cfg.replace(psi=psi, d=d, n=20), pm)
     return header, rows
 
 

@@ -4,9 +4,11 @@ The antenna count per RRH has a closed-form continuous optimum (square-root
 power balance plus the feasibility offset), the user count is the unique
 root of a quartic found by bisection, and the RRH count comes from a
 one-dimensional scan, which evaluates every candidate M in one array pass
-(``scan_m``).  Every routine rounds its continuous optimum with the
-EE-comparison rule (take whichever of floor/ceil achieves the higher EE) and
-an exhaustive integer scan is provided as the reference oracle.
+(``scan_m``); ``lane_chunks`` cuts a swept count, M or K, into the
+``Lanes`` of such passes, and figure 7 sweeps K with it.  Every routine
+rounds its continuous optimum with the EE-comparison rule (take whichever
+of floor/ceil achieves the higher EE) and an exhaustive integer scan is
+provided as the reference oracle.
 """
 from __future__ import annotations
 
@@ -16,17 +18,16 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .asymptotic import (CONFIG, MAX_ANTENNAS, SCALAR, Design,
-                         InfeasibleError, Lanes, OperatingPoint,
-                         RateUnachievableError, _finite_power, _rate_ceiling,
-                         energy_efficiency, operating_point, rate_margin,
-                         sinr_breakdown)
+from .asymptotic import (MAX_ANTENNAS, SCALAR, Design, InfeasibleError,
+                         Lanes, OperatingPoint, RateUnachievableError,
+                         _finite_power, _rate_ceiling, energy_efficiency,
+                         operating_point, rate_margin, sinr_breakdown)
 from .config import (ConfigError, PowerModel, SystemConfig, derived_scalars,
                      override)
 
 BISECTION_WIDTH = 1e-3   # interval width on the continuous user count
 DEFAULT_M_MAX = 30
-M_CHUNK = 4096           # RRH counts per array pass of scan_m
+LANE_CHUNK = 4096        # counts per array pass (scan_m, figure 7's curves)
 
 
 class OptimizationError(InfeasibleError):
@@ -127,16 +128,17 @@ def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
 
 def _antenna_optimum(design: Design):
     """(n_min, the continuous EE-optimal n) of ``design``, arrays over its
-    lanes, with optimal_n's errors (marked in the lanes over lanes)."""
+    lanes (of M or of K), with optimal_n's errors (marked in the lanes
+    over lanes)."""
     cfg, pm, lanes = design.cfg, design.pm, design.lanes
     ev = lanes or SCALAR
     n_min = design.n_min  # raises if gamma unachievable
-    data_fraction = _finite_power((cfg.T - cfg.tau_u) / (cfg.T * pm.zeta),
-                                  lanes)
+    data_fraction = _finite_power(
+        (cfg.T - cfg.psi * design.K) / (cfg.T * pm.zeta), lanes)
     antenna_power = design.margin * design.M * pm.P_RRH
     # numpy's x / 0 is inf (or NaN), infeasible like the scalar's inf
     balance = (math.inf if lanes is None and not antenna_power > 0.0 else
-               ev.sqrt(data_fraction * cfg.sigma2 * cfg.K / antenna_power))
+               ev.sqrt(data_fraction * cfg.sigma2 * design.K / antenna_power))
     if ev.infeasible(balance < MAX_ANTENNAS):
         raise OptimizationError(
             f"EE grows with n beyond 2^53 antennas per RRH: the antenna "
@@ -264,9 +266,17 @@ def _floor_ceil_lanes(x: np.ndarray, design: Design):
         *(np.where(take_lo, a, b) for a, b in zip(at_lo, at_hi)))
 
 
+def lane_chunks(axis: str, count: int) -> Iterator[Lanes]:
+    """``Lanes`` of the counts 1..count of ``axis`` ("M" or "K"),
+    ``LANE_CHUNK`` counts at a time, so memory does not grow with count."""
+    for start in range(1, count + 1, LANE_CHUNK):
+        yield Lanes(**{axis: np.arange(start, min(start + LANE_CHUNK,
+                                                  count + 1))})
+
+
 def scan_m(cfg: SystemConfig, pm: PowerModel, gamma: float, M_max: int,
            n: int | None = None) -> Iterator[tuple]:
-    """Every RRH count M = 1..M_max at once, ``M_CHUNK`` counts at a time.
+    """Every RRH count M = 1..M_max at once, ``LANE_CHUNK`` counts at a time.
 
     Yields per chunk the arrays (M, feasible, n*, ee, p_d, x_real).  Each
     feasible lane holds the bits of ``optimal_n(cfg, pm, gamma, M=M)``;
@@ -276,8 +286,7 @@ def scan_m(cfg: SystemConfig, pm: PowerModel, gamma: float, M_max: int,
     first M where it raises a ConfigError, that M is evaluated alone to
     raise it.
     """
-    for start in range(1, M_max + 1, M_CHUNK):
-        lanes = Lanes(np.arange(start, min(start + M_CHUNK, M_max + 1)))
+    for lanes in lane_chunks("M", M_max):
         with np.errstate(all="ignore"):
             design = Design(cfg, pm, gamma, lanes)
             if n is None:
@@ -288,12 +297,7 @@ def scan_m(cfg: SystemConfig, pm: PowerModel, gamma: float, M_max: int,
                 ee, p_d, _ = design.point(n)
                 p_d = np.broadcast_to(p_d, ee.shape)   # one value at fixed p_d
                 lanes.infeasible(~np.isnan(ee))
-        config = np.flatnonzero(lanes.fail == CONFIG)
-        if config.size:
-            M = int(lanes.M[config[0]])
-            _at_m(cfg, pm, gamma, M, n)
-            raise AssertionError(f"M={M}: the array pass marks a "
-                                 f"ConfigError that the scalar does not")
+        lanes.raise_config(lambda M: _at_m(cfg, pm, gamma, M, n))
         yield lanes.M, lanes.fail == 0, n_star, ee, p_d, x_real
 
 

@@ -161,19 +161,25 @@ def test_scalar_evaluation_returns_plain_floats():
 
 def test_breakdown_over_lanes_has_the_bits_of_each_m():
     # one breakdown over M = 1..60 holds, per M, the scalar's bits: Python's
-    # float power, which numpy's differs from in the last bit for some M
+    # float power, which numpy's differs from in the last bit for some M;
+    # so does one over K = 1..T/psi (in negligible mode only I_MU' varies)
     rng = np.random.default_rng(11)
     for _ in range(20):
         cfg = CFG.replace(iota=float(rng.uniform(2.0, 4.0)),
                           pilot_noise_mode=str(rng.choice(["exact",
                                                            "negligible"])),
-                          alpha1=float(rng.uniform(0.0, 1.0)))
-        lanes = Lanes(np.arange(1, 61))
-        got = sinr_breakdown(cfg, lanes)
-        want = [sinr_breakdown(cfg.replace(M=M)) for M in range(1, 61)]
-        assert not lanes.fail.any()
-        for field, values in zip(SinrBreakdown._fields, got):
-            assert values.tolist() == [getattr(w, field) for w in want], field
+                          alpha1=float(rng.uniform(0.0, 1.0)),
+                          psi=int(rng.choice([1, 7])))
+        for name, counts in (("M", range(1, 61)),
+                             ("K", range(1, cfg.T // cfg.psi + 1))):
+            lanes = Lanes(**{name: np.array(counts)})
+            got = sinr_breakdown(cfg, lanes)
+            want = [sinr_breakdown(cfg.replace(**{name: count}))
+                    for count in counts]
+            assert not lanes.fail.any()
+            for field, values in zip(SinrBreakdown._fields, got):
+                assert np.broadcast_to(values, len(counts)).tolist() == [
+                    getattr(w, field) for w in want], (name, field)
 
 
 @pytest.mark.parametrize("gamma", [None, 2.0, 6.0])

@@ -10,10 +10,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dasee
-from dasee import figures
+from dasee import figures, optimize
 from dasee.asymptotic import (InfeasibleAntennasError, RateUnachievableError,
                               deterministic_sinr, energy_efficiency,
                               total_power_at_se)
@@ -373,6 +374,33 @@ def test_zero_sinr_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("de-curve", "--B", "5e-324"),
+    ("de-curve", "--zeta", "1e-300", "--B", "1e-280"),
+    ("opt-n", "--gamma", "1", "--B", "5e-324"),
+    ("opt-k", "--gamma", "1", "--L", "1", "--zeta", "0.015625", "--B",
+     "5e-324"),
+    ("figure", "3", "--B", "5e-324")])
+def test_ee_that_rounds_to_0_exits_2(capsys, argv):
+    # B*se > 0 against a total power so large that the EE rounds to 0:
+    # these printed feasible rows of EE 0.0 or an "optimum" among EE = 0
+    # ties, exit 0
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "", (code, out)
+    assert "EE B*se/p_total rounds to 0" in err, err
+
+
+def test_p_d_dbm_beyond_a_milliwatt_double_is_finite(capsys):
+    # p_d * 1000 overflows: the row printed p_d_dbm = inf with feasible=1
+    code, out, _ = run(capsys, "de-curve", "--p-d", "1.797693134862316e+305",
+                       "--n-range", "20")
+    assert code == 0
+    row = list(csv.DictReader(io.StringIO(out)))[0]
+    assert row["feasible"] == "1"
+    assert float(row["p_d_dbm"]) == 10.0 * math.log10(1.797693134862316e+305) \
+        + 30.0
+
+
+@pytest.mark.parametrize("argv", [
     ["--beta", "1e-300"],
     ["--p-u=1e-300", "--n-range", "10:20:10", "--realizations", "3"],
     ["--beta", "1e-160", "--n-range", "10", "--realizations", "5"],
@@ -574,14 +602,39 @@ def _ee_or_nan(cfg, pm, **point):
         return math.nan
 
 
+def _figure7_cases():
+    """Both pilot-noise modes at the defaults, and seeded power models and
+    gains around them."""
+    cases = [(SystemConfig(pilot_noise_mode=mode), PowerModel())
+             for mode in ("exact", "negligible")]
+    rng = np.random.default_rng(19)
+    for mode in ("exact", "negligible") * 3:
+        pm = PowerModel(**{name: value * rng.uniform(0.5, 1.5) for name, value
+                           in dataclasses.asdict(PowerModel()).items()
+                           if name != "zeta"}, zeta=rng.uniform(0.1, 1.0))
+        cases.append((SystemConfig(pilot_noise_mode=mode,
+                                   beta=2.24e-8 * 10 ** rng.uniform(-1.5, 1),
+                                   M=int(rng.integers(1, 11))), pm))
+    return cases
+
+
 def test_figure7_and_figure8_rows_equal_energy_efficiency():
+    # figure 7 evaluates each curve's user counts in one array pass; every
+    # row must still equal energy_efficiency at that K bit for bit
+    feasible_flags = set()
+    for cfg, pm in _figure7_cases():
+        header, rows = figures.figure7(cfg, pm)
+        assert header == ["psi", "d", "K", "ee_bits_per_joule", "feasible"]
+        assert len(rows) == cfg.T * 2 + cfg.T // cfg.L
+        for psi, d, K, ee, feasible in rows:
+            ref = _ee_or_nan(cfg.replace(psi=psi, d=d, n=20), pm, K=K)
+            assert type(K) is int and type(ee) is float
+            assert feasible == int(not math.isnan(ref))
+            assert ee == ref or (math.isnan(ee) and math.isnan(ref)), (
+                cfg, pm, psi, d, K)
+            feasible_flags.add(feasible)
+    assert feasible_flags == {0, 1}
     cfg, pm = SystemConfig(), PowerModel()
-    header, rows = figures.figure7(cfg, pm)
-    assert header == ["psi", "d", "K", "ee_bits_per_joule", "feasible"]
-    for psi, d, K, ee, feasible in rows:
-        ref = _ee_or_nan(cfg.replace(psi=psi, d=d, n=20), pm, K=K)
-        assert feasible == int(not math.isnan(ref))
-        assert ee == ref or (math.isnan(ee) and math.isnan(ref))
     header, rows = figures.figure8(cfg, pm)
     assert header == ["M", "n", "ee_bits_per_joule", "feasible"]
     for M, n, ee, feasible in rows:
@@ -589,6 +642,45 @@ def test_figure7_and_figure8_rows_equal_energy_efficiency():
         assert feasible == int(not math.isnan(ref))
         assert ee == ref or (math.isnan(ee) and math.isnan(ref))
     assert {0, 1} <= {row[-1] for row in rows}
+
+
+def _figure7_by_k(cfg, pm):
+    """figure7's rows one user count at a time, as energy_efficiency gives
+    them; a ConfigError propagates from the first K with one."""
+    rows = []
+    for psi, d in ((1, 1), (cfg.L, 1), (1, 2)):
+        point = cfg.replace(psi=psi, d=d, n=20)
+        for K in range(1, cfg.T // psi + 1):
+            ee = ee_or_none(point, pm, figures.GAMMA_DEFAULT, K=K)
+            rows.append([psi, d, K, math.nan if ee is None else ee,
+                         int(ee is not None)])
+    return rows
+
+
+@pytest.mark.parametrize("changes,power", [
+    ({"B": 1e307}, {}),                # B*se beyond the range from K = 10
+    # M*P_BT*B*se beyond it from K = 3, before B*se from K = 10
+    ({"B": 1e307}, {"P_BT": 0.5})])
+def test_figure7_raises_the_config_error_of_its_first_k(monkeypatch, changes,
+                                                        power):
+    # some user counts of the first curve evaluate, later ones raise a
+    # ConfigError: the array pass raises the one the per-K loop raises,
+    # whatever the number of counts per pass
+    cfg, pm = SystemConfig(**changes), PowerModel(**power)
+    point = cfg.replace(n=20)
+    assert ee_or_none(point, pm, figures.GAMMA_DEFAULT, K=1) is not None
+    with pytest.raises(ConfigError) as per_k:
+        _figure7_by_k(cfg, pm)
+    for chunk in (1, 7, optimize.LANE_CHUNK):
+        monkeypatch.setattr(optimize, "LANE_CHUNK", chunk)
+        with pytest.raises(ConfigError) as lanes:
+            figures.figure7(cfg, pm)
+        assert str(lanes.value) == str(per_k.value)
+        monkeypatch.undo()
+    for chunk in (1, 7):   # and rows as the loop's where nothing raises
+        monkeypatch.setattr(optimize, "LANE_CHUNK", chunk)
+        assert repr(figures.figure7(SystemConfig(), PowerModel())[1]) == \
+            repr(_figure7_by_k(SystemConfig(), PowerModel()))
 
 
 def _ee_or_nan_any(cfg, pm, n):

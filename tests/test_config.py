@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import pytest
 
@@ -181,6 +182,10 @@ def test_dbm_round_trip():
     for watts in (1e-7, 0.5, 2.0):
         assert math.isclose(watts_from_dbm(dbm_from_watts(watts)), watts,
                             rel_tol=1e-12)
+    # beyond 1.8e305 W the milliwatts overflow; the dBm stay finite
+    assert dbm_from_watts(1.0) == 30.0
+    for watts in (1.797693134862316e+305, 1e306, sys.float_info.max):
+        assert dbm_from_watts(watts) == 10.0 * math.log10(watts) + 30.0
 
 
 def test_config_file_round_trip(tmp_path):

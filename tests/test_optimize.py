@@ -475,6 +475,7 @@ def test_joint_optimal_m_equals_scan_of_optimal_n(monkeypatch):
               (CFG.replace(n=2 ** 53 + 1), PM, 2.0, 30),  # n is no double
               (CFG.replace(n=2 ** 64 + 1), PM, 2.0, 30),  # nor an int64
               (CFG.replace(n=10 ** 307), PM, 2.0, 30),    # n * M beyond range
+              (CFG.replace(B=5e-324), PM, 2.0, 8),        # EE rounds to 0
               (CFG, PM, 2.0, 60)]
     expected = [(_outcome(lambda: _optimal_m_by_scan(cfg, pm, gamma, m_max)),
                  _outcome(lambda: _optimal_m_by_scan(cfg, pm, gamma, m_max,
@@ -497,8 +498,8 @@ def test_joint_optimal_m_equals_scan_of_optimal_n(monkeypatch):
                     (CFG.replace(pilot_noise_mode="negligible"), PM),
                     (CFG, PM.replace(P_RRH=1e-320))]
     figure_rows = [repr(_figure9_by_m(cfg, pm)) for cfg, pm in figure_cases]
-    for chunk in (1, 7, optimize.M_CHUNK):
-        monkeypatch.setattr(optimize, "M_CHUNK", chunk)
+    for chunk in (1, 7, optimize.LANE_CHUNK):
+        monkeypatch.setattr(optimize, "LANE_CHUNK", chunk)
         for (cfg, pm, gamma, m_max), want, lanes in zip(cases, expected,
                                                        per_m):
             got = (_outcome(lambda: optimal_m(cfg, pm, gamma, M_max=m_max)),
