@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import partialmethod
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import (ConfigError, PowerModel, SystemConfig, _pow,
-                     _require_count, derived_scalars, override)
+from .config import (ConfigError, PowerModel, SystemConfig,
+                     _derived_scalars, _pow, _require_count, override)
 
 
 # From 2**53 on, not every integer is a double: floor/ceil of an antenna
@@ -57,7 +56,10 @@ class Lanes:
     It marks instead, in ``fail``, the lanes still at 0 that fail it:
     CONFIG where the scalar evaluation at that count raises a ConfigError,
     INFEASIBLE where it raises an InfeasibleError.  A failed lane's values
-    are meaningless.
+    are meaningless.  A check takes a Python or numpy bool (one value for
+    every lane) or a bool array, and costs one reduction where every lane
+    passes; an array of shape (candidates, lanes) fails a lane where any
+    of its candidates fails.
     """
 
     pow = staticmethod(_pow)
@@ -74,22 +76,32 @@ class Lanes:
         return (cfg.M if self.M is None else self.M,
                 cfg.K if self.K is None else self.K)
 
-    def _mark(self, ok, kind: int) -> bool:
-        if not np.all(ok):
-            self.fail[np.logical_not(ok) & (self.fail == 0)] = kind
-        return False
+    def config_error(self, ok) -> bool:
+        return self._mark(ok, CONFIG)
 
-    config_error = partialmethod(_mark, kind=CONFIG)
-    infeasible = partialmethod(_mark, kind=INFEASIBLE)
+    def infeasible(self, ok) -> bool:
+        return self._mark(ok, INFEASIBLE)
+
+    def _mark(self, ok, kind: int) -> bool:
+        if type(ok) is np.ndarray:
+            if np.count_nonzero(ok) == ok.size:
+                return False
+        elif ok:
+            return False
+        bad = np.logical_not(ok)
+        if bad.ndim > 1:   # candidates stacked over the lanes: any fails
+            bad = bad.any(axis=0)
+        self.fail[bad & (self.fail == 0)] = kind
+        return False
 
     def raise_config(self, alone) -> None:
         """Raise the ConfigError of the first lane marked CONFIG, if any:
         ``alone(count)`` evaluates that lane's count by itself, by the
         scalar evaluation, which raises it."""
-        config = np.flatnonzero(self.fail == CONFIG)
-        if config.size:
+        config = self.fail == CONFIG
+        if np.count_nonzero(config):
             name, counts = ("M", self.M) if self.K is None else ("K", self.K)
-            count = int(counts[config[0]])
+            count = int(counts[config.argmax()])
             alone(count)
             raise AssertionError(f"{name}={count}: the array pass marks a "
                                  f"ConfigError that the scalar does not")
@@ -169,14 +181,15 @@ def sinr_breakdown(cfg: SystemConfig,
     ev = lanes or SCALAR
     M, K = ev.counts(cfg)
     try:
-        sc = derived_scalars(cfg, M, K)
-        alpha1, nu1, nu2 = cfg.alpha1, sc.nu1, sc.nu2
         m_half = ev.pow(M, cfg.iota / 2.0)
+        sc = _derived_scalars(cfg, M, K, m_half)
+        alpha1, nu1, nu2 = cfg.alpha1, sc.nu1, sc.nu2
         beta2 = cfg.beta ** 2
-        coherent = ev.pow(M, cfg.iota) * nu1 + (M - 1) * alpha1 ** 2 * nu2
+        others = M - 1   # the RRHs of a cell other than the serving one
+        coherent = ev.pow(M, cfg.iota) * nu1 + others * alpha1 ** 2 * nu2
         signal = beta2 * coherent
         pc = (beta2 * cfg.alpha2 * (sc.L_bar1 - m_half)
-              * ev.pow(m_half * nu1 + (M - 1) * alpha1 * nu2, 2) / coherent)
+              * ev.pow(m_half * nu1 + others * alpha1 * nu2, 2) / coherent)
         # In negligible mode a subnormal beta overflows nu1 to inf without
         # raising, and beta^2 * inf is NaN.  Over lanes a power that
         # overflows is inf and takes signal or pc beyond the range too.
@@ -340,13 +353,16 @@ class Design:
     terms are arrays, n may be an int, a float or an array of floats (NaN:
     a lane not evaluated), a missing point is NaN instead of None, and the
     errors are marked in lanes.fail instead of raised.  Lanes of user
-    counts need a rate gamma.
+    counts need a rate gamma (ValueError otherwise: at fixed p_d the rate
+    of a lane would be read at cfg.K).
     """
 
     margin = se = throughput = backhaul = None   # at fixed p_d: per n
 
     def __init__(self, cfg: SystemConfig, pm: PowerModel,
                  gamma: float | None = None, lanes: Lanes | None = None):
+        if lanes is not None and lanes.K is not None and gamma is None:
+            raise ValueError("a Design over user counts needs a rate gamma")
         self.cfg, self.pm, self.gamma, self.lanes = cfg, pm, gamma, lanes
         self.M, self.K = (lanes or SCALAR).counts(cfg)
         self.brk = sinr_breakdown(cfg, lanes)

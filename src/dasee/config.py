@@ -231,7 +231,8 @@ def _pow(base, exponent):
         return base ** exponent
     values = base.tolist()
     try:
-        return np.array(list(map(math.pow, values, repeat(exponent))))
+        return np.fromiter(map(math.pow, values, repeat(exponent)),
+                           float, len(values))
     except OverflowError:
         powers = []
         for value in values:
@@ -256,8 +257,12 @@ def derived_scalars(cfg: SystemConfig, M=None, K=None) -> DerivedScalars:
     So does an L_bar2 * beta too small for its inverse to be a double.
     """
     M = cfg.M if M is None else M
+    return _derived_scalars(cfg, M, K, _pow(M, cfg.iota / 2.0))
+
+
+def _derived_scalars(cfg: SystemConfig, M, K, m_half) -> DerivedScalars:
+    """``derived_scalars`` at M given its M^(iota/2), ``m_half``."""
     L, alpha1, alpha2, beta = cfg.L, cfg.alpha1, cfg.alpha2, cfg.beta
-    m_half = _pow(M, cfg.iota / 2.0)
     copilot = alpha2 * (L / cfg.psi - 1.0)
     l_bar1 = m_half + copilot
     l_bar2 = alpha1 + copilot

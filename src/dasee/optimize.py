@@ -19,9 +19,9 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .asymptotic import (MAX_ANTENNAS, SCALAR, Design, InfeasibleError,
-                         Lanes, OperatingPoint, RateUnachievableError,
-                         _finite_power, _rate_ceiling, energy_efficiency,
-                         operating_point, rate_margin, sinr_breakdown)
+                         Lanes, RateUnachievableError, _finite_power,
+                         _rate_ceiling, energy_efficiency, operating_point,
+                         rate_margin, sinr_breakdown)
 from .config import (ConfigError, PowerModel, SystemConfig, derived_scalars,
                      override)
 
@@ -254,16 +254,18 @@ def _at_m(cfg: SystemConfig, pm: PowerModel, gamma: float, M: int,
 
 
 def _floor_ceil_lanes(x: np.ndarray, design: Design):
-    """``floor_ceil_select`` of every lane: (n*, its OperatingPoint) as
-    arrays, a lane with both neighbors infeasible marked INFEASIBLE."""
+    """``floor_ceil_select`` of every lane: n* and its EE and p_d as
+    arrays.  Both neighbors are one (2, lanes) point of ``design``, so a
+    lane is CONFIG where either raises a ConfigError, and INFEASIBLE where
+    both are infeasible."""
     lo, hi = np.floor(x), np.ceil(x)
-    at_lo = design.point(np.where(lo >= 1.0, lo, np.nan))   # NaN: skipped
-    at_hi = design.point(np.where(lo != hi, hi, np.nan))
-    ok_lo, ok_hi = ~np.isnan(at_lo.ee), ~np.isnan(at_hi.ee)
+    ee, p_d, _ = design.point(np.array((np.where(lo >= 1.0, lo, np.nan),
+                                        np.where(lo != hi, hi, np.nan))))
+    ok_lo, ok_hi = ~np.isnan(ee)                 # NaN: skipped or infeasible
     design.lanes.infeasible(ok_lo | ok_hi)
-    take_lo = ok_lo & ~(at_hi.ee >= at_lo.ee)   # a NaN compares false
-    return np.where(take_lo, lo, hi), OperatingPoint(
-        *(np.where(take_lo, a, b) for a, b in zip(at_lo, at_hi)))
+    take_lo = ok_lo & ~(ee[1] >= ee[0])          # a NaN compares false
+    return (np.where(take_lo, lo, hi), np.where(take_lo, ee[0], ee[1]),
+            np.where(take_lo, p_d[0], p_d[1]))
 
 
 def lane_chunks(axis: str, count: int) -> Iterator[Lanes]:
@@ -291,7 +293,7 @@ def scan_m(cfg: SystemConfig, pm: PowerModel, gamma: float, M_max: int,
             design = Design(cfg, pm, gamma, lanes)
             if n is None:
                 x_real = _antenna_optimum(design)[1]
-                n_star, (ee, p_d, _) = _floor_ceil_lanes(x_real, design)
+                n_star, ee, p_d = _floor_ceil_lanes(x_real, design)
             else:
                 n_star, x_real = n, None
                 ee, p_d, _ = design.point(n)

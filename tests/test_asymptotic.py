@@ -4,7 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from dasee.asymptotic import (Design, InfeasibleAntennasError, Lanes,
+from dasee.asymptotic import (CONFIG, INFEASIBLE, Design,
+                              InfeasibleAntennasError, Lanes,
                               RateUnachievableError, SinrBreakdown,
                               deterministic_sinr, energy_efficiency,
                               large_scale_gains, min_antennas,
@@ -180,6 +181,37 @@ def test_breakdown_over_lanes_has_the_bits_of_each_m():
             for field, values in zip(SinrBreakdown._fields, got):
                 assert np.broadcast_to(values, len(counts)).tolist() == [
                     getattr(w, field) for w in want], (name, field)
+
+
+@pytest.mark.parametrize("check,kind,other", [
+    ("config_error", CONFIG, INFEASIBLE), ("infeasible", INFEASIBLE, CONFIG)])
+def test_lane_checks_mark_only_unmarked_lanes(check, kind, other):
+    # a check takes one bool for every lane or a bool per lane, raises
+    # nothing (returns False), and marks only the lanes still at 0, so a
+    # lane keeps the kind of its first error; one that passes marks nothing
+    lanes = Lanes(M=np.arange(1, 6))
+    lanes.fail[1] = other
+    mark = getattr(lanes, check)
+    for ok in (True, np.True_, np.ones(5, bool), np.ones((2, 5), bool)):
+        assert mark(ok) is False
+        assert lanes.fail.tolist() == [0, other, 0, 0, 0]
+    assert mark(np.array([True, False, False, True, True])) is False
+    assert lanes.fail.tolist() == [0, other, kind, 0, 0]
+    # stacked candidates: a lane fails where any of its candidates fails
+    assert mark(np.array([[True, True, True, False, True],
+                          [True, False, True, True, True]])) is False
+    assert lanes.fail.tolist() == [0, other, kind, kind, 0]
+    for ok in (False, np.False_):   # every lane fails
+        lanes.fail[[0, 4]] = 0
+        assert mark(ok) is False
+        assert lanes.fail.tolist() == [kind, other, kind, kind, kind]
+
+
+def test_design_over_user_counts_needs_a_rate():
+    # at fixed p_d each lane's rate would be read at cfg.K: a wrong EE
+    with pytest.raises(ValueError, match="needs a rate gamma"):
+        Design(CFG, PM, None, Lanes(K=np.arange(1, 5)))
+    Design(CFG, PM, None, Lanes(M=np.arange(1, 5)))   # RRH counts are fine
 
 
 @pytest.mark.parametrize("gamma", [None, 2.0, 6.0])

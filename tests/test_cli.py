@@ -649,9 +649,9 @@ def _figure7_by_k(cfg, pm):
     them; a ConfigError propagates from the first K with one."""
     rows = []
     for psi, d in ((1, 1), (cfg.L, 1), (1, 2)):
-        point = cfg.replace(psi=psi, d=d, n=20)
         for K in range(1, cfg.T // psi + 1):
-            ee = ee_or_none(point, pm, figures.GAMMA_DEFAULT, K=K)
+            ee = ee_or_none(cfg.replace(psi=psi, d=d, n=20, K=K), pm,
+                            figures.GAMMA_DEFAULT)
             rows.append([psi, d, K, math.nan if ee is None else ee,
                          int(ee is not None)])
     return rows
@@ -681,6 +681,20 @@ def test_figure7_raises_the_config_error_of_its_first_k(monkeypatch, changes,
         monkeypatch.setattr(optimize, "LANE_CHUNK", chunk)
         assert repr(figures.figure7(SystemConfig(), PowerModel())[1]) == \
             repr(_figure7_by_k(SystemConfig(), PowerModel()))
+
+
+def test_figure7_at_a_frame_too_short_for_the_configured_k(capsys):
+    # T = 20 admits K = 10 at psi = 1 but only K <= 2 at psi = L = 7: each
+    # curve's rows are those of its own user counts, the psi = L ones too
+    code, out, err = run(capsys, "figure", "7", "--T", "20")
+    assert (code, err) == (0, "")
+    rows = [[psi, d, K, repr(ee), feasible] for psi, d, K, ee, feasible
+            in _figure7_by_k(SystemConfig(T=20), PowerModel())]
+    assert [row[0] for row in rows].count(7) == 2
+    assert out == "psi,d,K,ee_bits_per_joule,feasible\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in rows)
+    code, _, err = run(capsys, "figure", "7", "--T", "5")   # K = 10 > T
+    assert code == 2 and "psi*K exceeds T" in err
 
 
 def _ee_or_nan_any(cfg, pm, n):

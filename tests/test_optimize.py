@@ -477,6 +477,12 @@ def test_joint_optimal_m_equals_scan_of_optimal_n(monkeypatch):
               (CFG.replace(n=10 ** 307), PM, 2.0, 30),    # n * M beyond range
               (CFG.replace(B=5e-324), PM, 2.0, 8),        # EE rounds to 0
               (CFG, PM, 2.0, 60)]
+    # every floor_ceil_select branch in one pass: n* beyond 2^53 at M = 1,
+    # lo == hi at M = 2, an infeasible floor from M = 22, and from M = 27
+    # a ConfigError (P_FIX + M*P_0 beyond the range) at the ceiling only
+    branches = (CFG.replace(iota=60.0),
+                PM.replace(P_RRH=4e-39, P_FIX=1e308, P_0=3e306), 2.0)
+    cases += [(*branches, 26), (*branches, 28)]
     expected = [(_outcome(lambda: _optimal_m_by_scan(cfg, pm, gamma, m_max)),
                  _outcome(lambda: _optimal_m_by_scan(cfg, pm, gamma, m_max,
                                                      n=cfg.n)))
