@@ -141,11 +141,14 @@ def figure7(cfg, pm, realizations=0, seed=1):
     """EE vs user count at n = 20 for the three reuse/correlation cases.
 
     Each curve's config holds K = 1, a count it sweeps, so a frame too
-    short for the configured K at psi = L still has its curve."""
+    short for the configured K at psi = L still has its curve; a curve
+    that sweeps no count (T < psi) has no config and no rows."""
     header = ["psi", "d", "K", "ee_bits_per_joule", "feasible"]
     rows = []
     for psi, d in ((1, 1), (cfg.L, 1), (1, 2)):
-        rows += _k_curve([psi, d], cfg.replace(psi=psi, d=d, n=20, K=1), pm)
+        if cfg.T // psi:
+            rows += _k_curve([psi, d], cfg.replace(psi=psi, d=d, n=20, K=1),
+                             pm)
     return header, rows
 
 

@@ -161,14 +161,26 @@ def _check_scalars(**scalars: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` of a 2-d integer
+    array: its distinct rows in lexicographic order and the place of every
+    row among them, by a stable sort and a compare of adjacent rows."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(fresh) - 1
+    return ranked[fresh], inverse
+
+
 def _estimation_filters(corr: CorrelationSet, l: int, p_u: float, tau_u: float,
                         sigma2: float) -> tuple[np.ndarray, np.ndarray]:
     """(Q, key) of cell l: Q (F, n, n) its distinct MMSE filters
     (sigma^2/(p_u tau_u) I + sum_{j in group(l)} R_{lmjk})^-1, one per
     distinct co-pilot index tuple, and key (M, K) the filter of each (m, k)."""
     copilot = corr.index[l][:, corr.pilot_group(l)]          # (M, |group|, K)
-    tuples, key = np.unique(copilot.swapaxes(1, 2).reshape(-1, copilot.shape[1]),
-                            axis=0, return_inverse=True)
+    tuples, key = _unique_rows(copilot.swapaxes(1, 2).reshape(-1, copilot.shape[1]))
     filters = sigma2 / (p_u * tau_u) * np.eye(corr.n) + corr.table[tuples].sum(axis=1)
     return np.linalg.inv(filters), key.reshape(copilot.shape[0], -1)
 
@@ -208,7 +220,9 @@ def general_deterministic_sinr(corr: CorrelationSet, p_d: float, p_u: float,
     lambda_bar_j * ((1/n) sum_m tr Phi_{jmjk})^2; the denominator collects
     the coherent co-pilot terms, the trace-product interference
     (1/n) sum_{l,m,i} lambda_bar_l (1/n) tr(R_{lmjk} Phi_{lmli}), and the
-    noise sigma^2/(p_d n).
+    noise sigma^2/(p_d n).  A cell whose own and co-pilot links repeat the
+    previous cell's reuses that cell's filters, R Q R and trace blocks; at
+    most one cell's factors are alive at a time.
     """
     corr.validate()
     _check_scalars(p_d=p_d, p_u=p_u, tau_u=tau_u, sigma2=sigma2)
@@ -218,20 +232,25 @@ def general_deterministic_sinr(corr: CorrelationSet, p_d: float, p_u: float,
     tr_own = np.empty((L, M, K))
     t = np.zeros((L, L, K), dtype=complex)   # t[l, j] = (1/n) sum_m tr Phi_{lmjk}
     cross = np.empty((L, L, K))              # sum_m tr(R_{lmjk} Psi_lm)
+    factored = None          # own and co-pilot links of the factored cell
     for l in range(L):
-        Q, key = _estimation_filters(corr, l, p_u, tau_u, sigma2)
-        # Own-link estimate covariances, once per distinct (own, filter) pair
-        pairs, pair = np.unique(np.stack([index[l, :, l], key], axis=-1)
-                                .reshape(-1, 2), axis=0, return_inverse=True)
-        pair = pair.reshape(M, K)
-        own = table[pairs[:, 0]]
-        RQ = own @ Q[pairs[:, 1]]
-        phi = RQ @ own
-        tr_own[l] = np.einsum("gaa->g", phi).real[pair]
-        psi_sum = phi[pair].sum(axis=1)                     # (M, n, n)
         group = corr.pilot_group(l)
-        # Blocks of cell l's row with equal link indices give equal terms.
-        terms = {}
+        cell = (index[l, :, l].tobytes(), index[l][:, group].tobytes())
+        if cell != factored:     # else the previous cell's factors hold for l
+            factored = cell
+            Q, key = _estimation_filters(corr, l, p_u, tau_u, sigma2)
+            # Own-link estimate covariances, one per (own, filter) pair
+            pairs, pair = _unique_rows(np.stack([index[l, :, l], key], axis=-1)
+                                       .reshape(-1, 2))
+            pair = pair.reshape(M, K)
+            own = table[pairs[:, 0]]
+            RQ = own @ Q[pairs[:, 1]]
+            phi = RQ @ own
+            tr = np.einsum("gaa->g", phi).real[pair]
+            psi_sum = phi[pair].sum(axis=1)                 # (M, n, n)
+            # Blocks of a row with equal link indices give equal terms.
+            terms = {}
+        tr_own[l] = tr
         for j in range(L):
             links = index[l, :, j]
             block = (links.tobytes(), j != l and j in group)

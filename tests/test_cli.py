@@ -697,6 +697,18 @@ def test_figure7_at_a_frame_too_short_for_the_configured_k(capsys):
     assert code == 2 and "psi*K exceeds T" in err
 
 
+def test_figure7_prints_no_rows_for_a_curve_with_no_user_count(capsys):
+    # T = 6 < L = 7: the psi = L curve sweeps no count and once stopped the
+    # two psi = 1 curves with "psi*K exceeds T"
+    code, out, err = run(capsys, "figure", "7", "--T", "6", "--K", "5")
+    assert (code, err) == (0, "")
+    rows = [[psi, d, K, repr(ee), feasible] for psi, d, K, ee, feasible
+            in _figure7_by_k(SystemConfig(T=6, K=5), PowerModel())]
+    assert [row[:2] for row in rows] == [[1, 1]] * 6 + [[1, 2]] * 6
+    assert out == "psi,d,K,ee_bits_per_joule,feasible\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in rows)
+
+
 def _ee_or_nan_any(cfg, pm, n):
     """energy_efficiency at n, NaN wherever it raises (ConfigError too)."""
     try:
