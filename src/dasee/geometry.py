@@ -63,17 +63,22 @@ def build_layout(M: int, Rc: float, L: int = 7) -> Layout:
     if M < 1:
         raise ConfigError("M must be >= 1")
     centers = [(0.0, 0.0)]
-    for k in range(L - 1):
-        angle = k * np.pi / 3.0
-        centers.append((DEFAULT_SPACING_FACTOR * Rc * np.cos(angle),
-                        DEFAULT_SPACING_FACTOR * Rc * np.sin(angle)))
-    cell_centers = np.asarray(centers)
-    rrh = np.empty((L, M, 2))
-    rrh[:, 0] = cell_centers
-    for m in range(1, M):
-        angle = (m - 1) * 2.0 * np.pi / (M - 1)
-        offset = DEFAULT_RING_FRACTION * Rc * np.array([np.cos(angle), np.sin(angle)])
-        rrh[:, m] = cell_centers + offset
+    with np.errstate(over="ignore", invalid="ignore"):   # checked below
+        for k in range(L - 1):
+            angle = k * np.pi / 3.0
+            centers.append((DEFAULT_SPACING_FACTOR * Rc * np.cos(angle),
+                            DEFAULT_SPACING_FACTOR * Rc * np.sin(angle)))
+        cell_centers = np.asarray(centers)
+        rrh = np.empty((L, M, 2))
+        rrh[:, 0] = cell_centers
+        for m in range(1, M):
+            angle = (m - 1) * 2.0 * np.pi / (M - 1)
+            offset = DEFAULT_RING_FRACTION * Rc * np.array([np.cos(angle),
+                                                            np.sin(angle)])
+            rrh[:, m] = cell_centers + offset
+    if not np.isfinite(rrh).all():
+        raise ConfigError(f"Rc {Rc:g} puts the RRH coordinates outside the "
+                          f"range of a double")
     return Layout(cell_centers=cell_centers, rrh_positions=rrh, Rc=Rc)
 
 
@@ -98,7 +103,8 @@ def _distances(points: np.ndarray, layout: Layout) -> np.ndarray:
     rrh = layout.rrh_positions
     dx = points[..., 0, None, None] - rrh[..., 0]
     dy = points[..., 1, None, None] - rrh[..., 1]
-    return np.sqrt(dx * dx + dy * dy)   # bit-equal to np.linalg.norm of (dx, dy)
+    with np.errstate(over="ignore"):    # a distance beyond a double is inf
+        return np.sqrt(dx * dx + dy * dy)   # bit-equal to np.linalg.norm of (dx, dy)
 
 
 def _drop_means(users: np.ndarray, layout: Layout, iota: float) -> np.ndarray:
@@ -176,8 +182,9 @@ def calibrate(layout: Layout, iota: float, K: int, drops: int, seed=None,
     except OverflowError:       # M^(iota/2) beyond a double
         beta = 0.0
     if not 0.0 < beta < math.inf:
-        raise ConfigError(f"iota {iota:g} takes the calibrated gains outside "
-                          f"the range of a double (beta = {beta:g})")
+        raise ConfigError(f"iota {iota:g} and Rc {layout.Rc:g} take the "
+                          f"calibrated gains outside the range of a double "
+                          f"(beta = {beta:g})")
     return CalibrationResult(
         beta=beta,
         alpha1=e_intra / beta if layout.M > 1 else 0.0,

@@ -117,11 +117,10 @@ def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (C order) to its group's place among them.  The key is the first row; a
     matrix unequal to its key's first holder, compared in full one
     ``stack[b]`` at a time, is a group of its own."""
-    rows = stack[..., 0, :].reshape(-1, stack.shape[-1])
-    seen = {}                     # first row's bytes -> index of its first holder
-    rep = np.array([seen.setdefault(row.tobytes(), i) for i, row in enumerate(rows)])
+    firsts, inverse = _row_groups(stack[..., 0, :].reshape(-1, stack.shape[-1]))
+    rep = firsts[inverse]         # index of the first holder of each first row
     size = len(rep) // len(stack)
-    word = f"i{np.gcd(8, rows[0].nbytes)}"      # compare bytes as integers
+    word = f"i{np.gcd(8, stack.shape[-1] * stack.itemsize)}"  # bytes as integers
     for b, block in enumerate(stack):
         span = np.arange(b * size, (b + 1) * size)
         if (rep[span] != span).any():
@@ -174,15 +173,13 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[fresh], inverse
 
 
-def _estimation_filters(corr: CorrelationSet, l: int, p_u: float, tau_u: float,
-                        sigma2: float) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, key) of cell l: Q (F, n, n) its distinct MMSE filters
-    (sigma^2/(p_u tau_u) I + sum_{j in group(l)} R_{lmjk})^-1, one per
-    distinct co-pilot index tuple, and key (M, K) the filter of each (m, k)."""
-    copilot = corr.index[l][:, corr.pilot_group(l)]          # (M, |group|, K)
-    tuples, key = _unique_rows(copilot.swapaxes(1, 2).reshape(-1, copilot.shape[1]))
-    filters = sigma2 / (p_u * tau_u) * np.eye(corr.n) + corr.table[tuples].sum(axis=1)
-    return np.linalg.inv(filters), key.reshape(copilot.shape[0], -1)
+def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(firsts, inverse): the first row of each group of equal rows of a 2-d
+    array, ascending, and every row's group; on few wide rows a dict of row
+    bytes is far cheaper than ``_unique_rows``, which sorts once per column."""
+    seen = {}                     # row bytes -> index of its first holder
+    return np.unique([seen.setdefault(row.tobytes(), i)
+                      for i, row in enumerate(rows)], return_inverse=True)
 
 
 def phi_matrix(corr: CorrelationSet, l: int, m: int, k: int, p_u: float,
@@ -220,47 +217,65 @@ def general_deterministic_sinr(corr: CorrelationSet, p_d: float, p_u: float,
     lambda_bar_j * ((1/n) sum_m tr Phi_{jmjk})^2; the denominator collects
     the coherent co-pilot terms, the trace-product interference
     (1/n) sum_{l,m,i} lambda_bar_l (1/n) tr(R_{lmjk} Phi_{lmli}), and the
-    noise sigma^2/(p_d n).  A cell whose own and co-pilot links repeat the
-    previous cell's reuses that cell's filters, R Q R and trace blocks; at
-    most one cell's factors are alive at a time.
+    noise sigma^2/(p_d n).  Cells with equal co-pilot links and own place
+    among them, adjacent or not, share filters, R Q R and trace blocks, built
+    for all distinct cells in one batched pass, in chunks of about 1 MB.
     """
     corr.validate()
     _check_scalars(p_d=p_d, p_u=p_u, tau_u=tau_u, sigma2=sigma2)
-    table, index = corr.table, corr.index
+    table, index = corr.table, corr.index.astype(np.intp, copy=False)
     L, M, _, K = index.shape
-    n = corr.n
-    tr_own = np.empty((L, M, K))
-    t = np.zeros((L, L, K), dtype=complex)   # t[l, j] = (1/n) sum_m tr Phi_{lmjk}
-    cross = np.empty((L, L, K))              # sum_m tr(R_{lmjk} Psi_lm)
-    factored = None          # own and co-pilot links of the factored cell
-    for l in range(L):
-        group = corr.pilot_group(l)
-        cell = (index[l, :, l].tobytes(), index[l][:, group].tobytes())
-        if cell != factored:     # else the previous cell's factors hold for l
-            factored = cell
-            Q, key = _estimation_filters(corr, l, p_u, tau_u, sigma2)
-            # Own-link estimate covariances, one per (own, filter) pair
-            pairs, pair = _unique_rows(np.stack([index[l, :, l], key], axis=-1)
-                                       .reshape(-1, 2))
-            pair = pair.reshape(M, K)
-            own = table[pairs[:, 0]]
-            RQ = own @ Q[pairs[:, 1]]
-            phi = RQ @ own
-            tr = np.einsum("gaa->g", phi).real[pair]
-            psi_sum = phi[pair].sum(axis=1)                 # (M, n, n)
-            # Blocks of a row with equal link indices give equal terms.
-            terms = {}
-        tr_own[l] = tr
-        for j in range(L):
-            links = index[l, :, j]
-            block = (links.tobytes(), j != l and j in group)
-            if block not in terms:
-                R_lj = table[links]                          # (M, K, n, n)
-                terms[block] = (np.einsum("mkab,mba->k", R_lj, psi_sum).real,
-                                np.einsum("mkaa->k", RQ[pair] @ R_lj) / n
-                                if block[1] else 0.0)
-                del R_lj                 # one (M, K, n, n) block alive at a time
-            cross[l, j], t[l, j] = terms[block]
+    n, cells, G = corr.n, np.arange(L), L // corr.psi
+    groups = cells[:, None] % corr.psi + np.arange(0, L, corr.psi)  # pilot_group(l)
+    copilot = index[cells[:, None], :, groups].transpose(0, 2, 3, 1)  # (L, M, K, G)
+    # cells of equal co-pilot links and own place among them share all factors
+    reps, cell = _row_groups(np.column_stack([copilot.reshape(L, -1),
+                                              cells // corr.psi]))
+    # MMSE filters (sigma^2/(p_u tau_u) I + sum_{j in group(l)} R_{lmjk})^-1,
+    # one per distinct co-pilot tuple, and R Q R per (own, filter) pair
+    tuples, key = _unique_rows(copilot[reps].reshape(-1, G))
+    pairs, pair = _unique_rows(np.stack([index[reps, :, reps].ravel(), key], axis=-1))
+    pair, tr = pair.reshape(-1, M, K), np.empty(len(pairs))
+    # blocks (l, j), at l * L + j, of equal (cell, co-pilot or not, links)
+    # give equal terms; shares[l, j]: a cell j != l that shares l's pilots
+    shares = (cells[:, None] % corr.psi == cells % corr.psi) & (cells[:, None] != cells)
+    links = index.transpose(0, 2, 1, 3).reshape(L * L, M, K)
+    firsts, block = _row_groups(np.column_stack(
+        [cell.repeat(L), shares.ravel(), links.reshape(L * L, -1)]))
+    owner, co = cell[firsts // L], shares.ravel()[firsts]
+    cross, t = np.empty((len(firsts), K)), np.zeros((len(firsts), K), dtype=complex)
+    # chunks of cells with about 2^16 complex entries (1 MB) of n x n matrices,
+    # per tuple its G links, their sum, Q, R, RQ, phi and G - 1 products at most
+    step = max(1, len(reps) * 2 ** 16 // (len(tuples) * (2 * G + 4) * n * n))
+    for a in range(0, len(reps), step):
+        ids, local = np.unique(pair[a:a + step], return_inverse=True)
+        local = local.reshape(-1, M, K)
+        filters, which = np.unique(pairs[ids, 1], return_inverse=True)
+        Q = np.linalg.inv(sigma2 / (p_u * tau_u) * np.eye(n)
+                          + table[tuples[filters]].sum(axis=1))
+        R = table[pairs[ids, 0]]
+        RQ = R @ Q[which]
+        phi = RQ @ R
+        del Q, R
+        tr[ids] = np.einsum("gaa->g", phi).real
+        psi_sum = [phi[p].sum(axis=1) for p in local]          # (M, n, n)
+        span = np.flatnonzero((owner >= a) & (owner < a + step))
+        # one product per distinct (pair, link), F at a time, gathered per block
+        cop = span[co[span]]
+        combos, combo = _unique_rows(np.stack(
+            [local[owner[cop] - a], links[firsts[cop]]], axis=-1).reshape(-1, 2))
+        prods, F = np.empty((len(combos), n, n), dtype=RQ.dtype), len(filters)
+        for c in range(0, len(combos), F):
+            np.matmul(RQ[combos[c:c + F, 0]], table[combos[c:c + F, 1]],
+                      out=prods[c:c + F])
+        for b in span:           # one (M, K, n, n) block alive at a time
+            cross[b] = np.einsum("mkab,mba->k", table[links[firsts[b]]],
+                                 psi_sum[owner[b] - a]).real
+        for b, c in zip(cop, combo.reshape(-1, M, K)):
+            t[b] = np.einsum("mkaa->k", prods[c]) / n
+        del RQ, phi, prods           # before the next chunk's filter stacks
+    tr_own = tr[pair[cell]]                                   # (L, M, K)
+    cross, t = cross[block].reshape(L, L, K), t[block].reshape(L, L, K)
     lam_bar = 1.0 / (tr_own.sum(axis=1).mean(axis=1) / n)   # (L,)
 
     signal_trace = tr_own.sum(axis=1) / n                   # (L, K): user of cell l

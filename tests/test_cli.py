@@ -559,6 +559,17 @@ def test_calibrate_rejects_invalid_geometry(capsys, flag, value):
         assert "iota" in err
 
 
+@pytest.mark.parametrize("Rc", ["1e308", "1e200", "1e160"])
+def test_calibrate_at_an_extreme_cell_radius_exits_2(capsys, Rc):
+    # 2 Rc once overflowed into inf and NaN cell centers (1e308) and the
+    # squared distances overflowed (1e160, 1e200), each with RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "calibrate", "--drops", "2", "--Rc", Rc)
+    assert code == 2 and out == ""
+    assert f"Rc {float(Rc):g}" in err, err
+
+
 def test_calibrate_is_not_bound_by_the_pilot_budget(capsys):
     # the fit reads M, L, K, Rc and iota only: psi*K <= T does not bind it
     code, out, err = run(capsys, "calibrate", "--K", "200", "--drops", "2")

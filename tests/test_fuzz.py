@@ -162,7 +162,7 @@ def test_mc_validate_exits_cleanly(model, n_range, realizations, seed):
 
 @FUZZ
 @given(geometry=st.fixed_dictionaries({}, optional={
-           "M": _COUNT, "L": _COUNT, "K": _COUNT, "Rc": _near(2000.0),
+           "M": _COUNT, "L": _COUNT, "K": _COUNT, "Rc": _anywhere(2000.0),
            "iota": st.one_of(_near(2.5), st.floats(100.0, 1000.0)),
            "min-distance": st.one_of(st.floats(0.0, 3000.0),
                                      st.sampled_from(_ODD_FLOATS))}).map(_flags),

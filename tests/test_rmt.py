@@ -1,10 +1,14 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import dasee
 from dasee import rmt
 from dasee.asymptotic import deterministic_sinr, large_scale_gains
 from dasee.config import ConfigError, SystemConfig, derived_scalars
@@ -384,6 +388,19 @@ def test_factored_set_stores_each_distinct_matrix_once(cfg):
             == general_deterministic_sinr(corr, *args).tobytes())
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
+def test_general_sinr_takes_any_integer_index(dtype):
+    # a uint64 index stacked with intp row keys once promoted them to float
+    # and raised IndexError
+    cfg = SystemConfig(L=2, M=2, K=3, n=4)
+    corr = simplified_correlation_set(cfg)
+    cast = CorrelationSet(psi=cfg.psi, table=corr.table,
+                          index=corr.index.astype(dtype))
+    args = (cfg.p_d, cfg.p_u, cfg.tau_u, cfg.sigma2)
+    assert (general_deterministic_sinr(cast, *args).tobytes()
+            == general_deterministic_sinr(corr, *args).tobytes())
+
+
 def test_factored_cross_check_never_forms_the_full_array():
     # the (7, 7, 7, 14, 20, 20) array alone is 30.7 MB; building it and the
     # dense per-link products once peaked at 40.8 MB
@@ -396,3 +413,63 @@ def test_factored_cross_check_never_forms_the_full_array():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+@pytest.mark.parametrize("repeat", [False, True])
+@pytest.mark.parametrize("cfg, bound", [(RMT_CONFIGS[0], 2.77e6),
+                                        (RMT_CONFIGS[1], 4.38e6)])
+def test_cross_check_memory_is_bounded_on_perturbed_sets(cfg, bound, repeat):
+    # every link matrix distinct, or all but cell 3's, which repeats cell 0:
+    # one cell at a time peaked at 2.52 MB (psi 1) and 3.98 MB (psi 7) on
+    # both, one unchunked pass over all cells at 11.6 and 17.7 MB without
+    # repeat; the bound is the former plus 10%
+    corr = simplified_correlation_set(cfg)
+    rng = np.random.default_rng(0)
+    R = corr.R * (1.0 + rng.uniform(0.0, 1e-3, corr.R.shape[:4]))[..., None, None]
+    if repeat and cfg.psi == 1:     # cell 3's links are cell 0's
+        R[0, :, 3] = R[0, :, 0]
+        R[3] = R[0]
+    elif repeat:                    # cell 3's own links are cell 0's
+        R[3, :, 3] = R[0, :, 0]
+    perturbed = CorrelationSet(R=R, psi=cfg.psi)
+    links = cfg.L ** 2 * cfg.M * cfg.K
+    assert len(perturbed.table) < links if repeat else len(perturbed.table) == links
+    tracemalloc.start()
+    try:
+        general_deterministic_sinr(perturbed, cfg.p_d, cfg.p_u, cfg.tau_u,
+                                   cfg.sigma2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+_THREAD_PROBE = """
+from dasee.config import SystemConfig
+from dasee.rmt import general_deterministic_sinr, simplified_correlation_set
+for cfg in (SystemConfig(L=7, M=5, K=10, n=16),
+            SystemConfig(L=7, M=7, K=14, n=20, d=2, psi=7),
+            SystemConfig(L=7, M=3, K=4, n=128)):
+    sinr = general_deterministic_sinr(simplified_correlation_set(cfg), cfg.p_d,
+                                      cfg.p_u, cfg.tau_u, cfg.sigma2)
+    print(sinr.tobytes().hex())
+"""
+
+
+def test_cross_check_bytes_independent_of_blas_threads():
+    # both rmt sets of the benchmark and an n = 128 set, whose 128 x 128
+    # products BLAS splits over threads; its filters are diagonal (d = 1),
+    # as the bytes of np.linalg.inv of a full 128 x 128 matrix depend on
+    # the thread count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dasee.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        outputs.append(done.stdout)
+    assert len(outputs[0].split()) == 3 and outputs[0] == outputs[1]

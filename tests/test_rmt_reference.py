@@ -1,7 +1,9 @@
 """general_deterministic_sinr against a reference that factors every cell
 anew and groups index rows with ``np.unique``: the same bytes on averaged
-sets, on sets tiled from a few random matrices, and on near-miss sets whose
-consecutive cells differ in one co-pilot link only."""
+sets (up to the sizes of the model-checks rmt sets), on sets tiled from a
+few random matrices, on near-miss sets whose consecutive cells differ in
+one co-pilot link only, on sets where a cell repeats a non-adjacent
+earlier cell, and on mirror sets whose co-pilot cells hold equal links."""
 import numpy as np
 import pytest
 
@@ -80,20 +82,24 @@ def _divisors(L):
 
 @st.composite
 def _sets(draw):
-    """(CorrelationSet, (p_d, p_u, tau_u, sigma2)) of one of three kinds,
+    """(CorrelationSet, (p_d, p_u, tau_u, sigma2)) of one of six kinds,
     its sizes drawn uniformly from a seeded generator."""
-    kind = draw(st.sampled_from(["averaged", "tiled", "near-miss"]))
+    kind = draw(st.sampled_from(["averaged", "bench-size", "tiled", "near-miss",
+                                 "non-adjacent", "mirror"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if kind == "averaged":
+    if kind in ("averaged", "bench-size"):
+        # bench-size reaches the model-checks rmt sets (n 20, M 7, K 14),
+        # where BLAS runs other kernels
+        M, K, P = (8, 12, 4) if kind == "averaged" else (7, 14, 10)
         L, d = rng.integers(1, 8), rng.choice([1, 2])
-        cfg = SystemConfig(L=int(L), M=int(rng.integers(1, 9)),
-                           K=int(rng.integers(1, 13)),
-                           n=int(d * rng.integers(1, 5)), d=int(d),
+        cfg = SystemConfig(L=int(L), M=int(rng.integers(1, M + 1)),
+                           K=int(rng.integers(1, K + 1)),
+                           n=int(d * rng.integers(1, P + 1)), d=int(d),
                            psi=int(rng.choice(_divisors(L))),
                            pilot_noise_mode=str(rng.choice(PILOT_NOISE_MODES)))
         return (simplified_correlation_set(cfg),
                 (cfg.p_d, cfg.p_u, cfg.tau_u, cfg.sigma2))
-    L = int(rng.integers(2 if kind == "near-miss" else 1, 5))
+    L = int(rng.integers({"tiled": 1, "non-adjacent": 3}.get(kind, 2), 5))
     M, K, n = (int(size) for size in rng.integers(1, 4, size=3))
     G = int(rng.integers(2, 4))      # Hermitian nonnegative-definite tiles
     X = rng.standard_normal((G, n, n)) + 1j * rng.standard_normal((G, n, n))
@@ -101,7 +107,7 @@ def _sets(draw):
     index = rng.integers(G, size=(L, M, L, K))
     if kind == "tiled":
         psi = int(rng.choice(_divisors(L)))
-    else:
+    elif kind == "near-miss":
         # cells l - 1 and l hold one matrix per (m, k) on every link, but
         # for one co-pilot link of cell l
         psi = int(rng.choice(_divisors(L)[:-1]))            # psi < L
@@ -110,6 +116,23 @@ def _sets(draw):
         j = rng.choice([j for j in range(l % psi, L, psi) if j != l])
         m, k = rng.integers(M), rng.integers(K)
         index[l, m, j, k] = (index[l, m, j, k] + 1) % G
+    elif kind == "mirror":
+        # co-pilot cells l and l + psi hold equal links, so equal co-pilot
+        # links, but each its own links at another place among them
+        psi = int(rng.choice(_divisors(L)[:-1]))            # psi < L
+        l = int(rng.integers(L - psi))
+        index[l + psi] = index[l]
+    else:
+        # cell l2 repeats the own and co-pilot links of cell l0, and cell
+        # l1 between them differs from both in its own links
+        psi = int(rng.choice(_divisors(L)))
+        l0 = int(rng.integers(L - 2))
+        l2 = int(rng.integers(l0 + 2, L))
+        l1 = int(rng.integers(l0 + 1, l2))
+        group0, group2 = range(l0 % psi, L, psi), range(l2 % psi, L, psi)
+        index[l0, :, group0[l2 // psi]] = index[l0, :, l0]
+        index[l2][:, group2] = index[l0][:, group0]
+        index[l1, :, l1] = (index[l0, :, l0] + 1) % G
     return (CorrelationSet(psi=psi, table=table, index=index),
             (1.0, 0.5, float(psi * K), float(rng.choice([1e-2, 1.0]))))
 
@@ -120,3 +143,18 @@ def test_general_sinr_bytes_equal_the_per_cell_reference(case):
     corr, args = case
     sinr = general_deterministic_sinr(corr, *args)
     assert sinr.tobytes() == _reference_general_sinr(corr, *args).tobytes()
+
+
+def test_a_cell_repeated_across_chunks_matches_the_reference():
+    # every link matrix distinct but cell 3 repeating cell 0 at psi = 7: the
+    # pass takes one cell per chunk, and cell 0's chunk also owns the blocks
+    # (3, j) of cell 3, which come after those of cells 1 and 2
+    cfg = SystemConfig(L=7, M=7, K=14, n=20, d=2, psi=7)
+    R = simplified_correlation_set(cfg).R
+    rng = np.random.default_rng(0)
+    R *= 1.0 + rng.uniform(0.0, 1e-3, R.shape[:4])[..., None, None]
+    R[3, :, 3] = R[0, :, 0]
+    corr = CorrelationSet(R=R, psi=cfg.psi)
+    args = (cfg.p_d, cfg.p_u, cfg.tau_u, cfg.sigma2)
+    assert (general_deterministic_sinr(corr, *args).tobytes()
+            == _reference_general_sinr(corr, *args).tobytes())
