@@ -22,13 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import (ConfigError, PowerModel, SystemConfig,
+from .config import (MAX_COUNT, ConfigError, PowerModel, SystemConfig,
                      _derived_scalars, _pow, _require_count, override)
-
-
-# From 2**53 on, not every integer is a double: floor/ceil of an antenna
-# count that large no longer name its integer neighbors.
-MAX_ANTENNAS = 2.0 ** 53
 
 
 # Lanes.fail: the kind of the first error a lane's scalar evaluation raises.
@@ -48,8 +43,7 @@ SCALAR = SimpleNamespace(pow=operator.pow, finite=math.isfinite,
 class Lanes:
     """RRH counts ``M`` or user counts ``K`` (an int64 array, the other
     count left None) evaluated at once, one lane each; the counts replace
-    cfg.M or cfg.K.  User counts are at most T/psi, so their pilot and
-    data symbol counts are exact doubles as long as T is.
+    cfg.M or cfg.K.
 
     The same expressions as a scalar evaluation (``SCALAR``), over arrays:
     ``pow`` is still Python's, lane by lane, and a check raises nothing.
@@ -246,8 +240,8 @@ def _rate_ceiling(brk: SinrBreakdown) -> float:
 def min_antennas(cfg: SystemConfig, brk: SinrBreakdown, gamma: float) -> int:
     """Smallest per-RRH antenna count at which rate gamma is feasible.
 
-    Raises RateUnachievableError when that count reaches MAX_ANTENNAS (a
-    rate near 1024 makes the margin subnormal).
+    Raises RateUnachievableError when that count reaches MAX_COUNT, 2^53
+    (a rate near 1024 makes the margin subnormal).
     """
     return _min_antennas(brk, gamma, rate_margin(brk, gamma))
 
@@ -255,7 +249,7 @@ def min_antennas(cfg: SystemConfig, brk: SinrBreakdown, gamma: float) -> int:
 def _min_antennas(brk: SinrBreakdown, gamma: float, margin: float,
                   lanes: Lanes | None = None) -> int:
     n_real = brk.I_MU_scaled / margin
-    if (lanes or SCALAR).infeasible(n_real < MAX_ANTENNAS):
+    if (lanes or SCALAR).infeasible(n_real < MAX_COUNT):
         raise RateUnachievableError(gamma, _rate_ceiling(brk))
     return math.floor(n_real) + 1 if lanes is None else np.floor(n_real) + 1
 
@@ -284,29 +278,15 @@ def _backhaul(cfg: SystemConfig, pm: PowerModel, M, se: float) -> float:
     return M * (pm.P_0 + pm.P_BT * cfg.B * se)
 
 
-def _total_power(cfg: SystemConfig, pm: PowerModel, M, K, n: int,
+def _total_power(cfg: SystemConfig, pm: PowerModel, M, K, n: float,
                  p_d: float, backhaul: float,
                  lanes: Lanes | None = None) -> float:
     """Cell power draw in W, ConfigError where it is not finite; the backhaul
     (the one term without n or p_d) comes last, so it can be computed once.
-    An int n is multiplied by M as integers and the product rounded once,
-    to inf beyond the double range; over lanes, one whose p_d is NaN (not
-    evaluated) is not checked."""
-    antennas = (_as_double(n * M) if lanes is None
-                else n * M if not isinstance(n, int)
-                else np.array([_as_double(n * m) for m in M.tolist()])
-                if lanes.K is None else _as_double(n * M))
-    return _finite_power(pm.P_FIX + antennas * pm.P_RRH
+    Over lanes, one whose p_d is NaN (not evaluated) is not checked."""
+    return _finite_power(pm.P_FIX + n * M * pm.P_RRH
                          + (cfg.T - cfg.psi * K) / cfg.T * (p_d / pm.zeta) * K
                          + backhaul, lanes, lanes is not None and np.isnan(p_d))
-
-
-def _as_double(count: int) -> float:
-    """``count`` rounded to a double, inf beyond the double range."""
-    try:
-        return float(count)
-    except OverflowError:
-        return math.inf
 
 
 def _finite_power(value: float, lanes: Lanes | None = None,
@@ -388,15 +368,13 @@ class Design:
         return self.cfg.sigma2 / denom if denom > 0.0 else None
 
     def point(self, n: int) -> OperatingPoint | None:
-        # an int n is rounded to a double for p_d and the SINR, as Python
-        # rounds it there, and multiplied by M exactly in the total power
-        x = float(n) if isinstance(n, int) else n
-        cfg, pm, p_d = self.cfg, self.pm, self.transmit_power(x)
+        n = float(n) if isinstance(n, int) else n
+        cfg, pm, p_d = self.cfg, self.pm, self.transmit_power(n)
         if p_d is None:
             return None
         se, throughput, backhaul = self.se, self.throughput, self.backhaul
         if se is None:   # at fixed p_d the rate depends on n
-            sinr = _sinr(cfg, self.brk, x, p_d)
+            sinr = _sinr(cfg, self.brk, n, p_d)
             if (self.lanes or SCALAR).config_error(sinr > 0.0):
                 raise ConfigError("p_d, sigma2 and beta take the SINR to 0")
             se = (rate_from_sinr(cfg, [sinr] * cfg.K) if self.lanes is None

@@ -228,6 +228,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:   # counts too large for any machine's memory
+        print("configuration error: the counts need more memory than can be "
+              "allocated" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 2
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3

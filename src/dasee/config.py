@@ -19,6 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 PILOT_NOISE_MODES = ("exact", "negligible")
+# Every count (L, M, K, n, psi, T, d, an n or M_max argument) is at most
+# 2^53: each integer up to it is a double, so the closed forms compute
+# with every count exactly, and a product of two counts rounds once.
+MAX_COUNT = 2 ** 53
 
 
 class ConfigError(ValueError):
@@ -114,6 +118,8 @@ class DerivedScalars(NamedTuple):
 def _require_count(name: str, value) -> None:
     if not isinstance(value, int) or value < 1:
         raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    if value > MAX_COUNT:
+        raise ConfigError(f"{name} must be at most 2^53, got {value!r}")
 
 
 # Every invariant of a record is one rule: the fields it reads and a check
@@ -308,16 +314,15 @@ def parse_config_file(path: str | Path) -> dict:
 
 def _coerce(name: str, annotation: str, text: str):
     """The value of a config key's text, from a file line or a flag alike.
-    Integer text of an int field is read exactly, beyond 2^53 too."""
+    Integer text of an int field is read exactly, so the count rule sees
+    2^53 + 1 as itself."""
     if annotation == "str":
         return text
     if annotation == "int":
         try:
-            value = int(text)
-            float(value)   # OverflowError beyond the double range
-            return value
-        except (ValueError, OverflowError):
-            pass   # read as a float below: not an integer, or inf
+            return int(text)
+        except ValueError:
+            pass   # read as a float below: not integer text
     try:
         value = float(text)
     except ValueError:

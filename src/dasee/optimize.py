@@ -18,12 +18,12 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .asymptotic import (MAX_ANTENNAS, SCALAR, Design, InfeasibleError,
-                         Lanes, RateUnachievableError, _finite_power,
-                         _rate_ceiling, energy_efficiency, operating_point,
-                         rate_margin, sinr_breakdown)
-from .config import (ConfigError, PowerModel, SystemConfig, derived_scalars,
-                     override)
+from .asymptotic import (SCALAR, Design, InfeasibleError, Lanes,
+                         RateUnachievableError, _finite_power, _rate_ceiling,
+                         energy_efficiency, operating_point, rate_margin,
+                         sinr_breakdown)
+from .config import (MAX_COUNT, ConfigError, PowerModel, SystemConfig,
+                     _require_count, derived_scalars, override)
 
 BISECTION_WIDTH = 1e-3   # interval width on the continuous user count
 DEFAULT_M_MAX = 30
@@ -139,14 +139,14 @@ def _antenna_optimum(design: Design):
     # numpy's x / 0 is inf (or NaN), infeasible like the scalar's inf
     balance = (math.inf if lanes is None and not antenna_power > 0.0 else
                ev.sqrt(data_fraction * cfg.sigma2 * design.K / antenna_power))
-    if ev.infeasible(balance < MAX_ANTENNAS):
+    if ev.infeasible(balance < MAX_COUNT):
         raise OptimizationError(
             f"EE grows with n beyond 2^53 antennas per RRH: the antenna "
             f"power P_RRH = {pm.P_RRH!r} W is negligible against the "
             f"transmit power")
     n_real = balance + design.brk.I_MU_scaled / design.margin
     # no integer neighbors, as for n_min
-    if ev.infeasible(n_real < MAX_ANTENNAS):
+    if ev.infeasible(n_real < MAX_COUNT):
         raise RateUnachievableError(design.gamma, _rate_ceiling(design.brk))
     return n_min, n_real
 
@@ -315,8 +315,7 @@ def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
     smaller M; an M without a feasible (integer) optimum is skipped.  The
     scan is ``scan_m``, bit-identical to evaluating each M alone.
     """
-    if M_max < 1:
-        raise ConfigError(f"M_max must be >= 1, got {M_max!r}")
+    _require_count("M_max", M_max)
     cfg = override(override(cfg, K=K), n=n)
     best = None
     for M, feasible, n_star, ee, p_d, x_real in scan_m(cfg, pm, gamma,

@@ -157,9 +157,7 @@ _BEYOND_DOUBLES = [(*form, *flag) for flag in (("--beta", "1e300"),
     ("opt-k", "--gamma", "2", "--P-BT", "1e300"),
     # (mu1 - slope*K)**2 overflowed to an OverflowError traceback
     ("opt-k", "--gamma", "0.5", "--iota", "300", "--alpha2", "0",
-     "--P-RRH", "0.5", "--beta", "1e30"),
-    # the int n * M beyond the double range was an OverflowError traceback
-    ("opt-m", "--gamma", "2", "--fixed-n", "--n", "1e307")], ids=" ".join)
+     "--P-RRH", "0.5", "--beta", "1e30")], ids=" ".join)
 def test_model_beyond_the_double_range_exits_2_everywhere(capsys, argv):
     # figures 7, 8 and 10 printed all-NaN rows (exit 0) and the optimizers
     # blamed P_RRH or the quartic (exit 3): one handler, in main, decides;
@@ -167,6 +165,45 @@ def test_model_beyond_the_double_range_exits_2_everywhere(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "", (code, out)
     assert err.startswith("configuration error: ") and "double range" in err, err
+
+
+@pytest.mark.parametrize("argv,name", [pytest.param(*case, id=" ".join(
+    case[0])) for case in [
+        (("de-curve", "--n", "9007199254740993"), "n"),
+        (("de-curve", "--n-range", "20,9007199254740993"), "n"),
+        (("de-curve", "--config", "K = 9007199254740993"), "K"),
+        (("opt-m", "--gamma", "2", "--M-max", "9007199254740993"), "M_max"),
+        # was exit 2 only once n * M left the double range
+        (("opt-m", "--gamma", "2", "--fixed-n", "--n", "1e307"), "n"),
+        # the int64 K lanes times this T was an OverflowError traceback
+        (("figure", "7", "--T", "100000000000000000000", "--K", "1"), "T")]])
+def test_a_count_above_2_to_the_53_exits_2(capsys, tmp_path, argv, name):
+    # every count is an exact double: one rule bounds them all at 2^53
+    if "--config" in argv:  # the argument after --config is the file's text
+        path = tmp_path / "scenario.cfg"
+        path.write_text(argv[-1] + "\n")
+        argv = (*argv[:-1], str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "", (code, out)
+    assert err.startswith(f"configuration error: {name} must be at most "
+                          f"2^53, got "), err
+
+
+@pytest.mark.parametrize("argv", [
+    ("calibrate", "--K", "1000000000000000", "--drops", "1"),
+    ("calibrate", "--M", "1000000000000000", "--drops", "1"),
+    ("de-curve", "--K", "1000000000000000", "--T", "1000000000000000",
+     "--n-range", "10"),
+    ("mc-validate", "--K", "1000000000000000", "--T", "1000000000000000",
+     "--n-range", "10", "--realizations", "1"),
+    ("de-curve", "--n-range", "1:100000000000000000")], ids=" ".join)
+def test_counts_too_large_to_allocate_exit_2(capsys, argv):
+    # each needs a PiB or more, which numpy and CPython refuse without
+    # allocating; each ended in a MemoryError traceback
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "", (code, out)
+    assert err.startswith("configuration error: the counts need more "
+                          "memory than can be allocated"), err
 
 
 def test_figure10_sets_its_own_backhaul_power(capsys):
@@ -221,8 +258,8 @@ def test_only_main_catches_a_config_error():
                 _caught(handler))
     assert [where for where, caught in clauses.items()
             if any("ConfigError" in names for names in caught)] == ["cli.main"]
-    assert clauses["cli.main"] == [{"ConfigError"}, {"InfeasibleError"},
-                                   {"OSError"}]
+    assert clauses["cli.main"] == [{"ConfigError"}, {"MemoryError"},
+                                   {"InfeasibleError"}, {"OSError"}]
     for where in ("optimize.optimal_m", "optimize.ee_or_none",
                   "figures._optimum", "figures._ee_of_n"):
         assert clauses[where] == [{"InfeasibleError"}], where

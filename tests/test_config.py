@@ -192,11 +192,28 @@ def test_config_file_round_trip(tmp_path):
     path = tmp_path / "scenario.cfg"
     for cfg, pm in ((SystemConfig(M=5, K=12, n=24, d=2, beta=3.3e-8, p_u=0.7),
                      PowerModel(P_RRH=0.31)),
-                    # integers no double holds: they loaded as 2^53 and 2^60
-                    (SystemConfig(n=2 ** 53 + 1, T=2 ** 60 + 7), PowerModel())):
+                    # the largest counts, where every integer is a double
+                    (SystemConfig(n=2 ** 53, T=2 ** 53), PowerModel())):
         write_scenario(cfg, pm, path)
         cfg2, pm2 = load_scenario(path)
         assert cfg2 == cfg and pm2 == pm
+
+
+@pytest.mark.parametrize("name", ["L", "M", "K", "n", "psi", "T", "d"])
+def test_every_count_is_at_most_2_to_the_53(name):
+    # each integer up to 2^53 is a double, so the closed forms compute with
+    # every count exactly; 2^53 + 1 is not one, so no count may be it
+    base = dict(L=2 ** 53, K=1, T=2 ** 53)   # room for psi and K at 2^53
+    assert getattr(SystemConfig(**{**base, name: 2 ** 53}), name) == 2 ** 53
+    assert getattr(SystemConfig(**base).replace(**{name: 2 ** 53}),
+                   name) == 2 ** 53
+    message = f"^{name} must be at most 2\\^53, got {2 ** 53 + 1}$"
+    with pytest.raises(ConfigError, match=message):
+        SystemConfig(**{**base, name: 2 ** 53 + 1})
+    with pytest.raises(ConfigError, match=message):
+        SystemConfig(**base).replace(**{name: 2 ** 53 + 1})
+    with pytest.raises(ConfigError, match="positive integer"):
+        SystemConfig(**{**base, name: 0})
 
 
 def test_config_file_dbm_and_overrides(tmp_path):

@@ -341,6 +341,17 @@ def test_optimal_m_fixed_antenna_policy():
     assert result.n == 20
 
 
+def test_count_arguments_obey_the_count_rule():
+    # M_max and n arguments are counts like the config's: in [1, 2^53]
+    for M_max in (0, 2 ** 53 + 1):
+        for n in (None, 20):
+            with pytest.raises(ConfigError, match="^M_max must be"):
+                optimal_m(CFG, PM, 2.0, M_max=M_max, n=n)
+    with pytest.raises(ConfigError, match=r"^n must be at most 2\^53"):
+        operating_point(CFG, PM, 2.0, n=2 ** 53 + 1)
+    assert operating_point(CFG, PM, None, n=2 ** 53).ee > 0.0
+
+
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
 def test_bad_rate_is_a_config_error(gamma):
     with pytest.raises(ConfigError, match="gamma"):
@@ -472,9 +483,7 @@ def test_joint_optimal_m_equals_scan_of_optimal_n(monkeypatch):
               (CFG.replace(iota=400.0), PM, 9.0, 60),    # M^iota from M = 6
               (CFG, PM.replace(P_RRH=1e-320), 2.0, 8),   # joint: all skipped
               (CFG.replace(n=1), PM, 3.0, 8),            # fixed: all skipped
-              (CFG.replace(n=2 ** 53 + 1), PM, 2.0, 30),  # n is no double
-              (CFG.replace(n=2 ** 64 + 1), PM, 2.0, 30),  # nor an int64
-              (CFG.replace(n=10 ** 307), PM, 2.0, 30),    # n * M beyond range
+              (CFG.replace(n=2 ** 53), PM, 2.0, 30),      # n * M beyond 2^53
               (CFG.replace(B=5e-324), PM, 2.0, 8),        # EE rounds to 0
               (CFG, PM, 2.0, 60)]
     # every floor_ceil_select branch in one pass: n* beyond 2^53 at M = 1,
