@@ -122,6 +122,11 @@ def _require_count(name: str, value) -> None:
         raise ConfigError(f"{name} must be at most 2^53, got {value!r}")
 
 
+def _require_seed(seed) -> None:
+    if isinstance(seed, (int, np.integer)) and seed < 0:   # not a Generator
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
 # Every invariant of a record is one rule: the fields it reads and a check
 # that raises ConfigError naming its violation.  validate_config runs the
 # rules of a record in the order listed, so the first violation is reported.

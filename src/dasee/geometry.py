@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, _require_seed
 
 DEFAULT_RING_FRACTION = 2.0 / 3.0
 DEFAULT_SPACING_FACTOR = 2.0   # neighbor-center distance in units of Rc
 DEFAULT_MIN_DISTANCE = 200.0   # m, user-to-RRH exclusion radius
 MAX_EMPTY_ROUNDS = 100         # rejection rounds in a row that keep no user
-BLOCK = 4096                   # candidate users drawn at once by calibrate
+BLOCK = 1024                   # candidate users drawn at once by calibrate
 
 
 @dataclass(frozen=True)
@@ -98,29 +98,30 @@ def _disk_points(u_radius: np.ndarray, u_angle: np.ndarray,
     return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
 
 
-def _distances(points: np.ndarray, layout: Layout) -> np.ndarray:
-    """Distances from points (..., 2) to every RRH, shape (..., L, M)."""
+def _square_distances(points: np.ndarray, layout: Layout) -> np.ndarray:
+    """Squared distances from points (..., 2) to every RRH, (..., L, M)."""
     rrh = layout.rrh_positions
     dx = points[..., 0, None, None] - rrh[..., 0]
     dy = points[..., 1, None, None] - rrh[..., 1]
     with np.errstate(over="ignore"):    # a distance beyond a double is inf
-        return np.sqrt(dx * dx + dy * dy)   # bit-equal to np.linalg.norm of (dx, dy)
+        return dx * dx + dy * dy    # sqrt: bit-equal to np.linalg.norm
 
 
-def _drop_means(users: np.ndarray, layout: Layout, iota: float) -> np.ndarray:
+def _drop_means(square: np.ndarray, iota: float) -> np.ndarray:
     """(3, D) per-drop means of the nearest, other own-cell and other-cell
-    gains of users (D, K, 2); a class with no RRH reads 0."""
-    D = len(users)
-    gain = np.maximum(_distances(users, layout), 1.0) ** (-iota)  # (D, K, L, M)
+    gains of users whose squared RRH distances are square (D, K, L, M); a
+    class with no RRH reads 0."""
+    D, _, L, M = square.shape
+    gain = np.maximum(np.sqrt(square), 1.0) ** (-iota)
     own = gain[:, :, 0]
     nearest = np.argmax(own, axis=-1)[..., None]
     means = np.zeros((3, D))
     means[0] = np.take_along_axis(own, nearest, -1).reshape(D, -1).mean(axis=1)
-    if layout.M > 1:
+    if M > 1:
         others = np.ones(own.shape, dtype=bool)
         np.put_along_axis(others, nearest, False, -1)
         means[1] = own[others].reshape(D, -1).mean(axis=1)
-    if layout.L > 1:
+    if L > 1:
         means[2] = gain[:, :, 1:].reshape(D, -1).mean(axis=1)
     return means
 
@@ -148,15 +149,17 @@ def calibrate(layout: Layout, iota: float, K: int, drops: int, seed=None,
         raise ConfigError("drops must be >= 1")
     if K < 1:
         raise ConfigError("K must be >= 1")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     sums = [0.0, 0.0, 0.0]              # nearest, intra, inter
-    pending = np.empty((0, 2))          # users of the drop being filled
+    pending = np.empty((0, layout.L, layout.M))   # the drop being filled
     need, empty, done = K, 0, 0
     while done < drops:
         rounds = min(drops - done, max(1, BLOCK // K))
         u = rng.random((rounds, 2, K))  # per round: radii, then angles
         cand = _disk_points(u[:, 0], u[:, 1], layout.Rc)   # (rounds, K, 2)
-        keep = _distances(cand, layout).min(axis=(-2, -1)) >= min_distance
+        square = _square_distances(cand, layout)           # (rounds, K, L, M)
+        keep = np.sqrt(square.min(axis=(-2, -1))) >= min_distance
         takes = np.empty(rounds, dtype=np.intp)
         for r, count in enumerate(keep.sum(axis=1).tolist()):
             empty = 0 if count else empty + 1
@@ -166,12 +169,12 @@ def calibrate(layout: Layout, iota: float, K: int, drops: int, seed=None,
             takes[r] = min(need, count)
             need = need - takes[r] or K
         keep &= np.cumsum(keep, axis=1) <= takes[:, None]
-        users = np.concatenate([pending, cand[keep]])
+        users = np.concatenate([pending, square[keep]])
         full = len(users) // K
         pending = users[full * K:]
         if full:
-            means = _drop_means(users[:full * K].reshape(full, K, 2), layout,
-                                iota)
+            means = _drop_means(users[:full * K].reshape(full, K, layout.L,
+                                                         layout.M), iota)
             for i, column in enumerate(means.tolist()):
                 for value in column:        # a running sum in drop order
                     sums[i] += value

@@ -56,7 +56,7 @@ import numpy as np
 
 from .asymptotic import (_throughput, large_scale_gains, rate_from_sinr,
                          total_power_at_se)
-from .config import ConfigError, PowerModel, SystemConfig
+from .config import ConfigError, PowerModel, SystemConfig, _require_seed
 
 BLOCK = 16384                 # (l, m, k) entries per block of realizations
 
@@ -141,6 +141,7 @@ def generate_realization(cfg: SystemConfig, A: np.ndarray,
     if A.shape != (cfg.n, cfg.P):
         raise ValueError(f"steering matrix shape {A.shape} does not match "
                          f"(n, P) = ({cfg.n}, {cfg.P})")
+    _require_seed(seed)
     links = (cfg.L, cfg.M, cfg.L, cfg.K, cfg.P)
     size = math.prod(links)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -174,6 +175,7 @@ def _statistics(cfg: SystemConfig, realizations: int, seed: int,
     model = _link_model(cfg, gains)
     if realizations < 1:
         raise ConfigError(f"realizations must be >= 1, got {realizations}")
+    _require_seed(seed)
     shared, own0 = model.shared, model.o
     other = ~shared
     mix = shared[:, None, None]

@@ -28,6 +28,7 @@ from .config import (MAX_COUNT, ConfigError, PowerModel, SystemConfig,
 BISECTION_WIDTH = 1e-3   # interval width on the continuous user count
 DEFAULT_M_MAX = 30
 LANE_CHUNK = 4096        # counts per array pass (scan_m, figure 7's curves)
+MAX_SWEEP = 2 ** 20      # counts one M or K sweep may run (2^53 runs for days)
 
 
 class OptimizationError(InfeasibleError):
@@ -270,7 +271,11 @@ def _floor_ceil_lanes(x: np.ndarray, design: Design):
 
 def lane_chunks(axis: str, count: int) -> Iterator[Lanes]:
     """``Lanes`` of the counts 1..count of ``axis`` ("M" or "K"),
-    ``LANE_CHUNK`` counts at a time, so memory does not grow with count."""
+    ``LANE_CHUNK`` counts at a time, so memory does not grow with count;
+    a ConfigError past ``MAX_SWEEP`` counts."""
+    if count > MAX_SWEEP:
+        raise ConfigError(f"a sweep of {axis} over 1..{count} is longer than "
+                          f"{MAX_SWEEP} counts")
     for start in range(1, count + 1, LANE_CHUNK):
         yield Lanes(**{axis: np.arange(start, min(start + LANE_CHUNK,
                                                   count + 1))})

@@ -343,6 +343,42 @@ def test_calibrate_reads_config_file(capsys, tmp_path):
     assert out_file != run(capsys, *args)[1]
 
 
+@pytest.mark.parametrize("seed,text", [
+    (1, "beta = 2.2212097615212138e-08\nalpha1 = 0.5533810392525013\n"
+        "alpha2 = 0.07722853513290347\n"),
+    (2, "beta = 2.225709913571044e-08\nalpha1 = 0.5502452401366245\n"
+        "alpha2 = 0.07719325596343192\n"),
+    (3, "beta = 2.275055405680838e-08\nalpha1 = 0.5381949137784359\n"
+        "alpha2 = 0.07521105704738354\n")])
+def test_calibrate_prints_the_pinned_fit(capsys, seed, text):
+    # the benchmark's calibrate argv; these bytes come from the fit that
+    # took a square root of every candidate distance before the minimum
+    assert run(capsys, "calibrate", "--drops", "1000", "--seed",
+               str(seed)) == (0, text, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("calibrate", "--drops", "3", "--seed", "-1"),
+    ("mc-validate", "--seed", "-1", "--n-range", "10", "--realizations", "2"),
+    ("figure", "2", "--seed", "-1", "--realizations", "2")])
+def test_a_negative_seed_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("configuration error: seed must be a non-negative "
+                   "integer, got -1\n"), err
+
+
+@pytest.mark.parametrize("argv,axis,count", [
+    (("figure", "7", "--T", "9007199254740992", "--K", "1", "--L", "1"),
+     "K", 2 ** 53),
+    (("joint", "--gamma", "2", "--M-max", "1048577"), "M", 2 ** 20 + 1)])
+def test_a_sweep_past_max_sweep_exits_2_at_once(capsys, argv, axis, count):
+    # 2^53 counts would sweep for days; the bound is checked before any pass
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"sweep of {axis} over 1..{count} is longer than" in err, err
+
+
 def test_de_curve_reruns_byte_identical(capsys):
     args = ("de-curve", "--n-range", "10,20,30")
     code1, out1, _ = run(capsys, *args)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dasee import geometry
 from dasee.config import ConfigError
@@ -186,7 +188,8 @@ def test_calibrate_equals_loop_past_one_block(K):
         reference_calibrate(layout, 2.5, K, drops, seed=11))
 
 
-@pytest.mark.parametrize("block", [3, geometry.BLOCK])
+# the shipped BLOCK, a small one and a block four times the shipped size
+@pytest.mark.parametrize("block", sorted({3, geometry.BLOCK, 4096}))
 def test_calibrate_leaves_a_passed_generator_where_the_loop_does(
         monkeypatch, block):
     monkeypatch.setattr(geometry, "BLOCK", block)
@@ -217,3 +220,32 @@ def test_calibrate_rejects_degenerate_inputs():
             calibrate(layout, iota, 10, 3, seed=1)
     with pytest.raises(ConfigError, match="K must be"):
         calibrate(layout, 2.5, 0, 3, seed=1)
+
+
+_COORDINATE = st.one_of(st.floats(-5000.0, 5000.0),
+                        st.sampled_from((0.0, 1e154, -1e200, 1e300, np.inf,
+                                         -np.inf, np.nan)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shape=st.sampled_from([(1, 1), (1, 7), (3, 1), (7, 7)]),
+       points=st.lists(st.tuples(_COORDINATE, _COORDINATE), min_size=1,
+                       max_size=6),
+       pick=st.integers(0, 10 ** 6), step=st.sampled_from((-1, 0, 1)))
+def test_keep_test_on_squared_distances_is_the_min_distance_test(
+        shape, points, pick, step):
+    # sqrt is correctly rounded and never decreases, so it commutes with
+    # min: sqrt(min d^2) >= d_min keeps exactly the users that min(sqrt d^2)
+    # keeps, also where d_min ties a distance or sits one ulp beside it
+    M, L = shape
+    layout = build_layout(M=M, Rc=2000.0, L=L)
+    cand = np.array(points)
+    square = geometry._square_distances(cand, layout)
+    with np.errstate(over="ignore"):   # a distance beyond a double is inf
+        distances = np.linalg.norm(cand[:, None, None, :]
+                                   - layout.rrh_positions[None], axis=-1)
+    assert np.array_equal(np.sqrt(square), distances, equal_nan=True)
+    drawn = distances.ravel()
+    d_min = np.nextafter(drawn[pick % drawn.size], step * np.inf)
+    keep = np.sqrt(square.min(axis=(-2, -1))) >= d_min
+    assert np.array_equal(keep, distances.min(axis=(-2, -1)) >= d_min)

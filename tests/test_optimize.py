@@ -352,6 +352,14 @@ def test_count_arguments_obey_the_count_rule():
     assert operating_point(CFG, PM, None, n=2 ** 53).ee > 0.0
 
 
+def test_lane_chunks_bound_the_sweep_at_max_sweep():
+    assert optimize.MAX_SWEEP == 2 ** 20
+    first = next(optimize.lane_chunks("M", 2 ** 20))
+    assert first.M.tolist() == list(range(1, optimize.LANE_CHUNK + 1))
+    with pytest.raises(ConfigError, match=r"^a sweep of K over 1\.\.1048577 "):
+        next(optimize.lane_chunks("K", 2 ** 20 + 1))
+
+
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
 def test_bad_rate_is_a_config_error(gamma):
     with pytest.raises(ConfigError, match="gamma"):
