@@ -88,18 +88,6 @@ class Lanes:
         self.fail[bad & (self.fail == 0)] = kind
         return False
 
-    def raise_config(self, alone) -> None:
-        """Raise the ConfigError of the first lane marked CONFIG, if any:
-        ``alone(count)`` evaluates that lane's count by itself, by the
-        scalar evaluation, which raises it."""
-        config = self.fail == CONFIG
-        if np.count_nonzero(config):
-            name, counts = ("M", self.M) if self.K is None else ("K", self.K)
-            count = int(counts[config.argmax()])
-            alone(count)
-            raise AssertionError(f"{name}={count}: the array pass marks a "
-                                 f"ConfigError that the scalar does not")
-
 
 class InfeasibleError(ValueError):
     """No design point meets the request (CLI exit 3, a NaN figure row)."""

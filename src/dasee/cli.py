@@ -95,8 +95,8 @@ def _int_range(text: str):
     try:
         if ":" in text:
             parts = [int(p) for p in text.split(":")]
-            start, stop = parts[0], parts[1]
-            step = parts[2] if len(parts) > 2 else 1
+            # a fourth part is a ValueError too: too many values to unpack
+            start, stop, step = parts if len(parts) > 2 else (*parts, 1)
             return tuple(range(start, stop + (1 if step > 0 else -1), step))
         return tuple(int(p) for p in text.split(",") if p.strip())
     except ValueError as exc:

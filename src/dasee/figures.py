@@ -9,13 +9,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import montecarlo
-from .asymptotic import (Design, InfeasibleError, energy_efficiency,
-                         operating_point)
+from .asymptotic import Design, InfeasibleError, operating_point
 from .config import PowerModel, SystemConfig
-from .optimize import lane_chunks, optimal_n, scan_m
+from .optimize import optimal_n, scan
 
 GAMMA_DEFAULT = 2.0
 N_SWEEP = tuple(range(2, 61))
@@ -56,24 +53,6 @@ def _n_curve(key, cfg, pm, step=1):
     tail = (_optimum(cfg, pm, GAMMA_DEFAULT)[0],)
     return _curve(key, _ee_of_n(cfg, pm),
                   [n for n in N_SWEEP if n % step == 0], tail)
-
-
-def _k_curve(key, cfg, pm):
-    """EE vs every user count K = 1..T/psi at n = cfg.n, one array pass
-    over the counts: each row holds the bits of ``energy_efficiency`` at
-    that K, NaN with feasible=0 where it raises an InfeasibleError.  A
-    ConfigError is raised from the first K where it raises one."""
-    rows = []
-    for lanes in lane_chunks("K", cfg.T // cfg.psi):
-        with np.errstate(all="ignore"):
-            ee = Design(cfg, pm, GAMMA_DEFAULT, lanes).ee(cfg.n)
-        lanes.infeasible(~np.isnan(ee))
-        lanes.raise_config(
-            lambda K: energy_efficiency(cfg, pm, GAMMA_DEFAULT, K=K))
-        feasible = (lanes.fail == 0).tolist()
-        rows += [[*key, K, e if ok else math.nan, int(ok)] for K, e, ok
-                 in zip(lanes.K.tolist(), ee.tolist(), feasible)]
-    return rows
 
 
 def figure2(cfg, pm, realizations=1000, seed=1):
@@ -140,15 +119,21 @@ def figure6(cfg, pm, realizations=0, seed=1):
 def figure7(cfg, pm, realizations=0, seed=1):
     """EE vs user count at n = 20 for the three reuse/correlation cases.
 
-    Each curve's config holds K = 1, a count it sweeps, so a frame too
-    short for the configured K at psi = L still has its curve; a curve
-    that sweeps no count (T < psi) has no config and no rows."""
+    Each curve is one ``scan`` over K = 1..T/psi: a row holds the bits of
+    ``energy_efficiency`` at its K, NaN with feasible=0 where that raises
+    an InfeasibleError.  Each curve's config holds K = 1, a count it
+    sweeps, so a frame too short for the configured K at psi = L still has
+    its curve; a curve that sweeps no count (T < psi) has no config and no
+    rows."""
     header = ["psi", "d", "K", "ee_bits_per_joule", "feasible"]
     rows = []
     for psi, d in ((1, 1), (cfg.L, 1), (1, 2)):
         if cfg.T // psi:
-            rows += _k_curve([psi, d], cfg.replace(psi=psi, d=d, n=20, K=1),
-                             pm)
+            K, feasible, _, ee, *_ = scan(
+                cfg.replace(psi=psi, d=d, n=20, K=1), pm, GAMMA_DEFAULT, "K",
+                cfg.T // psi, n=20)
+            rows += [[psi, d, k, e if ok else math.nan, int(ok)] for k, ok, e
+                     in zip(K.tolist(), feasible.tolist(), ee.tolist())]
     return header, rows
 
 
@@ -166,12 +151,11 @@ def figure9(cfg, pm, realizations=0, seed=1):
     header = ["K", "M", "n_star", "ee_bits_per_joule", "feasible"]
     rows = []
     for K in (10, 50, 100):
-        for M, feasible, n_star, ee, *_ in scan_m(cfg.replace(K=K), pm,
-                                                  GAMMA_DEFAULT, 15):
-            rows += [[K, m, int(n) if ok else -1, e if ok else math.nan,
-                      int(ok)] for m, ok, n, e in zip(
-                          M.tolist(), feasible.tolist(), n_star.tolist(),
-                          ee.tolist())]
+        M, feasible, n_star, ee, *_ = scan(cfg.replace(K=K), pm,
+                                           GAMMA_DEFAULT, "M", 15)
+        rows += [[K, m, int(n) if ok else -1, e if ok else math.nan, int(ok)]
+                 for m, ok, n, e in zip(M.tolist(), feasible.tolist(),
+                                        n_star.tolist(), ee.tolist())]
     return header, rows
 
 

@@ -4,21 +4,20 @@ The antenna count per RRH has a closed-form continuous optimum (square-root
 power balance plus the feasibility offset), the user count is the unique
 root of a quartic found by bisection, and the RRH count comes from a
 one-dimensional scan, which evaluates every candidate M in one array pass
-(``scan_m``); ``lane_chunks`` cuts a swept count, M or K, into the
-``Lanes`` of such passes, and figure 7 sweeps K with it.  Every routine
-rounds its continuous optimum with the EE-comparison rule (take whichever
-of floor/ceil achieves the higher EE) and an exhaustive integer scan is
-provided as the reference oracle.
+(``scan``, which sweeps the user count K the same way for figure 7).
+Every routine rounds its continuous optimum with the EE-comparison rule
+(take whichever of floor/ceil achieves the higher EE) and an exhaustive
+integer scan is provided as the reference oracle.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .asymptotic import (SCALAR, Design, InfeasibleError, Lanes,
+from .asymptotic import (CONFIG, SCALAR, Design, InfeasibleError, Lanes,
                          RateUnachievableError, _finite_power, _rate_ceiling,
                          energy_efficiency, operating_point, rate_margin,
                          sinr_breakdown)
@@ -27,7 +26,6 @@ from .config import (MAX_COUNT, ConfigError, PowerModel, SystemConfig,
 
 BISECTION_WIDTH = 1e-3   # interval width on the continuous user count
 DEFAULT_M_MAX = 30
-LANE_CHUNK = 4096        # counts per array pass (scan_m, figure 7's curves)
 MAX_SWEEP = 2 ** 20      # counts one M or K sweep may run (2^53 runs for days)
 
 
@@ -244,14 +242,16 @@ def optimal_k(cfg: SystemConfig, pm: PowerModel,
                               x_real=k_real, window=(0.0, upper))
 
 
-def _at_m(cfg: SystemConfig, pm: PowerModel, gamma: float, M: int,
-          n: int | None) -> OptimizationResult:
-    """One RRH count evaluated alone: optimal_n at M, or with ``n`` (which
-    cfg.n already holds) the operating point."""
+def _alone(cfg: SystemConfig, pm: PowerModel, gamma: float, axis: str,
+           count: int, n: int | None) -> OptimizationResult:
+    """One count of ``axis`` ("M" or "K") evaluated alone: optimal_n at
+    that count, or with ``n`` (which cfg.n already holds) the operating
+    point."""
+    cfg = cfg.replace(**{axis: count})
     if n is None:
-        return optimal_n(cfg, pm, gamma, M=M)
-    ee, p_d, _ = operating_point(cfg.replace(M=M), pm, gamma)
-    return OptimizationResult(ee=ee, p_d=p_d, n=n, M=M, K=cfg.K)
+        return optimal_n(cfg, pm, gamma)
+    ee, p_d, _ = operating_point(cfg, pm, gamma)
+    return OptimizationResult(ee=ee, p_d=p_d, n=n, M=cfg.M, K=cfg.K)
 
 
 def _floor_ceil_lanes(x: np.ndarray, design: Design):
@@ -269,43 +269,40 @@ def _floor_ceil_lanes(x: np.ndarray, design: Design):
             np.where(take_lo, p_d[0], p_d[1]))
 
 
-def lane_chunks(axis: str, count: int) -> Iterator[Lanes]:
-    """``Lanes`` of the counts 1..count of ``axis`` ("M" or "K"),
-    ``LANE_CHUNK`` counts at a time, so memory does not grow with count;
-    a ConfigError past ``MAX_SWEEP`` counts."""
+def scan(cfg: SystemConfig, pm: PowerModel, gamma: float, axis: str,
+         count: int, n: int | None = None) -> tuple:
+    """Every count 1..count of ``axis`` ("M" or "K") in one array pass.
+
+    Returns the arrays (counts, feasible, n*, ee, p_d, x_real).  Each
+    feasible lane holds the bits of ``optimal_n`` at that count; with
+    ``n`` (a positive int, validated by the caller into cfg.n) those of
+    the operating point at n and that count, n* = n and x_real None.  A
+    lane is infeasible where that evaluation raises an InfeasibleError; at
+    the first count where it raises a ConfigError, that count is evaluated
+    alone to raise it.  A ConfigError past ``MAX_SWEEP`` counts.
+    """
     if count > MAX_SWEEP:
         raise ConfigError(f"a sweep of {axis} over 1..{count} is longer than "
                           f"{MAX_SWEEP} counts")
-    for start in range(1, count + 1, LANE_CHUNK):
-        yield Lanes(**{axis: np.arange(start, min(start + LANE_CHUNK,
-                                                  count + 1))})
-
-
-def scan_m(cfg: SystemConfig, pm: PowerModel, gamma: float, M_max: int,
-           n: int | None = None) -> Iterator[tuple]:
-    """Every RRH count M = 1..M_max at once, ``LANE_CHUNK`` counts at a time.
-
-    Yields per chunk the arrays (M, feasible, n*, ee, p_d, x_real).  Each
-    feasible lane holds the bits of ``optimal_n(cfg, pm, gamma, M=M)``;
-    with ``n`` (a positive int, validated by the caller into cfg.n) those
-    of the operating point at n and M, n* = n and x_real None.  A lane is
-    infeasible where that evaluation raises an InfeasibleError; at the
-    first M where it raises a ConfigError, that M is evaluated alone to
-    raise it.
-    """
-    for lanes in lane_chunks("M", M_max):
-        with np.errstate(all="ignore"):
-            design = Design(cfg, pm, gamma, lanes)
-            if n is None:
-                x_real = _antenna_optimum(design)[1]
-                n_star, ee, p_d = _floor_ceil_lanes(x_real, design)
-            else:
-                n_star, x_real = n, None
-                ee, p_d, _ = design.point(n)
-                p_d = np.broadcast_to(p_d, ee.shape)   # one value at fixed p_d
-                lanes.infeasible(~np.isnan(ee))
-        lanes.raise_config(lambda M: _at_m(cfg, pm, gamma, M, n))
-        yield lanes.M, lanes.fail == 0, n_star, ee, p_d, x_real
+    counts = np.arange(1, count + 1)
+    lanes = Lanes(**{axis: counts})
+    with np.errstate(all="ignore"):
+        design = Design(cfg, pm, gamma, lanes)
+        if n is None:
+            x_real = _antenna_optimum(design)[1]
+            n_star, ee, p_d = _floor_ceil_lanes(x_real, design)
+        else:
+            n_star, x_real = n, None
+            ee, p_d, _ = design.point(n)
+            p_d = np.broadcast_to(p_d, ee.shape)   # one value at fixed p_d
+            lanes.infeasible(~np.isnan(ee))
+    config = lanes.fail == CONFIG
+    if np.count_nonzero(config):
+        first = int(counts[config.argmax()])
+        _alone(cfg, pm, gamma, axis, first, n)
+        raise AssertionError(f"{axis}={first}: the array pass marks a "
+                             f"ConfigError that the scalar does not")
+    return counts, lanes.fail == 0, n_star, ee, p_d, x_real
 
 
 def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
@@ -318,24 +315,20 @@ def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
     averaged-model gains (beta, alpha1, alpha2) are held fixed while the
     serving-RRH gain keeps its M^(iota/2) scaling.  Ties break toward the
     smaller M; an M without a feasible (integer) optimum is skipped.  The
-    scan is ``scan_m``, bit-identical to evaluating each M alone.
+    scan is one ``scan`` over M, bit-identical to evaluating each M alone.
     """
     _require_count("M_max", M_max)
     cfg = override(override(cfg, K=K), n=n)
-    best = None
-    for M, feasible, n_star, ee, p_d, x_real in scan_m(cfg, pm, gamma,
-                                                        M_max, n):
-        i = np.argmax(np.where(feasible, ee, -np.inf))  # first of the best
-        if feasible[i] and (best is None or ee[i] > best.ee):
-            best = OptimizationResult(
-                ee=float(ee[i]), p_d=float(p_d[i]), K=cfg.K, M=int(M[i]),
-                n=n if n is not None else int(n_star[i]),
-                x_real=None if x_real is None else float(x_real[i]),
-                window=(1.0, float(M_max)))
-    if best is None:   # every M skipped: report why the last one was
+    M, feasible, n_star, ee, p_d, x_real = scan(cfg, pm, gamma, "M", M_max, n)
+    i = np.argmax(np.where(feasible, ee, -np.inf))  # first of the best
+    if not feasible[i]:   # every M skipped: report why the last one was
         try:
-            _at_m(cfg, pm, gamma, M_max, n)
+            _alone(cfg, pm, gamma, "M", M_max, n)
         except InfeasibleError as exc:
             raise OptimizationError(f"no feasible M <= {M_max}: {exc}") \
                 from None
-    return best
+    return OptimizationResult(
+        ee=float(ee[i]), p_d=float(p_d[i]), K=cfg.K, M=int(M[i]),
+        n=n if n is not None else int(n_star[i]),
+        x_real=None if x_real is None else float(x_real[i]),
+        window=(1.0, float(M_max)))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import dasee
-from dasee import figures, optimize
+from dasee import figures
 from dasee.asymptotic import (InfeasibleAntennasError, RateUnachievableError,
                               deterministic_sinr, energy_efficiency,
                               total_power_at_se)
@@ -286,16 +286,19 @@ def test_underflowing_gains_in_negligible_mode(capsys):
     assert code == 0 and err == "" and out == reference
 
 
-def test_python_m_dasee_runs_the_cli():
+def _child(*argv):
+    """Run ``python *argv`` in a child that imports this dasee."""
     src = str(Path(dasee.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (
                src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
 
+
+def test_python_m_dasee_runs_the_cli():
     def dasee_m(*argv):
-        return subprocess.run([sys.executable, "-m", "dasee", *argv],
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
+        return _child("-m", "dasee", *argv)
 
     ok = dasee_m("opt-n", "--gamma", "2")
     assert ok.returncode == 0 and json.loads(ok.stdout)["n_star"] == 11
@@ -377,6 +380,21 @@ def test_a_sweep_past_max_sweep_exits_2_at_once(capsys, argv, axis, count):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert f"sweep of {axis} over 1..{count} is longer than" in err, err
+
+
+def test_a_sweep_of_max_sweep_counts_fits_in_256_mb():
+    # the one pass over all 2^20 RRH counts holds every lane at once: about
+    # 180 MB peak RSS on x86-64 Linux (30 MB in passes of 4,096 counts)
+    done = _child("-c", "import resource, sys\n"
+                  "from dasee.cli import main\n"
+                  "code = main(['joint', '--gamma', '2',"
+                  " '--M-max', '1048576'])\n"
+                  "print(code, resource.getrusage(resource.RUSAGE_SELF)"
+                  ".ru_maxrss, file=sys.stderr)\n")
+    code, peak_kib = map(int, done.stderr.split())
+    result = json.loads(done.stdout)
+    assert code == 0 and (result["m_star"], result["n_star"]) == (5, 17)
+    assert peak_kib < 256 * 1024, peak_kib   # ru_maxrss is in KiB on Linux
 
 
 def test_de_curve_reruns_byte_identical(capsys):
@@ -601,6 +619,7 @@ def test_dbm_flags(capsys):
     # an integer beyond the double range, from a flag or a file line alike
     ("opt-m", "--gamma", "2", "--fixed-n", "--n", "1" + "0" * 400),
     ("opt-m", "--gamma", "2", "--fixed-n", "--config", "n = 1" + "0" * 400),
+    ("de-curve", "--n-range", "10:30:10:99"),   # a fourth colon part
 ])
 def test_bad_sweep_arguments_exit_2(capsys, tmp_path, argv):
     if "--config" in argv:  # the argument after --config is the file's text
@@ -745,26 +764,20 @@ def _figure7_by_k(cfg, pm):
     ({"B": 1e307}, {}),                # B*se beyond the range from K = 10
     # M*P_BT*B*se beyond it from K = 3, before B*se from K = 10
     ({"B": 1e307}, {"P_BT": 0.5})])
-def test_figure7_raises_the_config_error_of_its_first_k(monkeypatch, changes,
-                                                        power):
+def test_figure7_raises_the_config_error_of_its_first_k(changes, power):
     # some user counts of the first curve evaluate, later ones raise a
-    # ConfigError: the array pass raises the one the per-K loop raises,
-    # whatever the number of counts per pass
+    # ConfigError: the array pass raises the one the per-K loop raises
     cfg, pm = SystemConfig(**changes), PowerModel(**power)
     point = cfg.replace(n=20)
     assert ee_or_none(point, pm, figures.GAMMA_DEFAULT, K=1) is not None
     with pytest.raises(ConfigError) as per_k:
         _figure7_by_k(cfg, pm)
-    for chunk in (1, 7, optimize.LANE_CHUNK):
-        monkeypatch.setattr(optimize, "LANE_CHUNK", chunk)
-        with pytest.raises(ConfigError) as lanes:
-            figures.figure7(cfg, pm)
-        assert str(lanes.value) == str(per_k.value)
-        monkeypatch.undo()
-    for chunk in (1, 7):   # and rows as the loop's where nothing raises
-        monkeypatch.setattr(optimize, "LANE_CHUNK", chunk)
-        assert repr(figures.figure7(SystemConfig(), PowerModel())[1]) == \
-            repr(_figure7_by_k(SystemConfig(), PowerModel()))
+    with pytest.raises(ConfigError) as lanes:
+        figures.figure7(cfg, pm)
+    assert str(lanes.value) == str(per_k.value)
+    # and rows as the loop's where nothing raises
+    assert repr(figures.figure7(SystemConfig(), PowerModel())[1]) == \
+        repr(_figure7_by_k(SystemConfig(), PowerModel()))
 
 
 def test_figure7_at_a_frame_too_short_for_the_configured_k(capsys):

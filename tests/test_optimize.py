@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -352,12 +353,27 @@ def test_count_arguments_obey_the_count_rule():
     assert operating_point(CFG, PM, None, n=2 ** 53).ee > 0.0
 
 
-def test_lane_chunks_bound_the_sweep_at_max_sweep():
+def test_scan_bounds_the_sweep_at_max_sweep(monkeypatch):
+    # on either axis a sweep past MAX_SWEEP counts raises before it
+    # allocates its lanes, and a sweep of MAX_SWEEP counts reaches its pass
     assert optimize.MAX_SWEEP == 2 ** 20
-    first = next(optimize.lane_chunks("M", 2 ** 20))
-    assert first.M.tolist() == list(range(1, optimize.LANE_CHUNK + 1))
-    with pytest.raises(ConfigError, match=r"^a sweep of K over 1\.\.1048577 "):
-        next(optimize.lane_chunks("K", 2 ** 20 + 1))
+
+    def no_pass(cfg, pm, gamma, lanes):
+        raise RuntimeError(lanes.M if lanes.K is None else lanes.K)
+
+    monkeypatch.setattr(optimize, "Design", no_pass)
+    for axis in ("M", "K"):
+        tracemalloc.start()
+        with pytest.raises(ConfigError, match=rf"^a sweep of {axis} over "
+                           rf"1\.\.1048577 is longer than 1048576 counts$"):
+            optimize.scan(CFG, PM, 2.0, axis, 2 ** 20 + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2 ** 16   # the lanes alone are 8 MiB
+        with pytest.raises(RuntimeError) as reached:
+            optimize.scan(CFG, PM, 2.0, axis, 2 ** 20)
+        assert np.array_equal(reached.value.args[0],
+                              np.arange(1, 2 ** 20 + 1))
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
@@ -437,14 +453,12 @@ def _optimal_m_by_scan(cfg, pm, gamma, m_max, n=None):
 
 
 def _scan_lanes(cfg, pm, gamma, m_max, n=None):
-    """(M, n*, EE, p_d, x_real) of every feasible lane of scan_m."""
-    out = []
-    for M, feasible, n_star, ee, p_d, x_real in optimize.scan_m(
-            cfg, pm, gamma, m_max, n):
-        out += [(int(M[i]), n or int(n_star[i]), float(ee[i]),
-                 float(p_d[i]), x_real if n else float(x_real[i]))
-                for i in np.flatnonzero(feasible)]
-    return out
+    """(M, n*, EE, p_d, x_real) of every feasible lane of a scan over M."""
+    M, feasible, n_star, ee, p_d, x_real = optimize.scan(cfg, pm, gamma, "M",
+                                                         m_max, n)
+    return [(int(M[i]), n or int(n_star[i]), float(ee[i]), float(p_d[i]),
+             x_real if n else float(x_real[i]))
+            for i in np.flatnonzero(feasible)]
 
 
 def _figure9_by_m(cfg, pm):
@@ -470,11 +484,11 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
-def test_joint_optimal_m_equals_scan_of_optimal_n(monkeypatch):
+def test_joint_optimal_m_equals_scan_of_optimal_n():
     # optimal_m (joint and fixed-n) against its definition, one M at a
     # time, result for result and error for error, and every M's lane of
-    # its array pass against that M alone, whatever the number of RRH
-    # counts per pass; so are figure 9's rows against optimal_n per M
+    # its array pass against that M alone; so are figure 9's rows against
+    # optimal_n per M
     rng = np.random.default_rng(23)
     cases = []
     for _ in range(40):
@@ -521,23 +535,81 @@ def test_joint_optimal_m_equals_scan_of_optimal_n(monkeypatch):
                     (CFG.replace(pilot_noise_mode="negligible"), PM),
                     (CFG, PM.replace(P_RRH=1e-320))]
     figure_rows = [repr(_figure9_by_m(cfg, pm)) for cfg, pm in figure_cases]
-    for chunk in (1, 7, optimize.LANE_CHUNK):
-        monkeypatch.setattr(optimize, "LANE_CHUNK", chunk)
-        for (cfg, pm, gamma, m_max), want, lanes in zip(cases, expected,
-                                                       per_m):
-            got = (_outcome(lambda: optimal_m(cfg, pm, gamma, M_max=m_max)),
-                   _outcome(lambda: optimal_m(cfg, pm, gamma, M_max=m_max,
-                                              n=cfg.n)))
-            assert got == want, (chunk, cfg, pm, gamma, m_max)
-            got = tuple(_outcome(lambda: _scan_lanes(cfg, pm, gamma, m_max,
-                                                     n))
-                        for n in (None, cfg.n))
-            assert got == lanes, (chunk, cfg, pm, gamma, m_max)
-        for cfg, m_max, want in fixed_power:
-            assert _outcome(lambda: optimal_m(cfg, PM, None, M_max=m_max,
-                                              n=cfg.n)) == want, cfg
-        for (cfg, pm), want in zip(figure_cases, figure_rows):
-            assert repr(figures.figure9(cfg, pm)) == want, (chunk, cfg, pm)
+    for (cfg, pm, gamma, m_max), want, lanes in zip(cases, expected, per_m):
+        got = (_outcome(lambda: optimal_m(cfg, pm, gamma, M_max=m_max)),
+               _outcome(lambda: optimal_m(cfg, pm, gamma, M_max=m_max,
+                                          n=cfg.n)))
+        assert got == want, (cfg, pm, gamma, m_max)
+        got = tuple(_outcome(lambda: _scan_lanes(cfg, pm, gamma, m_max, n))
+                    for n in (None, cfg.n))
+        assert got == lanes, (cfg, pm, gamma, m_max)
+    for cfg, m_max, want in fixed_power:
+        assert _outcome(lambda: optimal_m(cfg, PM, None, M_max=m_max,
+                                          n=cfg.n)) == want, cfg
+    for (cfg, pm), want in zip(figure_cases, figure_rows):
+        assert repr(figures.figure9(cfg, pm)) == want, (cfg, pm)
+
+
+def _optimal_n_by_k(cfg, pm, gamma):
+    """(K, n*, EE, p_d, x_real) of optimal_n at each user count K =
+    1..T/psi alone, an infeasible K skipped; a ConfigError propagates from
+    the first K with one."""
+    out = []
+    for K in range(1, cfg.T // cfg.psi + 1):
+        try:
+            res = optimal_n(cfg.replace(K=K), pm, gamma)
+        except InfeasibleError:
+            continue
+        out.append((K, res.n, res.ee, res.p_d, res.x_real))
+    return out
+
+
+def _scan_k(cfg, pm, gamma):
+    """(K, n*, EE, p_d, x_real) of every feasible lane of a scan over K."""
+    K, feasible, n_star, ee, p_d, x_real = optimize.scan(
+        cfg, pm, gamma, "K", cfg.T // cfg.psi)
+    return [(int(K[i]), int(n_star[i]), float(ee[i]), float(p_d[i]),
+             float(x_real[i])) for i in np.flatnonzero(feasible)]
+
+
+def test_scan_over_user_counts_equals_optimal_n_per_k():
+    # n* at every user count in one pass over K (_antenna_optimum and
+    # _floor_ceil_lanes over K lanes) against optimal_n at each K alone:
+    # lane for lane, an infeasible K for an infeasible K, and the
+    # ConfigError of the first K that raises one, in both pilot-noise modes
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(30):
+        cfg, pm, _ = random_scenario(rng)
+        cfg = cfg.replace(K=1, psi=int(rng.choice([1, 7])),
+                          T=int(rng.integers(7, 197)),
+                          iota=float(rng.uniform(2.0, 4.0)))
+        cases.append((cfg, pm, float(rng.uniform(0.5, 9.0))))
+    cases += [(CFG.replace(K=1, B=1e307), PM, 2.0),   # B*se from K = 10
+              (CFG.replace(K=1, B=1e307), PM.replace(P_BT=0.5), 2.0),
+              (CFG.replace(K=1), PM.replace(P_RRH=1e-320), 2.0),
+              (CFG.replace(K=1, psi=7, iota=60.0),
+               PM.replace(P_RRH=4e-39, P_FIX=1e308, P_0=3e306), 2.0),
+              (CFG.replace(K=1, beta=1e300), PM, 2.0),
+              (CFG.replace(K=1), PM, 2.0)]
+    errors, feasible = set(), []   # per curve: (feasible K, swept K)
+    for mode in ("exact", "negligible"):
+        for cfg, pm, gamma in cases:
+            cfg = cfg.replace(pilot_noise_mode=mode)
+            try:
+                want = _optimal_n_by_k(cfg, pm, gamma)
+            except ConfigError as exc:
+                errors.add(str(exc))
+                with pytest.raises(ConfigError) as got:
+                    _scan_k(cfg, pm, gamma)
+                assert str(got.value) == str(exc)
+                continue
+            assert repr(_scan_k(cfg, pm, gamma)) == repr(want), (cfg, pm,
+                                                                 gamma)
+            feasible.append((len(want), cfg.T // cfg.psi))
+    assert len(errors) >= 2 and sum(k for k, _ in feasible) > 1000
+    # curves with every K feasible, with some K skipped, and with none
+    assert {min(k, 1) + (k == count) for k, count in feasible} == {0, 1, 2}
 
 
 def test_negligible_antenna_power_is_reported():
