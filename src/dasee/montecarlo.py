@@ -7,12 +7,15 @@ efficiency assembled exactly as the analytic formula structures them
 (batch mean of the effective channel, batch variance, batch means of the
 interference magnitudes, normalization from the same batch).
 
-Reproducibility contract: realization r draws from its own counter-derived
-substream SeedSequence(seed, spawn_key=(r,)) into row r of a block of
+Reproducibility contract: realization r draws from its own run's
+substream SeedSequence(seed, spawn_key=(r // RUN,)), going on where
+realization r - 1 stopped in the same run; ``RUN`` is a constant of the
+contract, independent of ``BLOCK``.  The draws fill row r of a block of
 consecutive realizations, at most ``BLOCK`` (l, m, k) entries, so memory
-does not grow with the realization count.  The arithmetic runs once per
-block, each sum over m or k on its own axis, and the batch means add the
-rows in realization order, carried from block to block.  So results are
+does not grow with the realization count; a block that ends inside a run
+hands its generator to the next.  The arithmetic runs once per block, each
+sum over m or k on its own axis, and the batch means add the rows in
+realization order, carried from block to block.  So results are
 bit-identical for a given (config, seed, realization count), whatever the
 block size.  No step calls BLAS, so the BLAS thread count does not enter.
 
@@ -59,6 +62,7 @@ from .asymptotic import (_throughput, large_scale_gains, rate_from_sinr,
 from .config import ConfigError, PowerModel, SystemConfig, _require_seed
 
 BLOCK = 16384                 # (l, m, k) entries per block of realizations
+RUN = 64                      # consecutive realizations per seeded substream
 
 
 def steering_matrix(n: int, P: int) -> np.ndarray:
@@ -170,8 +174,8 @@ def _statistics(cfg: SystemConfig, realizations: int, seed: int,
     per-cell sum_{m,k} ||w_lmk||^2 (., L), the effective channel y_0kk
     (., K) and its power, cell 0's cross terms sum_{i != k} |y_0ki|^2
     (., K), and sum_i |y_lki|^2 per cell (., L, K).  Realization r draws
-    from its own substream into row r of the block; the arithmetic runs
-    once per block, reducing over m and k along their own axes."""
+    into row r, going on in run r // RUN's substream, which a block that
+    ends inside the run hands on; the arithmetic runs once per block."""
     model = _link_model(cfg, gains)
     if realizations < 1:
         raise ConfigError(f"realizations must be >= 1, got {realizations}")
@@ -186,35 +190,39 @@ def _statistics(cfg: SystemConfig, realizations: int, seed: int,
     P = cfg.P
     rounds = max(1, BLOCK // (cfg.L * cfg.M * cfg.K))
 
-    def block(start: int):
-        count = min(rounds, realizations - start)
-        norm_a = np.empty((count,) + o.shape)
-        zeta = np.empty((count,) + o.shape + (2,))
-        gamma_b = np.empty((count,) + o.shape)
-        gamma_other = np.empty((count,) + c2q_other.shape)
-        for r in range(count):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(start + r,)))
-            rng.standard_gamma(P, out=norm_a[r])
-            rng.standard_normal(out=zeta[r])
-            rng.standard_gamma(P - 1, out=gamma_b[r])
-            rng.standard_gamma(P, out=gamma_other[r])
-        zeta = zeta.view(np.complex128)[..., 0]
-        zeta /= np.sqrt(2.0)
-        ab = np.sqrt(norm_a) * zeta                 # a^T conj(b)
-        norm_b = zeta.real ** 2 + zeta.imag ** 2 + gamma_b
-        wnorm = np.empty((count,) + own0.shape)
-        wnorm[:, shared] = c2o * norm_a + c2x * ab.real + c2q * norm_b
-        wnorm[:, other] = c2q_other * gamma_other
-        per_rrh = wnorm.sum(axis=3)
-        cross = (own0 * (per_rrh[..., None] - mix * wnorm)).sum(axis=2)
-        y = (co * norm_a + cx * ab).sum(axis=2)
-        power = y.real ** 2 + y.imag ** 2
-        total = cross.copy()
-        total[:, shared] += power
-        return per_rrh.sum(axis=2), y[:, 0], power[:, 0], cross[:, 0], total
+    def blocks():
+        for start in range(0, realizations, rounds):
+            count = min(rounds, realizations - start)
+            norm_a = np.empty((count,) + o.shape)
+            zeta = np.empty((count,) + o.shape + (2,))
+            gamma_b = np.empty((count,) + o.shape)
+            gamma_other = np.empty((count,) + c2q_other.shape)
+            for row in range(count):
+                run, step = divmod(start + row, RUN)
+                if step == 0:
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence(entropy=seed, spawn_key=(run,)))
+                rng.standard_gamma(P, out=norm_a[row])
+                rng.standard_normal(out=zeta[row])
+                rng.standard_gamma(P - 1, out=gamma_b[row])
+                rng.standard_gamma(P, out=gamma_other[row])
+            zeta = zeta.view(np.complex128)[..., 0]
+            zeta /= np.sqrt(2.0)
+            ab = np.sqrt(norm_a) * zeta             # a^T conj(b)
+            norm_b = zeta.real ** 2 + zeta.imag ** 2 + gamma_b
+            wnorm = np.empty((count,) + own0.shape)
+            wnorm[:, shared] = c2o * norm_a + c2x * ab.real + c2q * norm_b
+            wnorm[:, other] = c2q_other * gamma_other
+            per_rrh = wnorm.sum(axis=3)
+            cross = (own0 * (per_rrh[..., None] - mix * wnorm)).sum(axis=2)
+            y = (co * norm_a + cx * ab).sum(axis=2)
+            power = y.real ** 2 + y.imag ** 2
+            total = cross.copy()
+            total[:, shared] += power
+            yield (per_rrh.sum(axis=2), y[:, 0], power[:, 0], cross[:, 0],
+                   total)
 
-    return map(block, range(0, realizations, rounds))
+    return blocks()
 
 
 def _batch_means(cfg: SystemConfig, realizations: int, seed: int,

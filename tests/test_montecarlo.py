@@ -11,7 +11,7 @@ from dasee.asymptotic import (deterministic_sinr, large_scale_gains,
                               operating_point, sinr_breakdown)
 from dasee.config import ConfigError, PowerModel, SystemConfig
 from dasee import montecarlo
-from dasee.montecarlo import (_link_model, _statistics,
+from dasee.montecarlo import (RUN, _link_model, _statistics,
                               empirical_ee, empirical_sinr_rate,
                               empirical_transmit_power, generate_realization,
                               rate_from_sinr, steering_matrix)
@@ -319,10 +319,9 @@ def test_estimator_assembles_batch_means(override):
     assert np.allclose(power, cfg.p_d / cfg.K * lam * wnorm, rtol=1e-12, atol=0.0)
 
 
-def reference_batch_means(cfg, realizations, seed, gains):
-    """The engine one realization at a time, each statistic added into a
-    running sum in realization order: the layout the block engine must
-    reproduce bit for bit."""
+def reference_realization(cfg, gains):
+    """A function of a generator: the engine's statistics of the one
+    realization it draws from that generator, in the engine's draw order."""
     model = _link_model(cfg, gains)
     shared, own0 = model.shared, model.o
     other = ~shared
@@ -332,9 +331,7 @@ def reference_batch_means(cfg, realizations, seed, gains):
     c2o, c2x, c2q = c * co, 2.0 * c * cx, c ** 2 * q
     c2q_other = model.c[other] ** 2 * model.q[other]
 
-    def realization(r):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+    def realization(rng):
         norm_a = rng.standard_gamma(cfg.P, o.shape)
         zeta = rng.standard_normal(o.shape + (2,)).view(np.complex128)[..., 0]
         zeta /= np.sqrt(2.0)
@@ -352,9 +349,27 @@ def reference_batch_means(cfg, realizations, seed, gains):
         total[shared] += power
         return per_rrh.sum(axis=1), y[0], power[0], cross[0], total
 
-    sums = list(realization(0))
-    for r in range(1, realizations):
-        for total, term in zip(sums, realization(r)):
+    return realization
+
+
+def reference_batch_means(cfg, realizations, seed, gains):
+    """The engine one realization at a time, each statistic added into a
+    running sum in realization order: the layout the block engine must
+    reproduce bit for bit.  A fresh generator starts each run of ``RUN``
+    realizations, and the run's later realizations go on from it."""
+    realization = reference_realization(cfg, gains)
+
+    def streams():
+        for r in range(realizations):
+            if r % RUN == 0:
+                rng = np.random.default_rng(np.random.SeedSequence(
+                    entropy=seed, spawn_key=(r // RUN,)))
+            yield rng
+
+    terms = map(realization, streams())
+    sums = list(next(terms))
+    for row in terms:
+        for total, term in zip(sums, row):
             total += term
     return [total / realizations for total in sums]
 
@@ -386,11 +401,12 @@ def _assert_block_engine_bit_identical(monkeypatch, cfg, gains, R):
     assert engine == reference
 
 
-@pytest.mark.parametrize("rows", [None, 2, 3])
+@pytest.mark.parametrize("rows", [None, 2, 3, 7])
 @pytest.mark.parametrize("cfg, override", BIT_CASES)
 def test_block_engine_bit_identical_to_loop(monkeypatch, cfg, override, rows):
-    # BLOCK = 1, 2, 7 (odd) entries, and blocks of exactly 2 and 3 rows;
-    # R = 11 leaves a partial last block wherever a block holds 2+ rows
+    # BLOCK = 1, 2, 7 (odd) entries, and blocks of exactly 2, 3 and 7 rows;
+    # R = 2 RUN + 3 leaves a partial last block wherever a block holds 2+
+    # rows, and blocks of 3 and 7 rows end inside a run
     gains = None
     if override:
         gains = large_scale_gains(cfg) * np.random.default_rng(8).uniform(
@@ -398,22 +414,41 @@ def test_block_engine_bit_identical_to_loop(monkeypatch, cfg, override, rows):
     size = cfg.L * cfg.M * cfg.K
     for block in ((1, 2, 7) if rows is None else (rows * size,)):
         monkeypatch.setattr(montecarlo, "BLOCK", block)
-        _assert_block_engine_bit_identical(monkeypatch, cfg, gains, 11)
+        _assert_block_engine_bit_identical(monkeypatch, cfg, gains,
+                                           2 * RUN + 3)
 
 
 @pytest.mark.parametrize("cfg", [SystemConfig(psi=1, K=10, n=10),
                                  SystemConfig(psi=7, K=20, n=60),
                                  SystemConfig(M=9, K=3, n=10, d=2)])
 def test_block_engine_bit_identical_at_shipped_block(monkeypatch, cfg):
-    # more realizations than one block of the shipped BLOCK holds
+    # more realizations than one block of the shipped BLOCK holds, and past
+    # two runs; the blocks of 33 and 86 rows of the first and last config
+    # end inside a run
     rounds = montecarlo.BLOCK // (cfg.L * cfg.M * cfg.K)
-    _assert_block_engine_bit_identical(monkeypatch, cfg, None, rounds + 3)
+    _assert_block_engine_bit_identical(monkeypatch, cfg, None,
+                                       max(rounds, 2 * RUN) + 3)
+
+
+def test_realization_statistics_do_not_depend_on_count():
+    # the contract: row r depends on (config, seed, r) alone, and row RUN
+    # opens the second run's substream
+    cfg = SystemConfig(L=4, M=3, K=5, n=12, d=2, psi=2)
+    short, long = ([np.concatenate(term) for term in zip(*_statistics(
+        cfg, R, 5, None))] for R in (RUN + 5, 3 * RUN))
+    for few, many in zip(short, long):
+        assert few.tobytes() == many[:RUN + 5].tobytes()
+    fresh = reference_realization(cfg, None)(np.random.default_rng(
+        np.random.SeedSequence(entropy=5, spawn_key=(1,))))
+    for few, row in zip(short, fresh):
+        assert few[RUN].tobytes() == np.asarray(row).tobytes()
 
 
 _THREAD_PROBE = """
 from dasee import SystemConfig
-from dasee.montecarlo import empirical_sinr_rate
-sinr, se = empirical_sinr_rate(SystemConfig(psi=1, K=20, n=60), 5, seed=3)
+from dasee.montecarlo import RUN, empirical_sinr_rate
+cfg = SystemConfig(psi=1, K=20, n=60)
+sinr, se = empirical_sinr_rate(cfg, RUN + 6, seed=3)   # crosses a run
 print(sinr.tobytes().hex(), repr(se))
 """
 
