@@ -27,6 +27,9 @@ from .config import (MAX_COUNT, ConfigError, PowerModel, SystemConfig,
 BISECTION_WIDTH = 1e-3   # interval width on the continuous user count
 DEFAULT_M_MAX = 30
 MAX_SWEEP = 2 ** 20      # counts one M or K sweep may run (2^53 runs for days)
+# An optimum's EE is 0 only where the throughput B*se is 0 at every n and M.
+ZERO_EE = ("the EE is 0 at every {}: psi*K = T leaves no data symbols, or "
+           "B*se rounds to 0")
 
 
 class OptimizationError(InfeasibleError):
@@ -113,14 +116,16 @@ def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
     The continuous optimum balances the per-antenna circuit power against
     the transmit power, offset by the minimum feasible antenna count; the
     integer answer is the EE-preferred neighbor.  ``M`` replaces cfg.M.
-    Raises OptimizationError when the antenna power is so small against the
-    transmit power that the balance point lies beyond 2^53 antennas.
+    Raises OptimizationError when the balance point lies beyond 2^53
+    antennas (a negligible P_RRH) or the EE is 0 at every n (``ZERO_EE``).
     """
     cfg = override(cfg, M=M)
     design = Design(cfg, pm, gamma)
     n_min, n_real = _antenna_optimum(design)
     n_star = floor_ceil_select(n_real, design.ee)
     ee, p_d, _ = design.point(n_star)
+    if ee == 0.0:
+        raise OptimizationError(ZERO_EE.format("n"))
     return OptimizationResult(ee=ee, p_d=p_d, n=n_star, M=cfg.M, K=cfg.K,
                               x_real=n_real, window=(float(n_min), math.inf))
 
@@ -291,6 +296,7 @@ def scan(cfg: SystemConfig, pm: PowerModel, gamma: float, axis: str,
         if n is None:
             x_real = _antenna_optimum(design)[1]
             n_star, ee, p_d = _floor_ceil_lanes(x_real, design)
+            lanes.infeasible(design.throughput != 0.0)   # optimal_n: ZERO_EE
         else:
             n_star, x_real = n, None
             ee, p_d, _ = design.point(n)
@@ -327,6 +333,8 @@ def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
         except InfeasibleError as exc:
             raise OptimizationError(f"no feasible M <= {M_max}: {exc}") \
                 from None
+    if ee[i] == 0.0:   # at a fixed n; scan marks such lanes at n* infeasible
+        raise OptimizationError(ZERO_EE.format("M"))
     return OptimizationResult(
         ee=float(ee[i]), p_d=float(p_d[i]), K=cfg.K, M=int(M[i]),
         n=n if n is not None else int(n_star[i]),

@@ -1,6 +1,7 @@
 import ast
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -584,6 +585,65 @@ def test_figure8_grid_peaks_at_reference_optimum(capsys):
         if int(ok) and float(ee) > best:
             best, arg = float(ee), (int(M), int(n))
     assert arg == (5, 17)
+
+
+@pytest.mark.parametrize("flags,digest", [
+    ((), "ce97686c7ac996258e8fd9b241b1a6fe4649bc6d02b82e995d73f462fe864159"),
+    (("--pilot-noise-mode", "negligible"),
+     "f5a3ebad567f5c2b6bc77091cf0ac43849c288b567ffb431679c94017f87772c"),
+    (("--psi", "7"),
+     "3b0949a9e0ff699ebd0134b6d2a98f345e10205bb65c5cf478d6406ff80a9fb2")])
+def test_figure8_prints_the_pinned_grid(capsys, flags, digest):
+    # sha256 of stdout as the loop of one curve per M printed it
+    code, out, err = run(capsys, "figure", "8", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("opt-n", "--gamma", "2", "--K", "196"),
+    ("opt-n", "--gamma", "2", "--K", "28", "--psi", "7"),
+    ("opt-n", "--gamma", "2", "--no-pc", "--K", "28"),
+    ("opt-m", "--gamma", "2", "--K", "28", "--psi", "7"),
+    ("joint", "--gamma", "2", "--K", "28", "--psi", "7"),
+    ("opt-m", "--gamma", "2", "--K", "28", "--psi", "7", "--fixed-n")])
+def test_optimum_without_data_symbols_exits_3(capsys, argv):
+    # psi*K = T: every symbol is a pilot, so the EE is 0 at every n and M;
+    # these printed an EE of 0.0 at a tie-broken n* or M*, exit 0
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, ""), (argv, out)
+    assert err.startswith("infeasible: ") and "the EE is 0 at every " in err
+    assert "psi*K = T leaves no data symbols" in err, err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("opt-n", "--gamma", "nan", "--K", "196"),
+     "gamma must be finite and positive, got nan"),
+    (("opt-n", "--gamma", "2", "--zeta", "5e-324", "--K", "196"),
+     "the power model (P_FIX, P_RRH, zeta, P_0, P_BT) takes the total power "
+     "beyond the double range")])
+def test_config_error_without_data_symbols_still_exits_2(capsys, argv,
+                                                         message):
+    assert run(capsys, *argv) == (2, "", f"configuration error: {message}\n")
+
+
+def test_figures_without_data_symbols_have_no_optimum(capsys):
+    # K = 28 at psi = L = 7 fills the frame with pilots: figure 5's psi = 7
+    # rows (once "7,0.5,0.0,3") are NaN with n* = -1, and figure 4's psi =
+    # 7 curves end in n* = -1; the psi = 1 rows keep their optima
+    code, out, err = run(capsys, "figure", "5", "--K", "28")
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert (code, err, len(rows)) == (0, "", 46)
+    assert {(ee, n_star) for psi, _, ee, n_star in rows if psi == "7"} == {
+        ("nan", "-1")}
+    assert all(float(ee) > 0 and int(n_star) > 0
+               for psi, _, ee, n_star in rows if psi == "1")
+    code, out, err = run(capsys, "figure", "4", "--K", "28")
+    tails = {(row[1], int(row[-1]))
+             for row in list(csv.reader(io.StringIO(out)))[1:]}
+    assert (code, err) == (0, "")
+    assert {n_star for psi, n_star in tails if psi == "7"} == {-1}
+    assert all(n_star > 0 for psi, n_star in tails if psi == "1")
 
 
 def test_dbm_flags(capsys):

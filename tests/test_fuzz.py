@@ -16,13 +16,14 @@ import sys
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from dasee import figures  # noqa: E402
 from dasee.asymptotic import (RateUnachievableError,  # noqa: E402
                               min_antennas, sinr_breakdown)
-from dasee.cli import main  # noqa: E402
-from dasee.config import PowerModel, SystemConfig  # noqa: E402
+from dasee.cli import build_parser, main, scenario_from_args  # noqa: E402
+from dasee.config import ConfigError, PowerModel, SystemConfig  # noqa: E402
 from dasee.montecarlo import empirical_sinr_rate  # noqa: E402
 from dasee.optimize import (OptimizationError, ee_or_none,  # noqa: E402
                             exhaustive_argmax, optimal_m, optimal_n)
@@ -256,6 +257,72 @@ def test_fixed_n_optimal_m_equals_exhaustive_scan(design, m_max):
             scan()
         return
     assert (result.M, result.n) == (scan(), cfg.n)
+
+
+# --- figure 8's one pass vs its per-M loop -----------------------------------
+
+_MODES = st.sampled_from(["exact", "negligible"])
+
+
+def _figure8_by_m(cfg, pm):
+    """figure 8 as a loop over M = 1..10, one ``_curve`` per M: the
+    reference for its one array pass."""
+    rows = []
+    for M in range(1, 11):
+        rows += figures._curve([M], figures._ee_of_n(cfg.replace(M=M), pm),
+                               figures.N_SWEEP)
+    return ["M", "n", "ee_bits_per_joule", "feasible"], rows
+
+
+def _outcome(call):
+    """repr of what ``call`` returns (NaN rows compare as text), or the
+    type and text of the error it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _explore_figure_scenarios(draw):
+    """(cfg, pm) as the design-explore benchmark builds a figure op's: its
+    scenario ranges, full reuse (psi = 1) and K below T/L (M and n, which
+    figure 8 sweeps, at their defaults)."""
+    def around(value):
+        return value * draw(st.floats(0.5, 1.5))
+    pm = PowerModel(P_FIX=around(9.0), P_RRH=around(0.2), P_0=around(0.825),
+                    P_BT=around(0.25e-9), zeta=min(1.0, around(0.4)))
+    cfg = SystemConfig(K=draw(st.integers(5, 195 // 7)),
+                       d=draw(st.integers(1, 2)), sigma2=around(1e-7),
+                       pilot_noise_mode=draw(_MODES))
+    return cfg, pm
+
+
+def _scenario_of(argv, mode):
+    """(cfg, pm) of the model flags ``argv`` in pilot-noise ``mode``, None
+    where they are not a valid model."""
+    args = build_parser().parse_args(
+        ["figure", "8", *argv, f"--pilot-noise-mode={mode}"])
+    try:
+        return scenario_from_args(args)
+    except ConfigError:
+        return None
+
+
+@settings(FUZZ, max_examples=300)
+@given(scenario=st.one_of(
+    _explore_figure_scenarios(),
+    st.builds(_scenario_of, _MODEL_ARGV, _MODES)))
+# M = 2..10 raise, each naming its own total power
+@example(scenario=_scenario_of(["--B=5e-324"], "exact"))
+# the power rule from M = 3, M^iota beyond the range from M = 6
+@example(scenario=_scenario_of(["--iota=400.0", "--P-0=6e+307"], "negligible"))
+def test_figure8_grid_equals_the_per_m_loop(scenario):
+    # the one (n, M) pass prints the rows of the per-M loop, or raises the
+    # error the loop raises first
+    if scenario is not None:
+        assert (_outcome(lambda: figures.figure8(*scenario))
+                == _outcome(lambda: _figure8_by_m(*scenario))), scenario
 
 
 # --- replace is construction --------------------------------------------------

@@ -438,8 +438,8 @@ def _each_m(cfg, pm, gamma, m_max, n=None):
 
 def _optimal_m_by_scan(cfg, pm, gamma, m_max, n=None):
     """optimal_m by its definition, one M at a time: the best of
-    ``_each_m``, ties to the smaller M, an M with no optimum skipped, and
-    the last M's reason if every M is skipped."""
+    ``_each_m``, ties to the smaller M, an M with no optimum skipped, the
+    last M's reason if every M is skipped, and no optimum of EE 0."""
     results, skipped = _each_m(cfg, pm, gamma, m_max, n)
     best = None
     for cand in results:
@@ -447,6 +447,8 @@ def _optimal_m_by_scan(cfg, pm, gamma, m_max, n=None):
             best = cand
     if best is None:
         raise OptimizationError(f"no feasible M <= {m_max}: {skipped}")
+    if best.ee == 0.0:   # at a fixed n with psi*K = T: EE 0 at every M
+        raise OptimizationError(optimize.ZERO_EE.format("M"))
     return OptimizationResult(ee=best.ee, p_d=best.p_d, n=best.n, K=cfg.K,
                               M=best.M, x_real=best.x_real,
                               window=(1.0, float(m_max)))
@@ -533,7 +535,8 @@ def test_joint_optimal_m_equals_scan_of_optimal_n():
                            (CFG.replace(p_d=5e-324), 8))]
     figure_cases = [(CFG, PM), (CFG.replace(d=2, iota=3.3), PM),
                     (CFG.replace(pilot_noise_mode="negligible"), PM),
-                    (CFG, PM.replace(P_RRH=1e-320))]
+                    (CFG, PM.replace(P_RRH=1e-320)),
+                    (CFG.replace(T=100), PM)]   # K = 100: every symbol a pilot
     figure_rows = [repr(_figure9_by_m(cfg, pm)) for cfg, pm in figure_cases]
     for (cfg, pm, gamma, m_max), want, lanes in zip(cases, expected, per_m):
         got = (_outcome(lambda: optimal_m(cfg, pm, gamma, M_max=m_max)),
