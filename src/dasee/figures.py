@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import montecarlo
-from .asymptotic import CONFIG, Design, InfeasibleError, Lanes, operating_point
+from .asymptotic import Design, InfeasibleError, operating_point
 from .config import PowerModel, SystemConfig
 from .optimize import optimal_n, scan
 
@@ -140,24 +140,15 @@ def figure7(cfg, pm, realizations=0, seed=1):
 
 
 def figure8(cfg, pm, realizations=0, seed=1):
-    """EE over the (M, n) grid at the configured user count.
-
-    One Design over M = 1..10 at every n of N_SWEEP, a (n, M) grid; a row
-    is NaN with feasible=0 where its lane failed or its n is too few.  At
-    the first CONFIG lane, that M's curve alone raises its ConfigError."""
+    """EE over the (M, n) grid at the configured user count: one ``scan``
+    over M = 1..10 at a column of every n of N_SWEEP, NaN with feasible=0
+    where a point is infeasible, raising the per-M loop's first ConfigError."""
     header = ["M", "n", "ee_bits_per_joule", "feasible"]
-    lanes = Lanes(M=np.arange(1, 11))
-    with np.errstate(all="ignore"):
-        ee = Design(cfg, pm, GAMMA_DEFAULT, lanes).point(
-            np.array(N_SWEEP, float)[:, None]).ee
-    if (config := lanes.fail == CONFIG).any():
-        M = int(lanes.M[config.argmax()])
-        _curve([M], _ee_of_n(cfg.replace(M=M), pm), N_SWEEP)
-        raise AssertionError(f"M={M}: the array pass marks a ConfigError "
-                             f"that the scalar does not")
-    ee = np.where(lanes.fail == 0, ee, np.nan).T.tolist()
-    return header, [[M, n, e, int(not math.isnan(e))]
-                    for M, curve in zip(lanes.M.tolist(), ee)
+    M, feasible, _, ee, *_ = scan(cfg, pm, GAMMA_DEFAULT, "M", 10,
+                                  n=np.array(N_SWEEP, float)[:, None])
+    ee = np.where(feasible, ee, np.nan).T.tolist()
+    return header, [[m, n, e, int(not math.isnan(e))]
+                    for m, curve in zip(M.tolist(), ee)
                     for n, e in zip(N_SWEEP, curve)]
 
 

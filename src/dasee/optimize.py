@@ -4,7 +4,7 @@ The antenna count per RRH has a closed-form continuous optimum (square-root
 power balance plus the feasibility offset), the user count is the unique
 root of a quartic found by bisection, and the RRH count comes from a
 one-dimensional scan, which evaluates every candidate M in one array pass
-(``scan``, which sweeps the user count K the same way for figure 7).
+(``scan``: figure 7 sweeps K with it, figure 8 M at a column of n).
 Every routine rounds its continuous optimum with the EE-comparison rule
 (take whichever of floor/ceil achieves the higher EE) and an exhaustive
 integer scan is provided as the reference oracle.
@@ -168,7 +168,8 @@ def optimal_n_no_pc(cfg: SystemConfig, pm: PowerModel,
 
 
 def _user_count_scalars(cfg: SystemConfig, pm: PowerModel, gamma: float):
-    """mu1, mu2 and the interference slope of the user-count quartic.
+    """mu1, mu2 and the interference slope of the user-count quartic, and
+    the upper end min(T/psi, mu1/slope) of its feasibility interval.
 
     Every returned scalar is independent of the user count (the signal and
     contamination powers do not involve K in negligible mode), so the
@@ -184,7 +185,7 @@ def _user_count_scalars(cfg: SystemConfig, pm: PowerModel, gamma: float):
     slope = clean.d * clean.beta * xi   # I_MU' = slope * K
     zeta_gamma = pm.zeta * gamma        # 0 where it underflows: inf power
     _finite_power(clean.sigma2 / zeta_gamma if zeta_gamma else math.inf)
-    return clean, mu1, mu2, slope
+    return (clean, mu1, mu2, slope), min(clean.T / clean.psi, mu1 / slope)
 
 
 def z_of_k(cfg: SystemConfig, pm: PowerModel, gamma: float, K: float) -> float:
@@ -194,9 +195,7 @@ def z_of_k(cfg: SystemConfig, pm: PowerModel, gamma: float, K: float) -> float:
     optimum.  Defined (and evaluated) under negligible pilot noise, where
     the signal and contamination powers do not depend on K.
     """
-    scalars = _user_count_scalars(cfg, pm, gamma)
-    clean, mu1, _, slope = scalars
-    upper = min(clean.T / clean.psi, mu1 / slope)
+    scalars, upper = _user_count_scalars(cfg, pm, gamma)
     if not 0.0 < K < upper:
         raise ValueError(f"K={K:g} outside the open interval (0, {upper:g})")
     return _quartic(pm, gamma, K, *scalars)
@@ -224,9 +223,8 @@ def optimal_k(cfg: SystemConfig, pm: PowerModel,
     For exact pilot noise, scan ``energy_efficiency`` with
     ``exhaustive_argmax`` instead.
     """
-    scalars = _user_count_scalars(cfg, pm, gamma)
-    clean, mu1, _, slope = scalars
-    upper = min(clean.T / clean.psi, mu1 / slope)
+    scalars, upper = _user_count_scalars(cfg, pm, gamma)
+    clean = scalars[0]
     z = lambda K: _quartic(pm, gamma, K, *scalars)  # noqa: E731
     lo = upper * 1e-9
     hi = upper * (1.0 - 1e-12)
@@ -248,15 +246,19 @@ def optimal_k(cfg: SystemConfig, pm: PowerModel,
 
 
 def _alone(cfg: SystemConfig, pm: PowerModel, gamma: float, axis: str,
-           count: int, n: int | None) -> OptimizationResult:
-    """One count of ``axis`` ("M" or "K") evaluated alone: optimal_n at
-    that count, or with ``n`` (which cfg.n already holds) the operating
-    point."""
+           count: int, n: int | np.ndarray | None) -> None:
+    """Raise the error of one count of ``axis`` ("M" or "K") evaluated
+    alone: optimal_n's, or with ``n`` (an int or a column of them) that of
+    the operating point at each n in order, an InfeasibleError at the
+    last n only."""
     cfg = cfg.replace(**{axis: count})
     if n is None:
-        return optimal_n(cfg, pm, gamma)
-    ee, p_d, _ = operating_point(cfg, pm, gamma)
-    return OptimizationResult(ee=ee, p_d=p_d, n=n, M=cfg.M, K=cfg.K)
+        optimal_n(cfg, pm, gamma)
+        return
+    *head, last = np.ravel(n).astype(int).tolist()
+    for each in head:
+        ee_or_none(cfg, pm, gamma, n=each)
+    operating_point(cfg, pm, gamma, n=last)
 
 
 def _floor_ceil_lanes(x: np.ndarray, design: Design):
@@ -280,11 +282,12 @@ def scan(cfg: SystemConfig, pm: PowerModel, gamma: float, axis: str,
 
     Returns the arrays (counts, feasible, n*, ee, p_d, x_real).  Each
     feasible lane holds the bits of ``optimal_n`` at that count; with
-    ``n`` (a positive int, validated by the caller into cfg.n) those of
-    the operating point at n and that count, n* = n and x_real None.  A
-    lane is infeasible where that evaluation raises an InfeasibleError; at
-    the first count where it raises a ConfigError, that count is evaluated
-    alone to raise it.  A ConfigError past ``MAX_SWEEP`` counts.
+    ``n`` (a positive int, validated by the caller, or an (n, 1) column of
+    them for (n, counts) grids) those of the operating point at n and that
+    count, n* = n and x_real None.  A point is infeasible where that
+    evaluation raises an InfeasibleError; at the first count where it
+    raises a ConfigError, that count is evaluated alone to raise it.  A
+    ConfigError past ``MAX_SWEEP`` counts.
     """
     if count > MAX_SWEEP:
         raise ConfigError(f"a sweep of {axis} over 1..{count} is longer than "
@@ -297,18 +300,19 @@ def scan(cfg: SystemConfig, pm: PowerModel, gamma: float, axis: str,
             x_real = _antenna_optimum(design)[1]
             n_star, ee, p_d = _floor_ceil_lanes(x_real, design)
             lanes.infeasible(design.throughput != 0.0)   # optimal_n: ZERO_EE
+            feasible = lanes.fail == 0
         else:
             n_star, x_real = n, None
             ee, p_d, _ = design.point(n)
             p_d = np.broadcast_to(p_d, ee.shape)   # one value at fixed p_d
-            lanes.infeasible(~np.isnan(ee))
+            feasible = (lanes.fail == 0) & ~np.isnan(ee)
     config = lanes.fail == CONFIG
     if np.count_nonzero(config):
         first = int(counts[config.argmax()])
         _alone(cfg, pm, gamma, axis, first, n)
         raise AssertionError(f"{axis}={first}: the array pass marks a "
                              f"ConfigError that the scalar does not")
-    return counts, lanes.fail == 0, n_star, ee, p_d, x_real
+    return counts, feasible, n_star, ee, p_d, x_real
 
 
 def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,

@@ -204,7 +204,7 @@ def test_criterion_7_property_suite():
     import dasee.optimize as op
     for cfg in (CFG.replace(n=20), CFG.replace(n=20, psi=7),
                 CFG.replace(n=20, d=2)):
-        _, mu1, _, slope = op._user_count_scalars(cfg, PM, 2.0)
+        (_, mu1, _, slope), _ = op._user_count_scalars(cfg, PM, 2.0)
         upper = min(cfg.T / cfg.psi, mu1 / slope)
         grid = np.linspace(upper * 1e-6, upper * (1 - 1e-9), 10_000)
         signs = np.sign([z_of_k(cfg, PM, 2.0, k) for k in grid])

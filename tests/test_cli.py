@@ -588,14 +588,24 @@ def test_figure8_grid_peaks_at_reference_optimum(capsys):
 
 
 @pytest.mark.parametrize("flags,digest", [
-    ((), "ce97686c7ac996258e8fd9b241b1a6fe4649bc6d02b82e995d73f462fe864159"),
-    (("--pilot-noise-mode", "negligible"),
+    (("8",),
+     "ce97686c7ac996258e8fd9b241b1a6fe4649bc6d02b82e995d73f462fe864159"),
+    (("8", "--pilot-noise-mode", "negligible"),
      "f5a3ebad567f5c2b6bc77091cf0ac43849c288b567ffb431679c94017f87772c"),
-    (("--psi", "7"),
-     "3b0949a9e0ff699ebd0134b6d2a98f345e10205bb65c5cf478d6406ff80a9fb2")])
+    (("8", "--psi", "7"),
+     "3b0949a9e0ff699ebd0134b6d2a98f345e10205bb65c5cf478d6406ff80a9fb2"),
+    (("7",),
+     "ae4c37caf4ffd940af3c8af3551246dfc5f2505de2c81e644c88afb4fa1b1ba0"),
+    (("7", "--pilot-noise-mode", "negligible"),
+     "345c657554cff8a7550d63766087e152ea896d23f12ff93a2ba9735277e6dfe5"),
+    (("9",),
+     "ca1b2911eeaf7366dab6168c4358550609fac60ae4160d55bca145593108ba37"),
+    (("9", "--pilot-noise-mode", "negligible"),
+     "81dc5b24ae50263117a9b7e68b572c9f2a92d3a6032dc6aef27ea9b27a37fa65")])
 def test_figure8_prints_the_pinned_grid(capsys, flags, digest):
-    # sha256 of stdout as the loop of one curve per M printed it
-    code, out, err = run(capsys, "figure", "8", *flags)
+    # sha256 of stdout as the loop of one curve per M printed figure 8,
+    # and as the per-count loops printed figures 7 and 9
+    code, out, err = run(capsys, "figure", *flags)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -3,8 +3,10 @@ exit, and on exit 0 every printed EE and power is finite and every
 feasible EE positive (or, for ``calibrate``, no non-finite value
 printed), the Monte-Carlo estimator is
 finite and reproducible on small generated configurations, the
-closed-form optimizers agree with an exhaustive integer scan, and a
-record's ``replace`` builds what its constructor builds."""
+closed-form optimizers agree with an exhaustive integer scan, every
+array pass (figures 7, 8 and 9, ``optimal_m``) agrees with its loop of
+one evaluation per count, and a record's ``replace`` builds what its
+constructor builds."""
 import contextlib
 import csv
 import dataclasses
@@ -27,6 +29,8 @@ from dasee.config import ConfigError, PowerModel, SystemConfig  # noqa: E402
 from dasee.montecarlo import empirical_sinr_rate  # noqa: E402
 from dasee.optimize import (OptimizationError, ee_or_none,  # noqa: E402
                             exhaustive_argmax, optimal_m, optimal_n)
+from test_cli import _figure7_by_k  # noqa: E402
+from test_optimize import _figure9_by_m, _optimal_m_by_scan  # noqa: E402
 
 # Deterministic example sets, no example database on disk.
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True,
@@ -323,6 +327,33 @@ def test_figure8_grid_equals_the_per_m_loop(scenario):
     if scenario is not None:
         assert (_outcome(lambda: figures.figure8(*scenario))
                 == _outcome(lambda: _figure8_by_m(*scenario))), scenario
+
+
+# --- the other array passes vs their per-count loops --------------------------
+
+@settings(FUZZ, max_examples=200)
+@given(scenario=st.one_of(
+           _explore_figure_scenarios(),
+           st.builds(_scenario_of, _MODEL_ARGV, _MODES)),
+       gamma=st.floats(0.25, 8.0), m_max=st.integers(1, 12))
+# figure 7's first curve evaluates at K = 1 and raises from K = 10
+@example(scenario=_scenario_of(["--B=1e+307"], "exact"), gamma=2.0, m_max=8)
+def test_scans_equal_their_per_count_loops(scenario, gamma, m_max):
+    # figures 7 and 9 and optimal_m (joint, at a fixed n, and at a fixed n
+    # and p_d) give the results of one evaluation per count, or raise the
+    # error that loop raises first
+    if scenario is None:
+        return
+    cfg, pm = scenario
+    pairs = [(lambda: figures.figure7(cfg, pm)[1],
+              lambda: _figure7_by_k(cfg, pm)),
+             (lambda: figures.figure9(cfg, pm),
+              lambda: _figure9_by_m(cfg, pm))]
+    pairs += [(lambda g=g, n=n: optimal_m(cfg, pm, g, M_max=m_max, n=n),
+               lambda g=g, n=n: _optimal_m_by_scan(cfg, pm, g, m_max, n))
+              for g, n in ((gamma, None), (gamma, cfg.n), (None, cfg.n))]
+    for fast, by_count in pairs:
+        assert _outcome(fast) == _outcome(by_count), (cfg, pm, gamma, m_max)
 
 
 # --- replace is construction --------------------------------------------------

@@ -201,7 +201,7 @@ def test_rate_ceiling_propagates():
 def test_z_limits():
     import dasee.optimize as op
     cfg = CFG.replace(n=20)
-    clean, mu1, mu2, slope = op._user_count_scalars(cfg, PM, 2.0)
+    (clean, mu1, mu2, slope), _ = op._user_count_scalars(cfg, PM, 2.0)
     upper = min(clean.T / clean.psi, mu1 / slope)
     assert math.isclose(z_of_k(cfg, PM, 2.0, 1e-7),
                         -mu2 * clean.T * mu1 ** 2, rel_tol=1e-6)
@@ -217,7 +217,7 @@ def test_z_sign_matches_inverse_ee_slope():
     rng = np.random.default_rng(23)
     cfg = CFG.replace(n=20, pilot_noise_mode="negligible")
     import dasee.optimize as op
-    _, mu1, _, slope = op._user_count_scalars(cfg, PM, 2.0)
+    (_, mu1, _, slope), _ = op._user_count_scalars(cfg, PM, 2.0)
     upper = min(cfg.T / cfg.psi, mu1 / slope)
     step = 1e-4
 
@@ -309,7 +309,7 @@ def test_optimal_k_unique_root_on_grid():
     import dasee.optimize as op
     for cfg in (CFG.replace(n=20), CFG.replace(n=20, psi=7),
                 CFG.replace(n=20, d=2)):
-        _, mu1, _, slope = op._user_count_scalars(cfg, PM, 2.0)
+        (_, mu1, _, slope), _ = op._user_count_scalars(cfg, PM, 2.0)
         upper = min(cfg.T / cfg.psi, mu1 / slope)
         grid = np.linspace(upper * 1e-6, upper * (1 - 1e-9), 10_000)
         signs = np.sign([z_of_k(cfg, PM, 2.0, k) for k in grid])
