@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .config import SystemConfig
+from .montecarlo import _link_model, steering_matrix
 
 
 class CorrelationSet:
@@ -40,8 +41,9 @@ class CorrelationSet:
                     R.shape[5] != R.shape[4]:
                 raise ValueError(f"R must have shape (L, M, L, K, n, n), "
                                  f"got {R.shape}")
-            fresh, inverse = _distinct(R)
-            table, index = R[fresh], inverse.reshape(R.shape[:4])
+            n = R.shape[-1]
+            firsts, inverse = _row_groups(R.reshape(-1, n * n))
+            table, index = R.reshape(-1, n, n)[firsts], inverse.reshape(R.shape[:4])
         self.table, self.index = np.asarray(table), np.asarray(index)
         self.psi = psi
 
@@ -111,27 +113,6 @@ class CorrelationSet:
         return self
 
 
-def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(fresh, inverse) of the (n, n) matrices of ``stack`` grouped by exact
-    bytes: fresh marks each group's first matrix, inverse maps every matrix
-    (C order) to its group's place among them.  The key is the first row; a
-    matrix unequal to its key's first holder, compared in full one
-    ``stack[b]`` at a time, is a group of its own."""
-    firsts, inverse = _row_groups(stack[..., 0, :].reshape(-1, stack.shape[-1]))
-    rep = firsts[inverse]         # index of the first holder of each first row
-    size = len(rep) // len(stack)
-    word = f"i{np.gcd(8, stack.shape[-1] * stack.itemsize)}"  # bytes as integers
-    for b, block in enumerate(stack):
-        span = np.arange(b * size, (b + 1) * size)
-        if (rep[span] != span).any():
-            ref = stack[np.unravel_index(rep[span], stack.shape[:-2])]
-            same = (np.ascontiguousarray(block).reshape(size, -1).view(word)
-                    == ref.reshape(size, -1).view(word)).all(axis=1)
-            rep[span[~same]] = span[~same]
-    fresh = rep == np.arange(len(rep))
-    return fresh.reshape(stack.shape[:-2]), (np.cumsum(fresh) - 1)[rep]
-
-
 def simplified_correlation_set(cfg: SystemConfig,
                                steering=None) -> CorrelationSet:
     """Rank-P correlation set of the averaged gain model.
@@ -141,8 +122,6 @@ def simplified_correlation_set(cfg: SystemConfig,
     needs n = d P and raises ConfigError otherwise.  The table holds one
     matrix per distinct gain (by exact bytes).
     """
-    # local import, avoids a cycle
-    from .montecarlo import _link_model, steering_matrix
     gains = _link_model(cfg).gains
     A = steering_matrix(cfg.n, cfg.P) if steering is None else steering
     if A.shape != (cfg.n, cfg.P):
@@ -160,26 +139,16 @@ def _check_scalars(**scalars: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(rows, axis=0, return_inverse=True)`` of a 2-d integer
-    array: its distinct rows in lexicographic order and the place of every
-    row among them, by a stable sort and a compare of adjacent rows."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(fresh) - 1
-    return ranked[fresh], inverse
-
-
 def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(firsts, inverse): the first row of each group of equal rows of a 2-d
-    array, ascending, and every row's group; on few wide rows a dict of row
-    bytes is far cheaper than ``_unique_rows``, which sorts once per column."""
+    """(firsts, inverse): the first row of each group of byte-equal rows of
+    a 2-d array, ascending, and every row's group, by a dict of row bytes."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
     seen = {}                     # row bytes -> index of its first holder
-    return np.unique([seen.setdefault(row.tobytes(), i)
-                      for i, row in enumerate(rows)], return_inverse=True)
+    holder = np.fromiter(map(seen.setdefault, keys.ravel().tolist(),
+                             range(len(rows))), np.intp, len(rows))
+    firsts = np.fromiter(seen.values(), np.intp, len(seen))
+    return firsts, np.searchsorted(firsts, holder)
 
 
 def phi_matrix(corr: CorrelationSet, l: int, m: int, k: int, p_u: float,
@@ -233,9 +202,11 @@ def general_deterministic_sinr(corr: CorrelationSet, p_d: float, p_u: float,
                                               cells // corr.psi]))
     # MMSE filters (sigma^2/(p_u tau_u) I + sum_{j in group(l)} R_{lmjk})^-1,
     # one per distinct co-pilot tuple, and R Q R per (own, filter) pair
-    tuples, key = _unique_rows(copilot[reps].reshape(-1, G))
-    pairs, pair = _unique_rows(np.stack([index[reps, :, reps].ravel(), key], axis=-1))
-    pair, tr = pair.reshape(-1, M, K), np.empty(len(pairs))
+    tuples = copilot[reps].reshape(-1, G)
+    head, key = _row_groups(tuples)
+    tuples, pairs = tuples[head], np.stack([index[reps, :, reps].ravel(), key], axis=-1)
+    head, pair = _row_groups(pairs)
+    pairs, pair, tr = pairs[head], pair.reshape(-1, M, K), np.empty(len(head))
     # blocks (l, j), at l * L + j, of equal (cell, co-pilot or not, links)
     # give equal terms; shares[l, j]: a cell j != l that shares l's pilots
     shares = (cells[:, None] % corr.psi == cells % corr.psi) & (cells[:, None] != cells)
@@ -262,8 +233,10 @@ def general_deterministic_sinr(corr: CorrelationSet, p_d: float, p_u: float,
         span = np.flatnonzero((owner >= a) & (owner < a + step))
         # one product per distinct (pair, link), F at a time, gathered per block
         cop = span[co[span]]
-        combos, combo = _unique_rows(np.stack(
-            [local[owner[cop] - a], links[firsts[cop]]], axis=-1).reshape(-1, 2))
+        combos = np.stack([local[owner[cop] - a], links[firsts[cop]]],
+                          axis=-1).reshape(-1, 2)
+        head, combo = _row_groups(combos)
+        combos = combos[head]
         prods, F = np.empty((len(combos), n, n), dtype=RQ.dtype), len(filters)
         for c in range(0, len(combos), F):
             np.matmul(RQ[combos[c:c + F, 0]], table[combos[c:c + F, 1]],

@@ -5,7 +5,8 @@ printed), the Monte-Carlo estimator is
 finite and reproducible on small generated configurations, the
 closed-form optimizers agree with an exhaustive integer scan, every
 array pass (figures 7, 8 and 9, ``optimal_m``) agrees with its loop of
-one evaluation per count, and a record's ``replace`` builds what its
+one evaluation per count, figures 3, 4, 6 and 10 with one evaluation per
+point, and a record's ``replace`` builds what its
 constructor builds."""
 import contextlib
 import csv
@@ -22,14 +23,15 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dasee import figures  # noqa: E402
-from dasee.asymptotic import (RateUnachievableError,  # noqa: E402
-                              min_antennas, sinr_breakdown)
+from dasee.asymptotic import (InfeasibleError,  # noqa: E402
+                              RateUnachievableError, min_antennas,
+                              sinr_breakdown)
 from dasee.cli import build_parser, main, scenario_from_args  # noqa: E402
 from dasee.config import ConfigError, PowerModel, SystemConfig  # noqa: E402
 from dasee.montecarlo import empirical_sinr_rate  # noqa: E402
 from dasee.optimize import (OptimizationError, ee_or_none,  # noqa: E402
                             exhaustive_argmax, optimal_m, optimal_n)
-from test_cli import _figure7_by_k  # noqa: E402
+from test_cli import N_SWEEPS, _figure7_by_k  # noqa: E402
 from test_optimize import _figure9_by_m, _optimal_m_by_scan  # noqa: E402
 
 # Deterministic example sets, no example database on disk.
@@ -354,6 +356,61 @@ def test_scans_equal_their_per_count_loops(scenario, gamma, m_max):
               for g, n in ((gamma, None), (gamma, cfg.n), (None, cfg.n))]
     for fast, by_count in pairs:
         assert _outcome(fast) == _outcome(by_count), (cfg, pm, gamma, m_max)
+
+
+# --- figures 3, 4, 6 and 10 vs one evaluation per point ----------------------
+
+# each curve's key, the row prefix that N_SWEEPS maps to the curve's (cfg, pm)
+_CURVE_KEYS = {
+    3: lambda cfg: [(d, beta) for d in (1, 2)
+                    for beta in (cfg.beta, 0.2 * cfg.beta)],
+    4: lambda cfg: [(p_rrh, psi) for p_rrh in (1.0, 0.2) for psi in (1, cfg.L)],
+    6: lambda cfg: [(alpha2, psi) for alpha2 in (0.075, 0.15, 0.3)
+                    for psi in (1, cfg.L)],
+    10: lambda cfg: [(M, p0, pbt) for p0, pbt in ((0.825, 0.25e-9),
+                                                  (8.25, 2.5e-9))
+                     for M in (7, 1)],
+}
+
+
+def _n_figure_by_point(number, cfg, pm):
+    """the rows of figure ``number``, each point evaluated alone in row
+    order: a curve of figure 3, 4 or 6 takes its n* (-1 where none) first,
+    and figures 3 and 6 sweep the multiples of d only."""
+    rows = []
+    for key in _CURVE_KEYS[number](cfg):
+        cfg_i, pm_i = N_SWEEPS[number](cfg, pm, *key)
+        tail = []
+        if number != 10:
+            try:
+                tail = [optimal_n(cfg_i, pm_i, figures.GAMMA_DEFAULT).n]
+            except InfeasibleError:
+                tail = [-1]
+        step = cfg_i.d if number in (3, 6) else 1
+        for n in [n for n in figures.N_SWEEP if n % step == 0]:
+            ee = ee_or_none(cfg_i, pm_i, figures.GAMMA_DEFAULT, n=n)
+            rows.append([*key, n, math.nan if ee is None else ee,
+                         int(ee is not None), *tail])
+    return rows
+
+
+@settings(FUZZ, max_examples=100)
+@given(scenario=st.one_of(
+    _explore_figure_scenarios(),
+    st.builds(_scenario_of, _MODEL_ARGV, _MODES)))
+# each raises a ConfigError from inside the runners
+@example(scenario=_scenario_of(["--beta=1e300"], "exact"))
+@example(scenario=_scenario_of(["--B=5e-324"], "exact"))
+@example(scenario=_scenario_of(["--zeta=5e-324"], "exact"))
+@example(scenario=_scenario_of(["--sigma2=1e300"], "negligible"))
+def test_n_figures_equal_their_per_point_loops(scenario):
+    # figures 3, 4, 6 and 10 give the rows of one evaluation per point, or
+    # raise the error that loop raises first
+    if scenario is not None:
+        for number in _CURVE_KEYS:
+            assert (_outcome(lambda: figures.RUNNERS[number](*scenario)[1])
+                    == _outcome(lambda: _n_figure_by_point(number, *scenario))), \
+                (number, scenario)
 
 
 # --- replace is construction --------------------------------------------------

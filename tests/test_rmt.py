@@ -213,38 +213,61 @@ def test_general_sinr_bytes_are_pinned(cfg):
     assert hashlib.sha256(sinr.tobytes()).hexdigest()[:16] == PINNED_SINR[cfg]
 
 
-def test_distinct_groups_by_exact_bytes():
+def test_constructor_groups_matrices_by_exact_bytes():
     rng = np.random.default_rng(3)
     base = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
     stack = base[[0, 1, 0, 2, 1, 0, 2, 2]].reshape(2, 4, 4, 4)
     stack[1, 1, 2, 3] += 1e-9j       # same first row as base[0], one entry off
     stack[0, 3, 1, 1] = np.nan       # NaN copies with equal bytes group together
     stack[1, 2] = stack[0, 3]        # and apart from base[2], same first row
-    fresh, inverse = rmt._distinct(stack)
-    assert fresh.shape == (2, 4)
-    assert list(np.flatnonzero(fresh)) == [0, 1, 3, 5, 7]
-    assert stack[fresh][inverse].tobytes() == stack.tobytes()
-    zero = np.zeros((1, 2, 3, 3))
-    zero[0, 1, 2, 2] = -0.0          # equal values, different bytes
-    assert rmt._distinct(zero)[0].all()
+    corr = CorrelationSet(R=stack.reshape(2, 1, 2, 2, 4, 4), psi=1)
+    assert corr.index.ravel().tolist() == [0, 1, 0, 2, 1, 3, 2, 4]
+    assert corr.table.tobytes() == stack.reshape(8, 4, 4)[[0, 1, 3, 5, 7]].tobytes()
+    assert corr.R.tobytes() == stack.tobytes()
+    zero = np.zeros((1, 1, 1, 2, 3, 3))
+    zero[0, 0, 0, 1, 2, 2] = -0.0    # equal values, different bytes
+    assert len(CorrelationSet(R=zero, psi=1).table) == 2
+    # A, B, B, B with B sharing A's first row: a first-row key compared each
+    # B with A alone and stored it apart
+    A, B = base[0], base[0].copy()
+    B[1:] = base[1, 1:]
+    assert len(CorrelationSet(R=np.stack([A, B, B, B])[None, None, None],
+                              psi=1).table) == 2
+    # diag(1, g/g_max, ...) of the (7, 5, 10, 16) gains: 3 distinct matrices
+    # that share the first row [1, 0, ...], which a first-row key stored as
+    # 2,381
+    cfg = RMT_CONFIGS[0]
+    gains = large_scale_gains(cfg)
+    words, index = np.unique(gains, return_inverse=True)
+    scale = np.ones((len(words), cfg.n))
+    scale[:, 1:] = (words / words.max())[:, None]
+    factored = CorrelationSet(psi=cfg.psi, table=scale[:, :, None] * np.eye(cfg.n),
+                              index=index.reshape(gains.shape))
+    full = CorrelationSet(R=factored.R, psi=cfg.psi)
+    assert len(full.table) == 3
+    args = (cfg.p_d, cfg.p_u, cfg.tau_u, cfg.sigma2)
+    assert (general_deterministic_sinr(full, *args).tobytes()
+            == general_deterministic_sinr(factored, *args).tobytes())
 
 
-def test_unique_rows_equals_np_unique():
-    # rows and inverse byte for byte, on random tables of up to 7 columns,
-    # on values of 2^21 and more, where a mixed-radix int64 key of 3 or more
-    # columns overflows, and on a single row
+def test_row_groups_groups_rows_by_bytes():
+    # on random tables of up to 7 columns, on values of 2^21 and more, where
+    # a mixed-radix int64 key of 3 or more columns overflows, on 2^62, on a
+    # single row and on no row
     rng = np.random.default_rng(21)
     tables = [rng.integers(low, high, size=(int(rng.integers(1, 60)), cols))
               for cols in range(1, 8) for low, high in ((0, 3), (-5, 40))]
     tables += [rng.integers(2 ** 21, 2 ** 21 + 3, size=(50, cols))
                for cols in (3, 7)]
     tables += [rng.choice([0, 2 ** 40, 2 ** 62], size=(40, 4)),
-               np.array([[2 ** 21, 0, 7]])]
+               np.array([[2 ** 21, 0, 7]]), np.zeros((0, 2), dtype=np.intp)]
     for rows in tables:
-        for got, expected in zip(rmt._unique_rows(rows),
-                                 np.unique(rows, axis=0, return_inverse=True)):
-            assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
-            assert got.tobytes() == expected.tobytes()
+        firsts, inverse = rmt._row_groups(rows)
+        assert (np.diff(firsts) > 0).all()
+        assert len({row.tobytes() for row in rows[firsts]}) == len(firsts)
+        assert rows[firsts][inverse].tobytes() == rows.tobytes()
+        assert inverse.dtype == np.intp
+        assert len(firsts) == len(np.unique(rows, axis=0))
 
 
 def _broken_copy(how):
