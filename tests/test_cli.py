@@ -601,10 +601,17 @@ def test_figure8_grid_peaks_at_reference_optimum(capsys):
     (("9",),
      "ca1b2911eeaf7366dab6168c4358550609fac60ae4160d55bca145593108ba37"),
     (("9", "--pilot-noise-mode", "negligible"),
-     "81dc5b24ae50263117a9b7e68b572c9f2a92d3a6032dc6aef27ea9b27a37fa65")])
+     "81dc5b24ae50263117a9b7e68b572c9f2a92d3a6032dc6aef27ea9b27a37fa65"),
+    (("5",),
+     "5f56b042620ab5a88357b30d18a0e4d68072eec9186519ccbcd2361c02b656bf"),
+    (("5", "--pilot-noise-mode", "negligible"),
+     "f04363820f0702e33e11040386c2566dbc954432c012237164e21597603c66e3"),
+    (("5", "--psi", "7", "--K", "28"),
+     "641c9ace0c2766ae5d3e80d239b4c6008c8631a36a9a4bfa220c313f009200b8")])
 def test_figure8_prints_the_pinned_grid(capsys, flags, digest):
     # sha256 of stdout as the loop of one curve per M printed figure 8,
-    # and as the per-count loops printed figures 7 and 9
+    # as the per-count loops printed figures 7 and 9, and as the loop of
+    # one optimal_n per rate printed figure 5
     code, out, err = run(capsys, "figure", *flags)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

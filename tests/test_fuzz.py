@@ -4,9 +4,9 @@ feasible EE positive (or, for ``calibrate``, no non-finite value
 printed), the Monte-Carlo estimator is
 finite and reproducible on small generated configurations, the
 closed-form optimizers agree with an exhaustive integer scan, every
-array pass (figures 7, 8 and 9, ``optimal_m``) agrees with its loop of
-one evaluation per count, figures 3, 4, 6 and 10 with one evaluation per
-point, and a record's ``replace`` builds what its
+array pass (figures 5, 7, 8 and 9, ``optimal_m``) agrees with its loop
+of one evaluation per count or rate, figures 3, 4, 6 and 10 with one
+evaluation per point, and a record's ``replace`` builds what its
 constructor builds."""
 import contextlib
 import csv
@@ -340,6 +340,11 @@ def test_figure8_grid_equals_the_per_m_loop(scenario):
        gamma=st.floats(0.25, 8.0), m_max=st.integers(1, 12))
 # figure 7's first curve evaluates at K = 1 and raises from K = 10
 @example(scenario=_scenario_of(["--B=1e+307"], "exact"), gamma=2.0, m_max=8)
+# figure 9: K = 100 exceeds T, after the rows of K = 10 and 50
+@example(scenario=_scenario_of(["--T=60"], "exact"), gamma=2.0, m_max=8)
+# figure 9: the throughput error of K = 10 comes before K = 100 exceeds T
+@example(scenario=_scenario_of(["--T=60", "--B=1.2e307"], "exact"),
+         gamma=2.0, m_max=8)
 def test_scans_equal_their_per_count_loops(scenario, gamma, m_max):
     # figures 7 and 9 and optimal_m (joint, at a fixed n, and at a fixed n
     # and p_d) give the results of one evaluation per count, or raise the
@@ -356,6 +361,40 @@ def test_scans_equal_their_per_count_loops(scenario, gamma, m_max):
               for g, n in ((gamma, None), (gamma, cfg.n), (None, cfg.n))]
     for fast, by_count in pairs:
         assert _outcome(fast) == _outcome(by_count), (cfg, pm, gamma, m_max)
+
+
+# --- figure 5 vs one optimal_n per rate ---------------------------------------
+
+def _figure5_by_gamma(cfg, pm):
+    """figure 5 as a loop over psi and the rates, one ``optimal_n`` each,
+    (-1, NaN) where it raises an InfeasibleError: the reference for its
+    passes over the rates."""
+    rows = []
+    for psi in (1, cfg.L):
+        base = cfg.replace(psi=psi)
+        for gamma in [0.5 + 0.25 * i for i in range(23)]:
+            try:
+                res = optimal_n(base, pm, gamma)
+                n_star, ee = res.n, res.ee
+            except InfeasibleError:
+                n_star, ee = -1, math.nan
+            rows.append([psi, gamma, ee, n_star])
+    return ["psi", "gamma", "ee_star_bits_per_joule", "n_star"], rows
+
+
+@settings(FUZZ, max_examples=150)
+@given(scenario=st.one_of(
+    _explore_figure_scenarios(),
+    st.builds(_scenario_of, _MODEL_ARGV, _MODES)))
+# each raises a ConfigError from inside the runner
+@example(scenario=_scenario_of(["--B=5e-324"], "exact"))
+@example(scenario=_scenario_of(["--zeta=5e-324"], "exact"))
+def test_figure5_equals_its_per_rate_loop(scenario):
+    # figure 5 gives the rows of one optimal_n per (psi, gamma), or raises
+    # the error that loop raises first
+    if scenario is not None:
+        assert (_outcome(lambda: figures.figure5(*scenario))
+                == _outcome(lambda: _figure5_by_gamma(*scenario))), scenario
 
 
 # --- figures 3, 4, 6 and 10 vs one evaluation per point ----------------------
