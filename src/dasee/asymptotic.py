@@ -8,10 +8,10 @@ transmit power needed for a target per-user rate, the total consumed power,
 and the energy efficiency are all elementary scalar expressions.  n enters
 them only through +, -, * and /, so one ``Design`` evaluates every n of a
 sweep from one breakdown and gives the same bits as a configuration per n.
-The RRH count M and the user count K enter through the same operations
-and Python's float power, so a ``Design`` over ``Lanes`` (an array of RRH
-counts or of user counts) evaluates every M, or every K, at once, with the
-bits of a configuration per count.
+The RRH count M, the user count K and the rate gamma enter through the
+same operations and Python's float power, so a ``Design`` over ``Lanes``
+(arrays of RRH counts, user counts or rates that broadcast together)
+evaluates every lane at once, with the bits of a configuration per lane.
 """
 from __future__ import annotations
 
@@ -41,18 +41,20 @@ SCALAR = SimpleNamespace(pow=operator.pow, finite=math.isfinite,
 
 
 class Lanes:
-    """RRH counts ``M`` or user counts ``K`` (an int64 array, the other
-    count left None) evaluated at once, one lane each; the counts replace
-    cfg.M or cfg.K.
+    """RRH counts ``M`` (int64), user counts ``K`` (int64) and rates
+    ``gamma`` evaluated at once: any of them an array, the others None,
+    arrays that broadcast together (K as a (K, 1) column and M as a row
+    give a (K, M) grid), one lane per element of their broadcast shape.
+    They replace cfg.M, cfg.K and the Design's gamma.
 
     The same expressions as a scalar evaluation (``SCALAR``), over arrays:
     ``pow`` is still Python's, lane by lane, and a check raises nothing.
     It marks instead, in ``fail``, the lanes still at 0 that fail it:
-    CONFIG where the scalar evaluation at that count raises a ConfigError,
+    CONFIG where the scalar evaluation at that lane raises a ConfigError,
     INFEASIBLE where it raises an InfeasibleError.  A failed lane's values
     are meaningless.  A check takes a Python or numpy bool (one value for
     every lane) or a bool array, and costs one reduction where every lane
-    passes; an array of shape (candidates, lanes) fails a lane where any
+    passes; an array of shape (candidates, *lanes) fails a lane where any
     of its candidates fails.
     """
 
@@ -61,14 +63,23 @@ class Lanes:
     sqrt = staticmethod(np.sqrt)
 
     def __init__(self, M: np.ndarray | None = None,
-                 K: np.ndarray | None = None):
-        self.M, self.K = M, K
-        self.fail = np.zeros((M if K is None else K).shape, np.int8)
+                 K: np.ndarray | None = None,
+                 gamma: np.ndarray | None = None):
+        self.M, self.K, self.gamma = M, K, gamma
+        shapes = [a.shape for a in (M, K, gamma) if a is not None]
+        self.fail = np.zeros(shapes[0] if len(shapes) == 1
+                             else np.broadcast_shapes(*shapes), np.int8)
 
     def counts(self, cfg: SystemConfig) -> tuple:
-        """(M, K) of cfg, the swept one replaced by the lanes' array."""
+        """(M, K) of cfg, each replaced by the lanes' array if they have one."""
         return (cfg.M if self.M is None else self.M,
                 cfg.K if self.K is None else self.K)
+
+    def lane(self, index: int) -> dict:
+        """The arrays' Python values at the row-major ``index`` of fail."""
+        return {name: np.broadcast_to(array, self.fail.shape).flat[index].item()
+                for name, array in (("M", self.M), ("K", self.K),
+                                    ("gamma", self.gamma)) if array is not None}
 
     def config_error(self, ok) -> bool:
         return self._mark(ok, CONFIG)
@@ -83,8 +94,8 @@ class Lanes:
         elif ok:
             return False
         bad = np.logical_not(ok)
-        if bad.ndim > 1:   # candidates stacked over the lanes: any fails
-            bad = bad.any(axis=0)
+        if bad.ndim > self.fail.ndim:   # candidates over the lanes: any fails
+            bad = bad.any(axis=tuple(range(bad.ndim - self.fail.ndim)))
         self.fail[bad & (self.fail == 0)] = kind
         return False
 
@@ -157,7 +168,7 @@ def sinr_breakdown(cfg: SystemConfig,
 
     Raises ConfigError when beta and iota take a term beyond the double range
     (M^iota, beta^2 or, in negligible mode, 1/beta^2 overflows) or S to 0.
-    With ``lanes`` the terms are arrays over the lanes' counts, and a count
+    With ``lanes`` the terms are arrays over the lanes' counts, and a lane
     where the scalar raises is marked CONFIG.
     """
     ev = lanes or SCALAR
@@ -181,7 +192,7 @@ def sinr_breakdown(cfg: SystemConfig,
         raise ConfigError("beta and iota take the SINR terms beyond the "
                           "double range") from None
     except ZeroDivisionError:   # by coherent = 0: nu1 = nu2 = 0, and S = 0
-        pass
+        pc = math.nan
     if ev.config_error(signal > 0.0):
         raise ConfigError("beta, p_u and sigma2 take the signal power S to 0")
     mu_scaled = cfg.beta * cfg.d * K * sc.xi
@@ -202,22 +213,28 @@ def _sinr(cfg: SystemConfig, brk: SinrBreakdown, n: int, p_d: float) -> float:
 def rate_margin(brk: SinrBreakdown, gamma: float,
                 lanes: Lanes | None = None) -> float:
     """S/(2^gamma - 1) - I_PC > 0, or ConfigError / RateUnachievableError
-    (marked in ``lanes`` for a breakdown over lanes)."""
+    (marked in ``lanes`` for a breakdown over lanes, where gamma may be an
+    array over them)."""
     ev = lanes or SCALAR
-    if ev.config_error(math.isfinite(gamma) and gamma > 0.0):
+    if ev.config_error((gamma > 0.0) & (gamma < math.inf)):   # NaN: False
         raise ConfigError(f"gamma must be finite and positive, got {gamma!r}")
-    # 2**gamma overflows a double from gamma = 1024 on; S/inf is then 0.
-    if gamma >= 1024.0:
-        margin = 0.0 - brk.I_PC
-    else:
-        target = 2.0 ** gamma - 1.0
-        if ev.config_error(target != 0.0):   # gamma below about 1.6e-16
-            raise ConfigError(f"gamma {gamma!r} is too small: 2**gamma - 1 "
-                              f"rounds to 0")
-        margin = brk.S / target - brk.I_PC
+    target = _exp2(gamma) - 1.0
+    if ev.config_error(target != 0.0):   # gamma below about 1.6e-16
+        raise ConfigError(f"gamma {gamma!r} is too small: 2**gamma - 1 "
+                          f"rounds to 0")
+    margin = brk.S / target - brk.I_PC   # 0.0 - I_PC where 2**gamma is inf
     if ev.infeasible(margin > 0.0):
         raise RateUnachievableError(gamma, _rate_ceiling(brk))
     return margin
+
+
+def _exp2(gamma):
+    """2**gamma by Python's float power, lane by lane over an array; inf
+    where it overflows a double, from gamma = 1024 on (and at NaN)."""
+    if isinstance(gamma, np.ndarray):
+        return np.reshape([_exp2(g) for g in gamma.ravel().tolist()],
+                          gamma.shape)
+    return 2.0 ** gamma if gamma < 1024.0 else math.inf
 
 
 def _rate_ceiling(brk: SinrBreakdown) -> float:
@@ -317,7 +334,7 @@ class Design:
     few for gamma; a non-finite total power or throughput, a zero SINR or
     a positive throughput whose EE rounds to 0 raises ConfigError.
 
-    With ``lanes`` every count of the lanes replaces cfg.M or cfg.K: the
+    With ``lanes`` their arrays replace cfg.M, cfg.K and gamma: the
     terms are arrays, n may be an int, a float or an array of floats (NaN:
     a lane not evaluated), a missing point is NaN instead of None, and the
     errors are marked in lanes.fail instead of raised.  Lanes of user
@@ -329,6 +346,7 @@ class Design:
 
     def __init__(self, cfg: SystemConfig, pm: PowerModel,
                  gamma: float | None = None, lanes: Lanes | None = None):
+        gamma = gamma if lanes is None or lanes.gamma is None else lanes.gamma
         if lanes is not None and lanes.K is not None and gamma is None:
             raise ValueError("a Design over user counts needs a rate gamma")
         self.cfg, self.pm, self.gamma, self.lanes = cfg, pm, gamma, lanes

@@ -235,11 +235,13 @@ def _rules_reading(cls, names: frozenset) -> tuple:
 
 def _pow(base, exponent):
     """``base ** exponent`` by Python's float power, also over an array of
-    bases (numpy's power differs from it in the last bit for some), where
-    a power beyond the double range is inf instead of an OverflowError.
-    math.pow and ``**`` both return the C library's pow."""
+    bases of any shape (numpy's power differs from it in the last bit for
+    some), where a power beyond the double range is inf instead of an
+    OverflowError.  math.pow and ``**`` both return the C library's pow."""
     if not isinstance(base, np.ndarray):
         return base ** exponent
+    if base.ndim != 1:
+        return _pow(base.ravel(), exponent).reshape(base.shape)
     values = base.tolist()
     try:
         return np.fromiter(map(math.pow, values, repeat(exponent)),

@@ -12,21 +12,20 @@ import math
 import numpy as np
 
 from . import montecarlo
-from .asymptotic import Design, InfeasibleError, operating_point
+from .asymptotic import Design, InfeasibleError, Lanes, operating_point
 from .config import PowerModel, SystemConfig
-from .optimize import optimal_n, scan
+from .optimize import optimal_n, scan, sweep
 
 GAMMA_DEFAULT = 2.0
 N_SWEEP = tuple(range(2, 61))
 
 
-def _optimum(cfg: SystemConfig, pm: PowerModel, gamma: float):
-    """(n*, EE) of ``optimal_n``, or (-1, NaN) when no n reaches gamma."""
+def _optimum(cfg: SystemConfig, pm: PowerModel) -> int:
+    """n* of ``optimal_n`` at rate GAMMA_DEFAULT, -1 when no n reaches it."""
     try:
-        res = optimal_n(cfg, pm, gamma)
-        return res.n, res.ee
+        return optimal_n(cfg, pm, GAMMA_DEFAULT).n
     except InfeasibleError:
-        return -1, math.nan
+        return -1
 
 
 def _curve(key, evaluate, values, tail=()):
@@ -52,9 +51,8 @@ def _ee_of_n(cfg, pm):
 def _n_curve(key, cfg, pm, step=1):
     """EE vs n over the multiples of ``step`` in N_SWEEP, each row ending
     in the closed-form n*."""
-    tail = (_optimum(cfg, pm, GAMMA_DEFAULT)[0],)
     return _curve(key, _ee_of_n(cfg, pm),
-                  [n for n in N_SWEEP if n % step == 0], tail)
+                  [n for n in N_SWEEP if n % step == 0], (_optimum(cfg, pm),))
 
 
 def figure2(cfg, pm, realizations=1000, seed=1):
@@ -95,15 +93,17 @@ def figure4(cfg, pm, realizations=0, seed=1):
 
 
 def figure5(cfg, pm, realizations=0, seed=1):
-    """Best EE over n, and the maximizing n, as the target rate grows."""
+    """Best EE over n, and the maximizing n, as the target rate grows: one
+    ``scan`` over the rates per psi, (NaN, -1) where no n reaches a rate."""
     header = ["psi", "gamma", "ee_star_bits_per_joule", "n_star"]
     rows = []
     gammas = [0.5 + 0.25 * i for i in range(23)]
     for psi in (1, cfg.L):
-        base = cfg.replace(psi=psi)
-        for gamma in gammas:
-            n_star, ee = _optimum(base, pm, gamma)
-            rows.append([psi, gamma, ee, n_star])
+        feasible, n_star, ee, *_ = scan(cfg.replace(psi=psi), pm, None,
+                                        Lanes(gamma=np.array(gammas)))
+        rows += [[psi, g, e if ok else math.nan, int(n) if ok else -1]
+                 for g, ok, n, e in zip(gammas, feasible.tolist(),
+                                        n_star.tolist(), ee.tolist())]
     return header, rows
 
 
@@ -131,11 +131,11 @@ def figure7(cfg, pm, realizations=0, seed=1):
     rows = []
     for psi, d in ((1, 1), (cfg.L, 1), (1, 2)):
         if cfg.T // psi:
-            K, feasible, _, ee, *_ = scan(
-                cfg.replace(psi=psi, d=d, n=20, K=1), pm, GAMMA_DEFAULT, "K",
-                cfg.T // psi, n=20)
-            rows += [[psi, d, k, e if ok else math.nan, int(ok)] for k, ok, e
-                     in zip(K.tolist(), feasible.tolist(), ee.tolist())]
+            feasible, _, ee, *_ = scan(
+                cfg.replace(psi=psi, d=d, n=20, K=1), pm, GAMMA_DEFAULT,
+                sweep("K", cfg.T // psi), n=20)
+            rows += [[psi, d, k, e if ok else math.nan, int(ok)] for k, (ok, e)
+                     in enumerate(zip(feasible.tolist(), ee.tolist()), 1)]
     return header, rows
 
 
@@ -144,25 +144,28 @@ def figure8(cfg, pm, realizations=0, seed=1):
     over M = 1..10 at a column of every n of N_SWEEP, NaN with feasible=0
     where a point is infeasible, raising the per-M loop's first ConfigError."""
     header = ["M", "n", "ee_bits_per_joule", "feasible"]
-    M, feasible, _, ee, *_ = scan(cfg, pm, GAMMA_DEFAULT, "M", 10,
-                                  n=np.array(N_SWEEP, float)[:, None])
+    feasible, _, ee, *_ = scan(cfg, pm, GAMMA_DEFAULT, sweep("M", 10),
+                               n=np.array(N_SWEEP, float)[:, None])
     ee = np.where(feasible, ee, np.nan).T.tolist()
     return header, [[m, n, e, int(not math.isnan(e))]
-                    for m, curve in zip(M.tolist(), ee)
+                    for m, curve in enumerate(ee, 1)
                     for n, e in zip(N_SWEEP, curve)]
 
 
 def figure9(cfg, pm, realizations=0, seed=1):
-    """Best EE vs RRH count (each M at its own optimal n) for K growing."""
+    """Best EE vs RRH count (each M at its own optimal n) for K growing:
+    one ``scan`` over the grid of K = 10, 50, 100 by M = 1..15."""
     header = ["K", "M", "n_star", "ee_bits_per_joule", "feasible"]
-    rows = []
-    for K in (10, 50, 100):
-        M, feasible, n_star, ee, *_ = scan(cfg.replace(K=K), pm,
-                                           GAMMA_DEFAULT, "M", 15)
-        rows += [[K, m, int(n) if ok else -1, e if ok else math.nan, int(ok)]
-                 for m, ok, n, e in zip(M.tolist(), feasible.tolist(),
-                                        n_star.tolist(), ee.tolist())]
-    return header, rows
+    ks = (10, 50, 100)
+    grid = Lanes(M=np.arange(1, 16), K=np.array(ks)[:, None])
+    # the loop's cfg.replace(K=K) raises for a K beyond T/psi: at K = 10
+    # before the pass, at a later K after the rows before it
+    grid.config_error(cfg.psi * grid.K <= cfg.T)
+    feasible, n_star, ee, *_ = scan(cfg.replace(K=10), pm, GAMMA_DEFAULT, grid)
+    return header, [[K, m, int(n) if ok else -1, e if ok else math.nan, int(ok)]
+                    for K, *grid in zip(ks, feasible.tolist(), n_star.tolist(),
+                                        ee.tolist())
+                    for m, (ok, n, e) in enumerate(zip(*grid), 1)]
 
 
 def figure10(cfg, pm, realizations=0, seed=1):

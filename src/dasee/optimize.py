@@ -3,8 +3,9 @@
 The antenna count per RRH has a closed-form continuous optimum (square-root
 power balance plus the feasibility offset), the user count is the unique
 root of a quartic found by bisection, and the RRH count comes from a
-one-dimensional scan, which evaluates every candidate M in one array pass
-(``scan``: figure 7 sweeps K with it, figure 8 M at a column of n).
+one-dimensional scan, which evaluates every candidate M in one array pass.
+``scan`` evaluates any ``Lanes`` so: figure 7 sweeps K with it, figure 8 M
+at a column of n, figure 5 the rates and figure 9 a (K, M) grid.
 Every routine rounds its continuous optimum with the EE-comparison rule
 (take whichever of floor/ceil achieves the higher EE) and an exhaustive
 integer scan is provided as the reference oracle.
@@ -245,13 +246,11 @@ def optimal_k(cfg: SystemConfig, pm: PowerModel,
                               x_real=k_real, window=(0.0, upper))
 
 
-def _alone(cfg: SystemConfig, pm: PowerModel, gamma: float, axis: str,
-           count: int, n: int | np.ndarray | None) -> None:
-    """Raise the error of one count of ``axis`` ("M" or "K") evaluated
-    alone: optimal_n's, or with ``n`` (an int or a column of them) that of
-    the operating point at each n in order, an InfeasibleError at the
-    last n only."""
-    cfg = cfg.replace(**{axis: count})
+def _alone(cfg: SystemConfig, pm: PowerModel, gamma: float,
+           n: int | np.ndarray | None) -> None:
+    """Raise the error of one lane evaluated alone: optimal_n's, or with
+    ``n`` (an int or a column of them) that of the operating point at each
+    n in order, an InfeasibleError at the last n only."""
     if n is None:
         optimal_n(cfg, pm, gamma)
         return
@@ -276,24 +275,28 @@ def _floor_ceil_lanes(x: np.ndarray, design: Design):
             np.where(take_lo, p_d[0], p_d[1]))
 
 
-def scan(cfg: SystemConfig, pm: PowerModel, gamma: float, axis: str,
-         count: int, n: int | None = None) -> tuple:
-    """Every count 1..count of ``axis`` ("M" or "K") in one array pass.
-
-    Returns the arrays (counts, feasible, n*, ee, p_d, x_real).  Each
-    feasible lane holds the bits of ``optimal_n`` at that count; with
-    ``n`` (a positive int, validated by the caller, or an (n, 1) column of
-    them for (n, counts) grids) those of the operating point at n and that
-    count, n* = n and x_real None.  A point is infeasible where that
-    evaluation raises an InfeasibleError; at the first count where it
-    raises a ConfigError, that count is evaluated alone to raise it.  A
-    ConfigError past ``MAX_SWEEP`` counts.
-    """
+def sweep(axis: str, count: int) -> Lanes:
+    """Lanes of the counts 1..count of ``axis`` ("M" or "K"); a
+    ConfigError past ``MAX_SWEEP`` counts, before any lane is allocated."""
     if count > MAX_SWEEP:
         raise ConfigError(f"a sweep of {axis} over 1..{count} is longer than "
                           f"{MAX_SWEEP} counts")
-    counts = np.arange(1, count + 1)
-    lanes = Lanes(**{axis: counts})
+    return Lanes(**{axis: np.arange(1, count + 1)})
+
+
+def scan(cfg: SystemConfig, pm: PowerModel, gamma: float | None,
+         lanes: Lanes, n: int | None = None) -> tuple:
+    """Every lane of ``lanes`` (M, K and gamma, see ``Lanes``) in one pass.
+
+    Returns the arrays (feasible, n*, ee, p_d, x_real) over the lanes.
+    Each feasible lane holds the bits of ``optimal_n`` at that lane's M, K
+    and gamma (``gamma`` where the lanes carry none); with ``n`` (a
+    positive int, validated by the caller, or an (n, 1) column of them for
+    (n, lanes) grids) those of the operating point at n, n* = n and x_real
+    None.  A point is infeasible where that evaluation raises an
+    InfeasibleError; at the first lane (in row-major order) where it
+    raises a ConfigError, that lane is evaluated alone to raise it.
+    """
     with np.errstate(all="ignore"):
         design = Design(cfg, pm, gamma, lanes)
         if n is None:
@@ -308,11 +311,12 @@ def scan(cfg: SystemConfig, pm: PowerModel, gamma: float, axis: str,
             feasible = (lanes.fail == 0) & ~np.isnan(ee)
     config = lanes.fail == CONFIG
     if np.count_nonzero(config):
-        first = int(counts[config.argmax()])
-        _alone(cfg, pm, gamma, axis, first, n)
-        raise AssertionError(f"{axis}={first}: the array pass marks a "
-                             f"ConfigError that the scalar does not")
-    return counts, feasible, n_star, ee, p_d, x_real
+        lane = lanes.lane(config.argmax())
+        _alone(override(cfg, M=lane.get("M"), K=lane.get("K")), pm,
+               lane.get("gamma", gamma), n)
+        raise AssertionError(f"{lane}: the array pass marks a ConfigError "
+                             f"that the scalar does not")
+    return feasible, n_star, ee, p_d, x_real
 
 
 def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
@@ -329,18 +333,19 @@ def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
     """
     _require_count("M_max", M_max)
     cfg = override(override(cfg, K=K), n=n)
-    M, feasible, n_star, ee, p_d, x_real = scan(cfg, pm, gamma, "M", M_max, n)
+    feasible, n_star, ee, p_d, x_real = scan(cfg, pm, gamma,
+                                             sweep("M", M_max), n)
     i = np.argmax(np.where(feasible, ee, -np.inf))  # first of the best
     if not feasible[i]:   # every M skipped: report why the last one was
         try:
-            _alone(cfg, pm, gamma, "M", M_max, n)
+            _alone(cfg.replace(M=M_max), pm, gamma, n)
         except InfeasibleError as exc:
             raise OptimizationError(f"no feasible M <= {M_max}: {exc}") \
                 from None
     if ee[i] == 0.0:   # at a fixed n; scan marks such lanes at n* infeasible
         raise OptimizationError(ZERO_EE.format("M"))
     return OptimizationResult(
-        ee=float(ee[i]), p_d=float(p_d[i]), K=cfg.K, M=int(M[i]),
+        ee=float(ee[i]), p_d=float(p_d[i]), K=cfg.K, M=int(i) + 1,
         n=n if n is not None else int(n_star[i]),
         x_real=None if x_real is None else float(x_real[i]),
         window=(1.0, float(M_max)))

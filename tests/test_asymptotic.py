@@ -139,6 +139,52 @@ def test_rate_margin_bits(gamma):
         assert margin == brk.S / (2.0 ** gamma - 1.0) - brk.I_PC
 
 
+@pytest.mark.parametrize("cfg", [CFG, CFG.replace(psi=7)])
+def test_rate_margin_over_rate_lanes_equals_the_scalar(cfg):
+    # each lane of rates holds the scalar's outcome at its gamma, in the
+    # scalar's order: CONFIG where it raises a ConfigError (not finite and
+    # positive, or 2**gamma - 1 rounds to 0), INFEASIBLE where it raises
+    # RateUnachievableError (from gamma = 1024 on, where 2**gamma is inf),
+    # else its margin bit for bit; also as a (2, 3) grid of rates
+    gammas = [math.nan, -1.0, 1e-17, 0.5, 1024.0, math.inf]
+    brk = sinr_breakdown(cfg)
+    want = []
+    for gamma in gammas:
+        try:
+            want.append((0, rate_margin(brk, gamma)))
+        except ConfigError:
+            want.append((CONFIG, None))
+        except RateUnachievableError:
+            want.append((INFEASIBLE, None))
+    assert [kind for kind, _ in want] == [CONFIG, CONFIG, CONFIG, 0,
+                                          INFEASIBLE, CONFIG]
+    for shape in ((6,), (2, 3)):
+        lanes = Lanes(gamma=np.array(gammas).reshape(shape))
+        with np.errstate(all="ignore"):
+            margin = rate_margin(brk, lanes.gamma, lanes)
+        assert margin.shape == lanes.fail.shape == shape
+        got = [(kind, value if kind == 0 else None) for kind, value
+               in zip(lanes.fail.ravel().tolist(), margin.ravel().tolist())]
+        assert got == want, shape
+
+
+def test_lanes_broadcast_their_arrays():
+    # K as a column and M as a row are one (K, M) grid of lanes: lane()
+    # reads them in row-major order, and a check stacked over candidates
+    # fails a lane where any candidate fails
+    lanes = Lanes(M=np.arange(1, 4), K=np.array([[10], [50]]))
+    assert lanes.fail.shape == (2, 3)
+    assert [lanes.lane(i) for i in (0, 2, 4)] == [
+        {"M": 1, "K": 10}, {"M": 3, "K": 10}, {"M": 2, "K": 50}]
+    assert type(lanes.lane(5)["K"]) is int
+    assert Lanes(gamma=np.array([0.5, 2.0])).lane(1) == {"gamma": 2.0}
+    lanes.config_error(lanes.K <= 20)                 # a check over K only
+    candidates = np.ones((2, 2, 3), bool)
+    candidates[1, 0, 1] = False
+    lanes.infeasible(candidates)
+    assert lanes.fail.tolist() == [[0, INFEASIBLE, 0], [CONFIG] * 3]
+
+
 def test_records_are_tuples_with_named_fields():
     brk = SinrBreakdown(S=1.0, I_PC=0.5, I_MU_scaled=2.0)
     assert isinstance(brk, tuple) and brk.I_PC == 0.5

@@ -2,10 +2,11 @@ import dataclasses
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from dasee.asymptotic import energy_efficiency, sinr_breakdown
-from dasee.config import (_RULES, ConfigError, PowerModel, SystemConfig,
+from dasee.config import (_RULES, ConfigError, _pow, PowerModel, SystemConfig,
                           dbm_from_watts, derived_scalars, load_scenario,
                           validate_config, watts_from_dbm, write_scenario)
 from dasee.montecarlo import (empirical_ee, generate_realization,
@@ -227,3 +228,21 @@ def test_config_file_dbm_and_overrides(tmp_path):
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown config key"):
         load_scenario(overrides={"bandwidth": 1.0})
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 3), (3, 1, 2), ()])
+def test_pow_of_bases_of_any_shape_is_pythons_power(shape):
+    # element by element the bits of Python's ``**``, inf where that
+    # overflows, in the shape of the bases
+    bases = [1.0, 7.0, 1e300, 3.5, 1e10, 2.0][:max(1, math.prod(shape))]
+    for exponent in (2.5, 1.25, 2):
+        want = []
+        for base in bases:
+            try:
+                want.append(base ** exponent)
+            except OverflowError:
+                want.append(math.inf)
+        got = _pow(np.array(bases).reshape(shape), exponent)
+        assert got.shape == shape
+        assert got.ravel().tolist() == want
+        assert (math.inf in want) == (len(bases) > 2)   # 1e300 ** exponent

@@ -366,12 +366,12 @@ def test_scan_bounds_the_sweep_at_max_sweep(monkeypatch):
         tracemalloc.start()
         with pytest.raises(ConfigError, match=rf"^a sweep of {axis} over "
                            rf"1\.\.1048577 is longer than 1048576 counts$"):
-            optimize.scan(CFG, PM, 2.0, axis, 2 ** 20 + 1)
+            optimize.sweep(axis, 2 ** 20 + 1)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         assert peak < 2 ** 16   # the lanes alone are 8 MiB
         with pytest.raises(RuntimeError) as reached:
-            optimize.scan(CFG, PM, 2.0, axis, 2 ** 20)
+            optimize.scan(CFG, PM, 2.0, optimize.sweep(axis, 2 ** 20))
         assert np.array_equal(reached.value.args[0],
                               np.arange(1, 2 ** 20 + 1))
 
@@ -456,9 +456,9 @@ def _optimal_m_by_scan(cfg, pm, gamma, m_max, n=None):
 
 def _scan_lanes(cfg, pm, gamma, m_max, n=None):
     """(M, n*, EE, p_d, x_real) of every feasible lane of a scan over M."""
-    M, feasible, n_star, ee, p_d, x_real = optimize.scan(cfg, pm, gamma, "M",
-                                                         m_max, n)
-    return [(int(M[i]), n or int(n_star[i]), float(ee[i]), float(p_d[i]),
+    feasible, n_star, ee, p_d, x_real = optimize.scan(
+        cfg, pm, gamma, optimize.sweep("M", m_max), n)
+    return [(int(i) + 1, n or int(n_star[i]), float(ee[i]), float(p_d[i]),
              x_real if n else float(x_real[i]))
             for i in np.flatnonzero(feasible)]
 
@@ -569,9 +569,9 @@ def _optimal_n_by_k(cfg, pm, gamma):
 
 def _scan_k(cfg, pm, gamma):
     """(K, n*, EE, p_d, x_real) of every feasible lane of a scan over K."""
-    K, feasible, n_star, ee, p_d, x_real = optimize.scan(
-        cfg, pm, gamma, "K", cfg.T // cfg.psi)
-    return [(int(K[i]), int(n_star[i]), float(ee[i]), float(p_d[i]),
+    feasible, n_star, ee, p_d, x_real = optimize.scan(
+        cfg, pm, gamma, optimize.sweep("K", cfg.T // cfg.psi))
+    return [(int(i) + 1, int(n_star[i]), float(ee[i]), float(p_d[i]),
              float(x_real[i])) for i in np.flatnonzero(feasible)]
 
 
