@@ -384,8 +384,9 @@ class Design:
             if (self.lanes or SCALAR).config_error(sinr > 0.0):
                 raise ConfigError("p_d, sigma2 and beta take the SINR to 0")
             se = (rate_from_sinr(cfg, [sinr] * cfg.K) if self.lanes is None
-                  else np.array([rate_from_sinr(cfg, [lane] * cfg.K)
-                                 for lane in sinr.tolist()]))
+                  else np.reshape([rate_from_sinr(cfg, [lane] * cfg.K)
+                                   for lane in sinr.ravel().tolist()],
+                                  sinr.shape))
             throughput = _throughput(cfg, se, self.lanes)
             backhaul = _backhaul(cfg, pm, self.M, se)
         p_total = _total_power(cfg, pm, self.M, self.K, n, p_d, backhaul,

@@ -166,6 +166,17 @@ def test_rate_margin_over_rate_lanes_equals_the_scalar(cfg):
         got = [(kind, value if kind == 0 else None) for kind, value
                in zip(lanes.fail.ravel().tolist(), margin.ravel().tolist())]
         assert got == want, shape
+    # numpy's power differs from Python's in the last bit for about 5% of
+    # these rates; each lane holds the scalar's margin or its error kind
+    rates = np.random.default_rng(5).uniform(0.05, 12.0, 200)
+    lanes = Lanes(gamma=rates)
+    margin = rate_margin(brk, rates, lanes)
+    for gamma, kind, value in zip(rates.tolist(), lanes.fail.tolist(),
+                                  margin.tolist()):
+        try:
+            assert (kind, value) == (0, rate_margin(brk, gamma)), gamma
+        except RateUnachievableError:
+            assert kind == INFEASIBLE, gamma
 
 
 def test_lanes_broadcast_their_arrays():
@@ -258,6 +269,21 @@ def test_design_over_user_counts_needs_a_rate():
     with pytest.raises(ValueError, match="needs a rate gamma"):
         Design(CFG, PM, None, Lanes(K=np.arange(1, 5)))
     Design(CFG, PM, None, Lanes(M=np.arange(1, 5)))   # RRH counts are fine
+
+
+@pytest.mark.parametrize("gamma", [None, 2.0])
+def test_lanes_of_any_shape_equal_a_record_per_point(gamma):
+    # a (1, 3) row of RRH counts at a (2, 1) column of n is a (2, 3) grid
+    # of points, at fixed p_d (a rate per point) as at a rate target
+    design = Design(CFG, PM, gamma, Lanes(M=np.arange(5, 8)[None, :]))
+    with np.errstate(all="ignore"):
+        ee, p_d, p_total = design.point(np.array([[20.0], [30.0]]))
+    p_d = np.broadcast_to(p_d, ee.shape)   # one value at fixed p_d
+    assert ee.shape == (2, 3) and not design.lanes.fail.any()
+    for i, n in enumerate((20, 30)):
+        for j, M in enumerate((5, 6, 7)):
+            ref = operating_point(CFG.replace(M=M), PM, gamma, n=n)
+            assert (ee[i, j], p_d[i, j], p_total[i, j]) == ref, (n, M)
 
 
 @pytest.mark.parametrize("gamma", [None, 2.0, 6.0])

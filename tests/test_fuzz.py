@@ -345,6 +345,9 @@ def test_figure8_grid_equals_the_per_m_loop(scenario):
 # figure 9: the throughput error of K = 10 comes before K = 100 exceeds T
 @example(scenario=_scenario_of(["--T=60", "--B=1.2e307"], "exact"),
          gamma=2.0, m_max=8)
+# figure 9: K = 10 exceeds T before beta^2 overflows in its evaluation
+@example(scenario=_scenario_of(["--T=5", "--K=1", "--beta=1e300"], "exact"),
+         gamma=2.0, m_max=8)
 def test_scans_equal_their_per_count_loops(scenario, gamma, m_max):
     # figures 7 and 9 and optimal_m (joint, at a fixed n, and at a fixed n
     # and p_d) give the results of one evaluation per count, or raise the
@@ -386,9 +389,11 @@ def _figure5_by_gamma(cfg, pm):
 @given(scenario=st.one_of(
     _explore_figure_scenarios(),
     st.builds(_scenario_of, _MODEL_ARGV, _MODES)))
-# each raises a ConfigError from inside the runner
+# each raises a ConfigError from inside the runner; the last from a
+# breakdown whose scalar terms divide by 0, the same for every rate
 @example(scenario=_scenario_of(["--B=5e-324"], "exact"))
 @example(scenario=_scenario_of(["--zeta=5e-324"], "exact"))
+@example(scenario=_scenario_of(["--p-u=5e-324", "--sigma2=1e300"], "exact"))
 def test_figure5_equals_its_per_rate_loop(scenario):
     # figure 5 gives the rows of one optimal_n per (psi, gamma), or raises
     # the error that loop raises first
