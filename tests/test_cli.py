@@ -607,11 +607,30 @@ def test_figure8_grid_peaks_at_reference_optimum(capsys):
     (("5", "--pilot-noise-mode", "negligible"),
      "f04363820f0702e33e11040386c2566dbc954432c012237164e21597603c66e3"),
     (("5", "--psi", "7", "--K", "28"),
-     "641c9ace0c2766ae5d3e80d239b4c6008c8631a36a9a4bfa220c313f009200b8")])
+     "641c9ace0c2766ae5d3e80d239b4c6008c8631a36a9a4bfa220c313f009200b8"),
+    (("3",),
+     "a691e911c51543b16351ee755e93541b44663f2921f616704f339433f5137287"),
+    (("3", "--pilot-noise-mode", "negligible"),
+     "b164b03ce950e6b303a53ede7ae969a0223653aee546b20bbb7217001a465d7f"),
+    (("4",),
+     "43077a43bc2c2a68feb704988e2411bd19ce8ceb5fa5d5dbb636e5b3f0d15625"),
+    (("4", "--pilot-noise-mode", "negligible"),
+     "b8bcdb3107d3fb05e2034725189aabcd90f02acf068e57315bfc5278ce2d2b90"),
+    (("6",),
+     "b21f87acc64240deb75b873dce47b6bc34072f0754fed7ed15abf8b0dc871b70"),
+    (("6", "--pilot-noise-mode", "negligible"),
+     "80948f38eadab8f4818fcf8bd30f4fc58ab790cd97fc1bceb477218bfc16c3e3"),
+    (("10",),
+     "a39a85e0b0a4b589bc714d7d0a33c8ef620477eae81e1363336d0d34f19ec92d"),
+    (("10", "--pilot-noise-mode", "negligible"),
+     "2ab84c3608d025ebe77415de68b71623e2f69d98e861722c5e6c06a9e4a71177")])
 def test_figure8_prints_the_pinned_grid(capsys, flags, digest):
     # sha256 of stdout as the loop of one curve per M printed figure 8,
-    # as the per-count loops printed figures 7 and 9, and as the loop of
-    # one optimal_n per rate printed figure 5
+    # as the per-count loops printed figures 7 and 9, as the loop of one
+    # optimal_n per rate printed figure 5, and as the scalar Design.point
+    # of a rate target printed the EE-vs-n curves of figures 3, 4, 6 and
+    # 10; none of them calls np.log2, whose last bit may vary with the
+    # SIMD target
     code, out, err = run(capsys, "figure", *flags)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -762,17 +781,45 @@ def test_calibrate_defaults_come_from_system_config(capsys):
     assert default_out == explicit_out
 
 
-def test_de_curve_rows_match_criterion_1_formula(capsys):
-    code, out, _ = run(capsys, "de-curve", "--n-range", "2:80")
+def _criterion_1_ee(point, pm):
+    """Criterion 1's fixed-p_d DE EE of one record: B*se/p_total, with se
+    the rate of the deterministic SINR at p_d."""
+    se = rate_from_sinr(point, [deterministic_sinr(point)] * point.K)
+    return point.B * se / total_power_at_se(point, pm, se)
+
+
+# --p-d 1e-300: 1 + SINR rounds to 1, so the rate takes its first-order value
+@pytest.mark.parametrize("flags", [
+    (), ("--psi", "7", "--K", "28"), ("--pilot-noise-mode", "negligible"),
+    ("--p-d", "1e-300")])
+def test_de_curve_rows_match_criterion_1_formula(capsys, flags):
+    code, out, _ = run(capsys, "de-curve", "--n-range", "2:80", *flags)
     assert code == 0
-    cfg, pm = SystemConfig(), PowerModel()
+    cfg, pm = scenario_from_args(build_parser().parse_args(["de-curve",
+                                                            *flags]))
     rows = list(csv.reader(io.StringIO(out)))[1:]
     assert [int(row[0]) for row in rows] == list(range(2, 81))
     for row in rows:
-        point = cfg.replace(n=int(row[0]))
-        se = rate_from_sinr(point, [deterministic_sinr(point)] * point.K)
-        assert float(row[1]) == point.B * se / total_power_at_se(point, pm, se)
+        assert float(row[1]) == _criterion_1_ee(cfg.replace(n=int(row[0])), pm)
         assert row[-1] == "1"
+
+
+def test_mc_de_columns_match_criterion_1_formula(capsys):
+    # the DE column beside the MC one is the same fixed-p_d EE
+    cfg, pm = SystemConfig(), PowerModel()
+    code, out, _ = run(capsys, "mc-validate", "--realizations", "20")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [int(row[0]) for row in rows] == list(range(10, 61, 10))
+    for row in rows:
+        assert float(row[1]) == _criterion_1_ee(cfg.replace(n=int(row[0])), pm)
+    code, out, _ = run(capsys, "figure", "2", "--realizations", "20")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 24
+    for psi, K, n, ee_de, *_ in rows:
+        point = cfg.replace(psi=int(psi), K=int(K), n=int(n))
+        assert float(ee_de) == _criterion_1_ee(point, pm)
 
 
 def _ee_or_nan(cfg, pm, **point):

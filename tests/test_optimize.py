@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,19 @@ from dasee.optimize import ee_or_none as ee_or_none_at
 
 CFG = SystemConfig()
 PM = PowerModel()
+
+
+def test_readme_quick_start_gives_the_values_it_states(capsys):
+    # the "Library quick start" block of README.md, run as it stands
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library quick start\n+```python\n(.*?)```",
+                      readme, re.S).group(1)
+    scope = {}
+    exec(block, scope)
+    assert scope["best"].n == 11 and round(scope["best"].ee / 1e6) == 10
+    assert (scope["joint"].M, scope["joint"].n) == (5, 17)
+    assert scope["users"].K == 25
+    assert capsys.readouterr().out.splitlines()[1:3] == ["5 17", "25"]
 
 
 def ee_or_none(cfg, pm, gamma):
