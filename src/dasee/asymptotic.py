@@ -12,6 +12,8 @@ The RRH count M, the user count K and the rate gamma enter through the
 same operations and Python's float power, so a ``Design`` over ``Lanes``
 (arrays of RRH counts, user counts or rates that broadcast together)
 evaluates every lane at once, with the bits of a configuration per lane.
+At the configured p_d instead (the model the Monte-Carlo oracle checks)
+the rate follows from the SINR, in one helper the oracle shares.
 """
 from __future__ import annotations
 
@@ -77,7 +79,7 @@ class Lanes:
 
     def lane(self, index: int) -> dict:
         """The arrays' Python values at the row-major ``index`` of fail."""
-        return {name: np.broadcast_to(array, self.fail.shape).flat[index].item()
+        return {name: np.broadcast_arrays(array, self.fail)[0].flat[index].item()
                 for name, array in (("M", self.M), ("K", self.K),
                                     ("gamma", self.gamma)) if array is not None}
 
@@ -202,11 +204,9 @@ def sinr_breakdown(cfg: SystemConfig,
 def deterministic_sinr(cfg: SystemConfig, n: int | None = None,
                        p_d: float | None = None) -> float:
     """Large-system per-user SINR at fixed transmit power."""
-    return _sinr(cfg, sinr_breakdown(cfg), cfg.n if n is None else n,
-                 cfg.p_d if p_d is None else p_d)
-
-
-def _sinr(cfg: SystemConfig, brk: SinrBreakdown, n: int, p_d: float) -> float:
+    brk = sinr_breakdown(cfg)
+    n = cfg.n if n is None else n
+    p_d = cfg.p_d if p_d is None else p_d
     return brk.S / (cfg.sigma2 / (p_d * n) + brk.I_PC + brk.I_MU_scaled / n)
 
 
@@ -308,6 +308,30 @@ def _finite_power(value: float, lanes: Lanes | None = None,
                       "takes the total power beyond the double range")
 
 
+def _efficiency(throughput: float, p_total: float,
+                lanes: Lanes | None = None) -> float:
+    """throughput / p_total, the EE; ConfigError (marked in ``lanes``) where
+    a positive throughput's EE rounds to 0."""
+    ee = throughput / p_total
+    if lanes is None:
+        if ee == 0.0 and throughput > 0.0:
+            raise ConfigError(f"the throughput B*se = {throughput!r} bit/s "
+                              f"against the total power {p_total!r} W: the "
+                              f"EE B*se/p_total rounds to 0")
+    elif np.count_nonzero(ee) < ee.size:   # NaN (not evaluated) is not 0
+        lanes.config_error((ee != 0.0) | (throughput == 0.0))
+    return ee
+
+
+def _point_at_se(cfg: SystemConfig, pm: PowerModel, se: float,
+                 n: int) -> OperatingPoint:
+    """The cell at its configured p_d, n antennas per RRH and spectral
+    efficiency ``se``: the fixed-p_d point of the DE and of the MC."""
+    throughput = _throughput(cfg, se)
+    p_total = total_power_at_se(cfg, pm, se, n)
+    return OperatingPoint(_efficiency(throughput, p_total), cfg.p_d, p_total)
+
+
 def rate_from_sinr(cfg: SystemConfig, sinr) -> float:
     """Cell spectral efficiency from per-user SINRs (bits/s/Hz).
 
@@ -325,49 +349,39 @@ def rate_from_sinr(cfg: SystemConfig, sinr) -> float:
 
 
 class Design:
-    """The cell (cfg, pm) at per-user rate gamma (None: at cfg.p_d), any n.
+    """The cell (cfg, pm) at per-user rate gamma, any n.
 
-    The terms without n (SINR breakdown, rate margin, spectral efficiency
-    at rate gamma, throughput, backhaul power) are computed once; a gamma
-    no n reaches raises ConfigError / RateUnachievableError here.  Per n
-    (a positive int, not checked) each method returns None where n is too
-    few for gamma; a non-finite total power or throughput, a zero SINR or
-    a positive throughput whose EE rounds to 0 raises ConfigError.
+    The terms without n (SINR breakdown, rate margin, spectral efficiency,
+    throughput, backhaul power) are computed once; a gamma no n reaches
+    raises ConfigError / RateUnachievableError here.  Per n (a positive
+    int, not checked) each method returns None where n is too few for
+    gamma; a non-finite total power or a positive throughput whose EE
+    rounds to 0 raises ConfigError.
 
-    With ``lanes`` their arrays replace cfg.M, cfg.K and gamma: the
-    terms are arrays, n may be an int, a float or an array of floats (NaN:
-    a lane not evaluated), a missing point is NaN instead of None, and the
-    errors are marked in lanes.fail instead of raised.  Lanes of user
-    counts need a rate gamma (ValueError otherwise: at fixed p_d the rate
-    of a lane would be read at cfg.K).
+    With ``lanes`` their arrays replace cfg.M, cfg.K and gamma: the terms
+    are arrays, n may be an int, a float or an array of floats (NaN: a
+    lane not evaluated), a missing point is NaN instead of None, and the
+    errors are marked in lanes.fail instead of raised.
     """
 
-    margin = se = throughput = backhaul = None   # at fixed p_d: per n
-
-    def __init__(self, cfg: SystemConfig, pm: PowerModel,
-                 gamma: float | None = None, lanes: Lanes | None = None):
+    def __init__(self, cfg: SystemConfig, pm: PowerModel, gamma: float | None,
+                 lanes: Lanes | None = None):
         gamma = gamma if lanes is None or lanes.gamma is None else lanes.gamma
-        if lanes is not None and lanes.K is not None and gamma is None:
-            raise ValueError("a Design over user counts needs a rate gamma")
         self.cfg, self.pm, self.gamma, self.lanes = cfg, pm, gamma, lanes
         self.M, self.K = (lanes or SCALAR).counts(cfg)
         self.brk = sinr_breakdown(cfg, lanes)
-        if gamma is not None:
-            self.margin = rate_margin(self.brk, gamma, lanes)
-            self.se = (cfg.T - cfg.psi * self.K) / cfg.T * self.K * gamma
-            self.throughput = _throughput(cfg, self.se, lanes)
-            self.backhaul = _backhaul(cfg, pm, self.M, self.se)
+        self.margin = rate_margin(self.brk, gamma, lanes)
+        se = (cfg.T - cfg.psi * self.K) / cfg.T * self.K * gamma
+        self.throughput = _throughput(cfg, se, lanes)
+        self.backhaul = _backhaul(cfg, pm, self.M, se)
 
     @property
     def n_min(self) -> int:
-        """Smallest feasible n, as ``min_antennas`` (1 at fixed p_d)."""
-        return (1 if self.gamma is None else
-                _min_antennas(self.brk, self.gamma, self.margin, self.lanes))
+        """Smallest feasible n, as ``min_antennas``."""
+        return _min_antennas(self.brk, self.gamma, self.margin, self.lanes)
 
     def transmit_power(self, n: int) -> float | None:
         """The p_d that realizes gamma with n antennas per RRH."""
-        if self.gamma is None:
-            return self.cfg.p_d
         denom = n * self.margin - self.brk.I_MU_scaled
         if self.lanes is not None:
             return np.where(denom > 0.0, self.cfg.sigma2 / denom, np.nan)
@@ -375,32 +389,13 @@ class Design:
 
     def point(self, n: int) -> OperatingPoint | None:
         n = float(n) if isinstance(n, int) else n
-        cfg, pm, p_d = self.cfg, self.pm, self.transmit_power(n)
+        p_d = self.transmit_power(n)
         if p_d is None:
             return None
-        se, throughput, backhaul = self.se, self.throughput, self.backhaul
-        if se is None:   # at fixed p_d the rate depends on n
-            sinr = _sinr(cfg, self.brk, n, p_d)
-            if (self.lanes or SCALAR).config_error(sinr > 0.0):
-                raise ConfigError("p_d, sigma2 and beta take the SINR to 0")
-            se = (rate_from_sinr(cfg, [sinr] * cfg.K) if self.lanes is None
-                  else np.reshape([rate_from_sinr(cfg, [lane] * cfg.K)
-                                   for lane in sinr.ravel().tolist()],
-                                  sinr.shape))
-            throughput = _throughput(cfg, se, self.lanes)
-            backhaul = _backhaul(cfg, pm, self.M, se)
-        p_total = _total_power(cfg, pm, self.M, self.K, n, p_d, backhaul,
-                               self.lanes)
-        ee = throughput / p_total
-        if self.lanes is None:
-            if ee == 0.0 and throughput > 0.0:
-                raise ConfigError(f"the throughput B*se = {throughput!r} "
-                                  f"bit/s against the total power "
-                                  f"{p_total!r} W: the EE B*se/p_total "
-                                  f"rounds to 0")
-        elif np.count_nonzero(ee) < ee.size:   # NaN (not evaluated) is not 0
-            self.lanes.config_error((ee != 0.0) | (throughput == 0.0))
-        return OperatingPoint(ee, p_d, p_total)
+        p_total = _total_power(self.cfg, self.pm, self.M, self.K, n, p_d,
+                               self.backhaul, self.lanes)
+        return OperatingPoint(_efficiency(self.throughput, p_total,
+                                          self.lanes), p_d, p_total)
 
     def ee(self, n: int) -> float | None:
         return None if (point := self.point(n)) is None else point.ee
@@ -411,13 +406,19 @@ def operating_point(cfg: SystemConfig, pm: PowerModel,
                     n: int | None = None) -> OperatingPoint:
     """EE, transmit power and total power of the configured cell.
 
-    With ``gamma=None`` the cell transmits at the configured p_d; with a
-    target rate gamma it transmits at the p_d that realizes gamma, raising
+    With ``gamma=None`` the cell transmits at the configured p_d, at the
+    rate of the deterministic SINR (ConfigError where that is 0); with a
+    target rate gamma, at the p_d that realizes gamma, raising
     InfeasibleAntennasError / RateUnachievableError when no positive power
     does.  ``n`` replaces cfg.n (a positive int, else ConfigError).
     """
     n = cfg.n if n is None else n
     _require_count("n", n)
+    if gamma is None:
+        sinr = deterministic_sinr(cfg, n)
+        if not sinr > 0.0:
+            raise ConfigError("p_d, sigma2 and beta take the SINR to 0")
+        return _point_at_se(cfg, pm, rate_from_sinr(cfg, [sinr] * cfg.K), n)
     design = Design(cfg, pm, gamma)
     point = design.point(n)
     if point is None:

@@ -57,8 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .asymptotic import (_throughput, large_scale_gains, rate_from_sinr,
-                         total_power_at_se)
+from .asymptotic import _point_at_se, large_scale_gains, rate_from_sinr
 from .config import ConfigError, PowerModel, SystemConfig, _require_seed
 
 BLOCK = 16384                 # (l, m, k) entries per block of realizations
@@ -289,7 +288,7 @@ def empirical_ee(cfg: SystemConfig, pm: PowerModel, realizations: int,
                  seed: int) -> float:
     """Empirical energy efficiency (bits/Joule) at the configured p_d."""
     _, se = empirical_sinr_rate(cfg, realizations, seed)
-    return _throughput(cfg, se) / total_power_at_se(cfg, pm, se)
+    return _point_at_se(cfg, pm, se, cfg.n).ee
 
 
 def relative_error(estimate: float, reference: float) -> float:

@@ -290,7 +290,7 @@ def scan(cfg: SystemConfig, pm: PowerModel, gamma: float | None,
 
     Returns the arrays (feasible, n*, ee, p_d, x_real) over the lanes.
     Each feasible lane holds the bits of ``optimal_n`` at that lane's M, K
-    and gamma (``gamma`` where the lanes carry none); with ``n`` (a
+    and rate (the lanes' or ``gamma``); with ``n`` (a
     positive int, validated by the caller, or an (n, 1) column of them for
     (n, lanes) grids) those of the operating point at n, n* = n and x_real
     None.  A point is infeasible where that evaluation raises an
@@ -307,7 +307,6 @@ def scan(cfg: SystemConfig, pm: PowerModel, gamma: float | None,
         else:
             n_star, x_real = n, None
             ee, p_d, _ = design.point(n)
-            p_d = np.broadcast_to(p_d, ee.shape)   # one value at fixed p_d
             feasible = (lanes.fail == 0) & ~np.isnan(ee)
     config = lanes.fail == CONFIG
     if np.count_nonzero(config):
@@ -322,7 +321,7 @@ def scan(cfg: SystemConfig, pm: PowerModel, gamma: float | None,
 def optimal_m(cfg: SystemConfig, pm: PowerModel, gamma: float,
               K: int | None = None, M_max: int = DEFAULT_M_MAX,
               n: int | None = None) -> OptimizationResult:
-    """EE-optimal RRH count by scanning M = 1..M_max.
+    """EE-optimal RRH count at rate gamma by scanning M = 1..M_max.
 
     With ``n`` given, every M is evaluated at that fixed antenna count;
     otherwise each candidate M uses its own closed-form optimal n.  The

@@ -264,21 +264,13 @@ def test_lane_checks_mark_only_unmarked_lanes(check, kind, other):
         assert lanes.fail.tolist() == [kind, other, kind, kind, kind]
 
 
-def test_design_over_user_counts_needs_a_rate():
-    # at fixed p_d each lane's rate would be read at cfg.K: a wrong EE
-    with pytest.raises(ValueError, match="needs a rate gamma"):
-        Design(CFG, PM, None, Lanes(K=np.arange(1, 5)))
-    Design(CFG, PM, None, Lanes(M=np.arange(1, 5)))   # RRH counts are fine
-
-
-@pytest.mark.parametrize("gamma", [None, 2.0])
+@pytest.mark.parametrize("gamma", [2.0])
 def test_lanes_of_any_shape_equal_a_record_per_point(gamma):
     # a (1, 3) row of RRH counts at a (2, 1) column of n is a (2, 3) grid
-    # of points, at fixed p_d (a rate per point) as at a rate target
+    # of points
     design = Design(CFG, PM, gamma, Lanes(M=np.arange(5, 8)[None, :]))
     with np.errstate(all="ignore"):
         ee, p_d, p_total = design.point(np.array([[20.0], [30.0]]))
-    p_d = np.broadcast_to(p_d, ee.shape)   # one value at fixed p_d
     assert ee.shape == (2, 3) and not design.lanes.fail.any()
     for i, n in enumerate((20, 30)):
         for j, M in enumerate((5, 6, 7)):
@@ -286,7 +278,7 @@ def test_lanes_of_any_shape_equal_a_record_per_point(gamma):
             assert (ee[i, j], p_d[i, j], p_total[i, j]) == ref, (n, M)
 
 
-@pytest.mark.parametrize("gamma", [None, 2.0, 6.0])
+@pytest.mark.parametrize("gamma", [2.0, 6.0])
 def test_n_evaluator_equals_a_record_per_n(gamma):
     # the evaluator computes the n-free terms once; every point must still
     # equal operating_point on its own record, None where that raises
@@ -302,10 +294,9 @@ def test_n_evaluator_equals_a_record_per_n(gamma):
             assert design.ee(n) == (None if ref is None else ref.ee)
             assert design.transmit_power(n) == (None if ref is None
                                                 else ref.p_d)
-        n_min = design.n_min   # the first feasible n, 1 at fixed p_d
+        n_min = design.n_min   # the first feasible n
         assert design.point(n_min) is not None
         assert n_min == 1 or design.point(n_min - 1) is None
-        assert gamma is not None or n_min == 1
 
 
 def test_rate_above_ceiling_rejected():
@@ -344,14 +335,14 @@ def test_total_power_linear_in_rrh_power():
                                 PM.replace(P_FIX=1.7e308, P_RRH=1e306)])
 def test_non_finite_total_power_is_a_config_error(pm):
     # the one power sum checks its result: an overflowing power model is a
-    # ConfigError naming its fields, in the fixed-p_d and rate-gamma modes
+    # ConfigError naming its fields, at fixed p_d and at a rate gamma
     se = (CFG.T - CFG.tau_u) / CFG.T * CFG.K * 2.0
     message = "P_FIX, P_RRH, zeta, P_0, P_BT"
     with pytest.raises(ConfigError, match=message):
         total_power_at_se(CFG, pm, se)
+    with pytest.raises(ConfigError, match=message):
+        Design(CFG, pm, 2.0).ee(20)
     for gamma in (None, 2.0):
-        with pytest.raises(ConfigError, match=message):
-            Design(CFG, pm, gamma).ee(20)
         with pytest.raises(ConfigError, match=message):
             operating_point(CFG, pm, gamma)
     # a point too few antennas for gamma is still None, not an error

@@ -349,9 +349,9 @@ def test_figure8_grid_equals_the_per_m_loop(scenario):
 @example(scenario=_scenario_of(["--T=5", "--K=1", "--beta=1e300"], "exact"),
          gamma=2.0, m_max=8)
 def test_scans_equal_their_per_count_loops(scenario, gamma, m_max):
-    # figures 7 and 9 and optimal_m (joint, at a fixed n, and at a fixed n
-    # and p_d) give the results of one evaluation per count, or raise the
-    # error that loop raises first
+    # figures 7 and 9 and optimal_m (joint and at a fixed n) give the
+    # results of one evaluation per count, or raise the error that loop
+    # raises first
     if scenario is None:
         return
     cfg, pm = scenario
@@ -359,9 +359,9 @@ def test_scans_equal_their_per_count_loops(scenario, gamma, m_max):
               lambda: _figure7_by_k(cfg, pm)),
              (lambda: figures.figure9(cfg, pm),
               lambda: _figure9_by_m(cfg, pm))]
-    pairs += [(lambda g=g, n=n: optimal_m(cfg, pm, g, M_max=m_max, n=n),
-               lambda g=g, n=n: _optimal_m_by_scan(cfg, pm, g, m_max, n))
-              for g, n in ((gamma, None), (gamma, cfg.n), (None, cfg.n))]
+    pairs += [(lambda n=n: optimal_m(cfg, pm, gamma, M_max=m_max, n=n),
+               lambda n=n: _optimal_m_by_scan(cfg, pm, gamma, m_max, n))
+              for n in (None, cfg.n)]
     for fast, by_count in pairs:
         assert _outcome(fast) == _outcome(by_count), (cfg, pm, gamma, m_max)
 

@@ -144,6 +144,17 @@ def test_empirical_ee_positive_and_finite():
     assert np.isfinite(value) and value > 0
 
 
+def test_empirical_ee_that_rounds_to_0_is_a_config_error():
+    # B*se > 0 against the total power: the EE B*se/p_total rounds to 0,
+    # the closed form's ConfigError on the same record, not an EE of 0.0
+    cfg, pm = SystemConfig(B=5e-324), PowerModel()
+    message = "the EE B\\*se/p_total rounds to 0"
+    with pytest.raises(ConfigError, match=message):
+        operating_point(cfg, pm)
+    with pytest.raises(ConfigError, match=message):
+        empirical_ee(cfg, pm, 5, 1)
+
+
 def test_realizations_must_be_positive():
     with pytest.raises(ConfigError, match="realizations"):
         empirical_sinr_rate(SMALL, 0, seed=1)

@@ -544,10 +544,6 @@ def test_joint_optimal_m_equals_scan_of_optimal_n():
         assert sum(isinstance(o, str) for o in outcomes) >= 10
         assert {o[0] for o in outcomes if not isinstance(o, str)} == {
             ConfigError, OptimizationError}
-    fixed_power = [(cfg, m_max, _outcome(lambda: _optimal_m_by_scan(
-        cfg, PM, None, m_max, n=cfg.n)))      # gamma None: at the fixed p_d
-        for cfg, m_max in ((CFG.replace(psi=7, K=20, p_d=1e-3), 40),
-                           (CFG.replace(p_d=5e-324), 8))]
     figure_cases = [(CFG, PM), (CFG.replace(d=2, iota=3.3), PM),
                     (CFG.replace(pilot_noise_mode="negligible"), PM),
                     (CFG, PM.replace(P_RRH=1e-320)),
@@ -561,9 +557,6 @@ def test_joint_optimal_m_equals_scan_of_optimal_n():
         got = tuple(_outcome(lambda: _scan_lanes(cfg, pm, gamma, m_max, n))
                     for n in (None, cfg.n))
         assert got == lanes, (cfg, pm, gamma, m_max)
-    for cfg, m_max, want in fixed_power:
-        assert _outcome(lambda: optimal_m(cfg, PM, None, M_max=m_max,
-                                          n=cfg.n)) == want, cfg
     for (cfg, pm), want in zip(figure_cases, figure_rows):
         assert repr(figures.figure9(cfg, pm)) == want, (cfg, pm)
 
