@@ -788,20 +788,22 @@ def _criterion_1_ee(point, pm):
     return point.B * se / total_power_at_se(point, pm, se)
 
 
-# --p-d 1e-300: 1 + SINR rounds to 1, so the rate takes its first-order value
-@pytest.mark.parametrize("flags", [
-    (), ("--psi", "7", "--K", "28"), ("--pilot-noise-mode", "negligible"),
-    ("--p-d", "1e-300")])
-def test_de_curve_rows_match_criterion_1_formula(capsys, flags):
-    code, out, _ = run(capsys, "de-curve", "--n-range", "2:80", *flags)
-    assert code == 0
-    cfg, pm = scenario_from_args(build_parser().parse_args(["de-curve",
-                                                            *flags]))
-    rows = list(csv.reader(io.StringIO(out)))[1:]
-    assert [int(row[0]) for row in rows] == list(range(2, 81))
-    for row in rows:
-        assert float(row[1]) == _criterion_1_ee(cfg.replace(n=int(row[0])), pm)
-        assert row[-1] == "1"
+def test_de_curve_rows_match_criterion_1_formula(capsys):
+    # at the defaults and at edge records: no data symbols (psi*K = T),
+    # negligible pilot noise, and a p_d so small that 1 + SINR rounds to 1,
+    # where the rate takes its first-order value
+    for flags in ((), ("--psi", "7", "--K", "28"),
+                  ("--pilot-noise-mode", "negligible"), ("--p-d", "1e-300")):
+        code, out, _ = run(capsys, "de-curve", "--n-range", "2:80", *flags)
+        assert code == 0, flags
+        cfg, pm = scenario_from_args(build_parser().parse_args(["de-curve",
+                                                                *flags]))
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [int(row[0]) for row in rows] == list(range(2, 81))
+        for row in rows:
+            point = cfg.replace(n=int(row[0]))
+            assert float(row[1]) == _criterion_1_ee(point, pm), (flags, row)
+            assert row[-1] == "1"
 
 
 def test_mc_de_columns_match_criterion_1_formula(capsys):
