@@ -13,46 +13,30 @@ import numpy as np
 
 from . import montecarlo
 from .asymptotic import Design, InfeasibleError, Lanes, operating_point
-from .config import PowerModel, SystemConfig
-from .optimize import optimal_n, scan, sweep
+from .optimize import _optimal_n, scan, sweep
 
 GAMMA_DEFAULT = 2.0
 N_SWEEP = tuple(range(2, 61))
 
 
-def _optimum(cfg: SystemConfig, pm: PowerModel) -> int:
-    """n* of ``optimal_n`` at rate GAMMA_DEFAULT, -1 when no n reaches it."""
+def _n_curve(key, cfg, pm, values=N_SWEEP, optimum=True):
+    """One row ``key + [n, ee, feasible]`` per n of ``values``, each ending
+    in the closed-form n* with ``optimum``: every EE at rate GAMMA_DEFAULT
+    and n* from one ``Design``.  An infeasible n gets NaN with feasible=0,
+    an infeasible n* -1; a rate above the ceiling leaves neither."""
+    design, tail = None, (-1,) if optimum else ()
     try:
-        return optimal_n(cfg, pm, GAMMA_DEFAULT).n
+        design = Design(cfg, pm, GAMMA_DEFAULT)
+        if optimum:
+            tail = (_optimal_n(design).n,)
     except InfeasibleError:
-        return -1
-
-
-def _curve(key, evaluate, values, tail=()):
-    """One row ``key + [v, ee, feasible] + tail`` per swept value v, with
-    ee = evaluate(v); infeasible points (None) get NaN, feasible=0."""
+        pass
     rows = []
-    for value in values:
-        ee = evaluate(value)
-        rows.append([*key, value, math.nan if ee is None else ee,
+    for n in values:
+        ee = None if design is None else design.ee(n)
+        rows.append([*key, n, math.nan if ee is None else ee,
                      int(ee is not None), *tail])
     return rows
-
-
-def _ee_of_n(cfg, pm):
-    """n -> EE at rate GAMMA_DEFAULT or None, every n from one evaluator; a
-    rate above the ceiling leaves no n feasible."""
-    try:
-        return Design(cfg, pm, GAMMA_DEFAULT).ee
-    except InfeasibleError:
-        return lambda n: None
-
-
-def _n_curve(key, cfg, pm, step=1):
-    """EE vs n over the multiples of ``step`` in N_SWEEP, each row ending
-    in the closed-form n*."""
-    return _curve(key, _ee_of_n(cfg, pm),
-                  [n for n in N_SWEEP if n % step == 0], (_optimum(cfg, pm),))
 
 
 def figure2(cfg, pm, realizations=1000, seed=1):
@@ -77,7 +61,8 @@ def figure3(cfg, pm, realizations=0, seed=1):
     rows = []
     for d in (1, 2):
         for beta in (cfg.beta, 0.2 * cfg.beta):
-            rows += _n_curve([d, beta], cfg.replace(d=d, beta=beta), pm, d)
+            rows += _n_curve([d, beta], cfg.replace(d=d, beta=beta), pm,
+                             N_SWEEP[::d])
     return header, rows
 
 
@@ -114,7 +99,8 @@ def figure6(cfg, pm, realizations=0, seed=1):
     for alpha2 in (0.075, 0.15, 0.3):
         for psi in (1, cfg.L):
             rows += _n_curve([alpha2, psi],
-                             cfg.replace(d=2, alpha2=alpha2, psi=psi), pm, 2)
+                             cfg.replace(d=2, alpha2=alpha2, psi=psi), pm,
+                             N_SWEEP[::2])
     return header, rows
 
 
@@ -175,8 +161,8 @@ def figure10(cfg, pm, realizations=0, seed=1):
     for p0, pbt in ((0.825, 0.25e-9), (8.25, 2.5e-9)):
         pm_i = pm.replace(P_0=p0, P_BT=pbt)
         for M in (7, 1):
-            rows += _curve([M, p0, pbt], _ee_of_n(cfg.replace(M=M), pm_i),
-                           N_SWEEP)
+            rows += _n_curve([M, p0, pbt], cfg.replace(M=M), pm_i,
+                             optimum=False)
     return header, rows
 
 

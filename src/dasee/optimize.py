@@ -23,7 +23,7 @@ from .asymptotic import (CONFIG, SCALAR, Design, InfeasibleError, Lanes,
                          energy_efficiency, operating_point, rate_margin,
                          sinr_breakdown)
 from .config import (MAX_COUNT, ConfigError, PowerModel, SystemConfig,
-                     _require_count, derived_scalars, override)
+                     _require_count, override)
 
 BISECTION_WIDTH = 1e-3   # interval width on the continuous user count
 DEFAULT_M_MAX = 30
@@ -120,15 +120,19 @@ def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
     Raises OptimizationError when the balance point lies beyond 2^53
     antennas (a negligible P_RRH) or the EE is 0 at every n (``ZERO_EE``).
     """
-    cfg = override(cfg, M=M)
-    design = Design(cfg, pm, gamma)
+    return _optimal_n(Design(override(cfg, M=M), pm, gamma))
+
+
+def _optimal_n(design: Design) -> OptimizationResult:
+    """``optimal_n`` of a scalar ``design``."""
     n_min, n_real = _antenna_optimum(design)
     n_star = floor_ceil_select(n_real, design.ee)
     ee, p_d, _ = design.point(n_star)
     if ee == 0.0:
         raise OptimizationError(ZERO_EE.format("n"))
-    return OptimizationResult(ee=ee, p_d=p_d, n=n_star, M=cfg.M, K=cfg.K,
-                              x_real=n_real, window=(float(n_min), math.inf))
+    return OptimizationResult(ee=ee, p_d=p_d, n=n_star, M=design.cfg.M,
+                              K=design.cfg.K, x_real=n_real,
+                              window=(float(n_min), math.inf))
 
 
 def _antenna_optimum(design: Design):
@@ -178,12 +182,12 @@ def _user_count_scalars(cfg: SystemConfig, pm: PowerModel, gamma: float):
     search.
     """
     clean = cfg.replace(pilot_noise_mode="negligible", K=1)
-    margin = rate_margin(sinr_breakdown(clean), gamma)
-    xi = derived_scalars(clean).xi
+    brk = sinr_breakdown(clean)
+    margin = rate_margin(brk, gamma)
     mu1 = clean.n * margin
     circuit = pm.P_FIX + clean.n * clean.M * pm.P_RRH + clean.M * pm.P_0
     mu2 = _finite_power(clean.T / gamma * circuit)
-    slope = clean.d * clean.beta * xi   # I_MU' = slope * K
+    slope = brk.I_MU_scaled             # I_MU' = slope * K
     zeta_gamma = pm.zeta * gamma        # 0 where it underflows: inf power
     _finite_power(clean.sigma2 / zeta_gamma if zeta_gamma else math.inf)
     return (clean, mu1, mu2, slope), min(clean.T / clean.psi, mu1 / slope)

@@ -262,7 +262,7 @@ def test_only_main_catches_a_config_error():
     assert clauses["cli.main"] == [{"ConfigError"}, {"MemoryError"},
                                    {"InfeasibleError"}, {"OSError"}]
     for where in ("optimize.optimal_m", "optimize.ee_or_none",
-                  "figures._optimum", "figures._ee_of_n"):
+                  "figures._n_curve"):
         assert clauses[where] == [{"InfeasibleError"}], where
 
 

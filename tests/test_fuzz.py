@@ -271,12 +271,11 @@ _MODES = st.sampled_from(["exact", "negligible"])
 
 
 def _figure8_by_m(cfg, pm):
-    """figure 8 as a loop over M = 1..10, one ``_curve`` per M: the
-    reference for its one array pass."""
+    """figure 8 as a loop over M = 1..10, one scalar ``_n_curve`` per M:
+    the reference for its one array pass."""
     rows = []
     for M in range(1, 11):
-        rows += figures._curve([M], figures._ee_of_n(cfg.replace(M=M), pm),
-                               figures.N_SWEEP)
+        rows += figures._n_curve([M], cfg.replace(M=M), pm, optimum=False)
     return ["M", "n", "ee_bits_per_joule", "feasible"], rows
 
 

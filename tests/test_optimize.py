@@ -479,8 +479,8 @@ def _scan_lanes(cfg, pm, gamma, m_max, n=None):
 
 
 def _figure9_by_m(cfg, pm):
-    """figure9 with figures._optimum's per-M evaluation: optimal_n at each
-    M alone, (-1, NaN) where it raises an InfeasibleError."""
+    """figure9 as a per-M loop: optimal_n at each M alone, (-1, NaN)
+    where it raises an InfeasibleError."""
     rows = []
     for K in (10, 50, 100):
         for M in range(1, 16):
@@ -559,6 +559,21 @@ def test_joint_optimal_m_equals_scan_of_optimal_n():
         assert got == lanes, (cfg, pm, gamma, m_max)
     for (cfg, pm), want in zip(figure_cases, figure_rows):
         assert repr(figures.figure9(cfg, pm)) == want, (cfg, pm)
+
+
+@pytest.mark.parametrize("figure,curves", [(3, 4), (4, 4), (6, 6), (10, 4)])
+def test_each_ee_vs_n_curve_builds_one_design(monkeypatch, figure, curves):
+    # a curve's EE at every n and its n* come from one Design; patched on
+    # the class, so optimize's reference to Design is counted too
+    built = []
+    init = asymptotic.Design.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(asymptotic.Design, "__init__", counted)
+    figures.RUNNERS[figure](CFG, PM)
+    assert len(built) == curves
 
 
 def _optimal_n_by_k(cfg, pm, gamma):
