@@ -41,12 +41,15 @@ sampler draws those directly, exact in distribution.  Where s_l = 1,
 ||a||^2 ~ Gamma(P, 1); given a, a^T conj(b) = ||a|| zeta with zeta a unit
 complex Gaussian, and ||b||^2 = |zeta|^2 + Gamma(P - 1, 1) (Gamma(0) = 0),
 which give ||w||^2 and the diagonal product y_lkk = sum_m g0^T conj(w).
-Where s_l = 0, ||w||^2 = c^2 q Gamma(P, 1).  Each cross term |y_lki|^2 pairs
-a cell-0 channel with an independent estimate (every i != k, and i = k where
-s_l = 0), so the sampler uses its exact conditional expectation
-sum_m o_lmk ||w_lmi||^2 (conditional Monte Carlo): every batch mean keeps
-its expectation and loses variance.  A realization thus draws at most four
-variates per (l, m, k) and never builds a P-vector.
+Where s_l = 0, ||w||^2 = c^2 q Gamma(P, 1).  Each batch mean is linear in
+||w||^2, and each cross term |y_lki|^2 pairs a cell-0 channel with an
+independent estimate (every i != k, and i = k where s_l = 0), so the
+sampler uses exact conditional expectations (conditional Monte Carlo):
+Gamma(P - 1, 1) becomes P - 1, the other cells' Gamma(P, 1) becomes P, and
+|y_lki|^2 becomes sum_m o_lmk ||w_lmi||^2.  Every batch mean keeps its
+expectation and loses variance.  A realization thus draws two variates per
+(l, m, k) of the co-pilot cells, all the Gamma(P, 1) values ||a||^2 of its
+row, then all the zeta, and never builds a P-vector.
 """
 from __future__ import annotations
 
@@ -194,8 +197,6 @@ def _statistics(cfg: SystemConfig, realizations: int, seed: int,
             count = min(rounds, realizations - start)
             norm_a = np.empty((count,) + o.shape)
             zeta = np.empty((count,) + o.shape + (2,))
-            gamma_b = np.empty((count,) + o.shape)
-            gamma_other = np.empty((count,) + c2q_other.shape)
             for row in range(count):
                 run, step = divmod(start + row, RUN)
                 if step == 0:
@@ -203,15 +204,13 @@ def _statistics(cfg: SystemConfig, realizations: int, seed: int,
                         np.random.SeedSequence(entropy=seed, spawn_key=(run,)))
                 rng.standard_gamma(P, out=norm_a[row])
                 rng.standard_normal(out=zeta[row])
-                rng.standard_gamma(P - 1, out=gamma_b[row])
-                rng.standard_gamma(P, out=gamma_other[row])
             zeta = zeta.view(np.complex128)[..., 0]
             zeta /= np.sqrt(2.0)
             ab = np.sqrt(norm_a) * zeta             # a^T conj(b)
-            norm_b = zeta.real ** 2 + zeta.imag ** 2 + gamma_b
+            norm_b = zeta.real ** 2 + zeta.imag ** 2 + (P - 1)
             wnorm = np.empty((count,) + own0.shape)
             wnorm[:, shared] = c2o * norm_a + c2x * ab.real + c2q * norm_b
-            wnorm[:, other] = c2q_other * gamma_other
+            wnorm[:, other] = c2q_other * P
             per_rrh = wnorm.sum(axis=3)
             cross = (own0 * (per_rrh[..., None] - mix * wnorm)).sum(axis=2)
             y = (co * norm_a + cx * ab).sum(axis=2)

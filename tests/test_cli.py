@@ -636,6 +636,22 @@ def test_figure8_prints_the_pinned_grid(capsys, flags, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("flags,digest", [
+    (("--realizations", "20"),
+     "0acf817a8f7e10be92559ce76003799853a7b8c0815a3229c7b8c0cd0410668d"),
+    (("--psi", "7", "--K", "20", "--realizations", "20",
+      "--pilot-noise-mode", "negligible"),
+     "ad16d75ae031abe3541019708e9f8658930f5d5f9d3d84e27d2ab1429c5d475e")])
+def test_mc_validate_prints_the_pinned_rows(capsys, flags, digest):
+    # sha256 of stdout as the two-variate sampler printed it: a change to
+    # the draw order or to the arithmetic of the batch means changes the MC
+    # column; the MC rate goes through np.log2, whose last bit may vary with
+    # the SIMD target that the CI's Versions step prints
+    code, out, err = run(capsys, "mc-validate", *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ("opt-n", "--gamma", "2", "--K", "196"),
     ("opt-n", "--gamma", "2", "--K", "28", "--psi", "7"),

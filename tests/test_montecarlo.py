@@ -229,18 +229,42 @@ def test_zero_gain_link_gets_zero_coefficient():
     assert np.isfinite(real.estimates).all()
 
 
-def _reference_draws(cfg, realizations, seed, gains):
-    """(g0, w) of every realization, shape (R, L, M, K, P), assembled term
-    by term from two Gaussian draws."""
-    model = _link_model(cfg, gains)
-    mix = model.shared[:, None, None, None]
+def _reference_vectors(cfg, realizations, seed):
+    """The standard complex Gaussian P-vectors (a, b) of every realization,
+    shape (R, L, M, K, P), from two Gaussian draws."""
     rng = np.random.default_rng(seed)
     shape = (realizations, cfg.L, cfg.M, cfg.K, cfg.P, 2)
-    a, b = ((z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
-            for z in (rng.standard_normal(shape), rng.standard_normal(shape)))
+    return tuple((z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+                 for z in (rng.standard_normal(shape), rng.standard_normal(shape)))
+
+
+def _reference_draws(cfg, realizations, seed, gains):
+    """(g0, w) of every realization, shape (R, L, M, K, P), assembled term
+    by term from the P-vectors (a, b)."""
+    model = _link_model(cfg, gains)
+    mix = model.shared[:, None, None, None]
+    a, b = _reference_vectors(cfg, realizations, seed)
     g0 = np.sqrt(model.o[..., None]) * a
     rest = np.sqrt(model.q[..., None]) * b
     return g0, model.c[..., None] * (mix * g0 + rest)
+
+
+def _reference_conditional_wnorm(cfg, realizations, seed, gains):
+    """Per-cell sum_{m,k} of E[||w||^2 | a, a^T conj(b)], formed from the
+    reference's P-vectors: c^2 (o ||a||^2 + 2 sqrt(oq) Re a^T conj(b)
+    + q (|a^T conj(b)|^2 / ||a||^2 + P - 1)) where s_l = 1, and c^2 q P
+    where s_l = 0, summed over k, then m, as the engine sums."""
+    model = _link_model(cfg, gains)
+    a, b = _reference_vectors(cfg, realizations, seed)
+    norm_a = (np.abs(a) ** 2).sum(axis=-1)
+    ab = (a * b.conj()).sum(axis=-1)
+    o, q, c = model.o, model.q, model.c
+    norm_b = np.abs(ab) ** 2 / norm_a + (cfg.P - 1)
+    wnorm = np.where(model.shared[:, None, None],
+                     c ** 2 * (o * norm_a + 2.0 * np.sqrt(o * q) * ab.real
+                               + q * norm_b),
+                     c ** 2 * q * cfg.P)
+    return wnorm.sum(axis=3).sum(axis=2)
 
 
 def _reference_statistics(cfg, realizations, seed, gains):
@@ -265,13 +289,16 @@ def _statistics_agree(cfg, gains=None, R=2000):
     """Largest gap of the engine's batch means from the reference's, in
     standard errors of the difference, per term.  The spread of the per-cell
     precoder power around the reference mean is compared too: it is where
-    the Re(a^T conj(b)) part of ||w||^2, zero in mean, shows."""
-    reference = _batch_terms(*_reference_statistics(
-        cfg, R, 1, large_scale_gains(cfg) if gains is None else gains))
+    the Re(a^T conj(b)) part of ||w||^2, zero in mean, shows.  The engine's
+    ||w||^2 is a conditional mean, so its spread is compared with that of
+    the reference's own conditional mean, not with the raw ||w||^2."""
+    gains_at = large_scale_gains(cfg) if gains is None else gains
+    reference = _batch_terms(*_reference_statistics(cfg, R, 1, gains_at))
     engine = _batch_terms(*map(np.concatenate, zip(*_statistics(cfg, R, 2, gains))))
     center = reference["wnorm"].mean(axis=0)
-    for terms in (reference, engine):
-        terms["wnorm_spread"] = (terms["wnorm"] - center) ** 2
+    conditional = _reference_conditional_wnorm(cfg, R, 1, gains_at)
+    reference["wnorm_spread"] = (conditional - center) ** 2
+    engine["wnorm_spread"] = (engine["wnorm"] - center) ** 2
     worst = {}
     for name, ref in reference.items():
         got = engine[name]
@@ -298,10 +325,29 @@ def test_engine_matches_reference_estimator(psi, mode, override):
 
 
 def test_engine_statistics_single_steering_column():
-    # P = 1: ||b||^2 = |zeta|^2 + Gamma(0), and Gamma(0) = 0
+    # P = 1: the conditional mean of ||b||^2 is |zeta|^2 + P - 1 = |zeta|^2
     cfg = SystemConfig(L=2, M=2, K=3, n=2, d=2, psi=1)
     worst = _statistics_agree(cfg)
     assert max(worst.values()) < 4.0, worst
+
+
+def test_engine_precoder_power_is_its_conditional_mean():
+    # where s_l = 0 the per-cell ||w||^2 is its mean sum c^2 q P in every
+    # row; in every cell its per-row variance is at most that of the raw
+    # ||w||^2 of the P-vectors.  Low pilot power makes q, which the
+    # conditional mean averages over, the larger part of cell 0's ||w||^2,
+    # so the reduction there stands clear of the two variances' spread
+    cfg = SystemConfig(L=4, M=3, K=5, n=12, d=2, psi=2, p_u=0.01)
+    model = _link_model(cfg)
+    other = ~model.shared
+    R = 2000
+    engine = np.concatenate([block[0] for block in _statistics(cfg, R, 2, None)])
+    rows = engine[:, other]
+    assert rows.tobytes() == np.tile(rows[0], (R, 1)).tobytes()
+    mean = (model.c ** 2 * model.q * cfg.P)[other].sum(axis=2).sum(axis=1)
+    assert rows[0].tobytes() == mean.tobytes()
+    reference = _reference_statistics(cfg, R, 1, large_scale_gains(cfg))[0]
+    assert (engine.var(axis=0) <= reference.var(axis=0)).all()
 
 
 @pytest.mark.parametrize("override", [False, True])
@@ -347,11 +393,10 @@ def reference_realization(cfg, gains):
         zeta = rng.standard_normal(o.shape + (2,)).view(np.complex128)[..., 0]
         zeta /= np.sqrt(2.0)
         ab = np.sqrt(norm_a) * zeta
-        norm_b = (zeta.real ** 2 + zeta.imag ** 2
-                  + rng.standard_gamma(cfg.P - 1, o.shape))
+        norm_b = zeta.real ** 2 + zeta.imag ** 2 + (cfg.P - 1)
         wnorm = np.empty(own0.shape)
         wnorm[shared] = c2o * norm_a + c2x * ab.real + c2q * norm_b
-        wnorm[other] = c2q_other * rng.standard_gamma(cfg.P, c2q_other.shape)
+        wnorm[other] = c2q_other * cfg.P
         per_rrh = wnorm.sum(axis=2)
         cross = (own0 * (per_rrh[..., None] - mix * wnorm)).sum(axis=1)
         y = (co * norm_a + cx * ab).sum(axis=1)
