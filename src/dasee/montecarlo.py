@@ -37,19 +37,22 @@ per config, serves this sampler, the full-space draw and rmt's correlation
 set; the full-space draw takes h and the pilot noise from one Gaussian draw.
 
 The estimator needs only scalar statistics of these vectors, and the
-sampler draws those directly, exact in distribution.  Where s_l = 1,
-||a||^2 ~ Gamma(P, 1); given a, a^T conj(b) = ||a|| zeta with zeta a unit
-complex Gaussian, and ||b||^2 = |zeta|^2 + Gamma(P - 1, 1) (Gamma(0) = 0),
-which give ||w||^2 and the diagonal product y_lkk = sum_m g0^T conj(w).
-Where s_l = 0, ||w||^2 = c^2 q Gamma(P, 1).  Each batch mean is linear in
-||w||^2, and each cross term |y_lki|^2 pairs a cell-0 channel with an
-independent estimate (every i != k, and i = k where s_l = 0), so the
-sampler uses exact conditional expectations (conditional Monte Carlo):
-Gamma(P - 1, 1) becomes P - 1, the other cells' Gamma(P, 1) becomes P, and
-|y_lki|^2 becomes sum_m o_lmk ||w_lmi||^2.  Every batch mean keeps its
-expectation and loses variance.  A realization thus draws two variates per
-(l, m, k) of the co-pilot cells, all the Gamma(P, 1) values ||a||^2 of its
-row, then all the zeta, and never builds a P-vector.
+sampler draws them directly.  Where s_l = 1, ||a||^2 ~ Gamma(P, 1) and,
+given a, a^T conj(b) = ||a|| zeta_m with zeta_m a unit complex Gaussian;
+y_lkk = sum_m g0^T conj(w) = sum_m co ||a||^2 + cx ||a|| zeta_m, whose zeta
+part is exactly CN(0, v), v = sum_m cx^2 ||a||^2.  So a row draws one
+Gamma(P, 1) per (l, m, k), then one unit complex Gaussian xi per (l, k),
+and y = sum_m co ||a||^2 + sqrt(v) xi.  Every batch mean is linear in
+||w||^2, which is therefore its exact conditional mean given those draws
+(conditional Monte Carlo): with r_m = cx^2 ||a||^2 / v in [0, 1] (0 where
+v = 0), E[Re zeta_m | xi] = sqrt(r_m) Re xi, E[|zeta_m|^2 | xi] = 1 +
+r_m (|xi|^2 - 1), and the Gamma(P - 1, 1) rest of ||b||^2 is P - 1; where
+s_l = 0, ||w||^2 = c^2 q P.  A cross term |y_lki|^2 pairs a cell-0 channel
+with an independent estimate, so it becomes sum_m o_lmk ||w_lmi||^2.  Each
+batch mean keeps its expectation, and its covariance with y, a function of
+the draws.  No P-vector is built, and only y_0k, |y_lkk|^2 and the co-pilot
+cells' ||w_lmk||^2 are summed per row; the per-cell sums, the cross terms
+and the other cells' constant ||w||^2 are formed once from the means.
 """
 from __future__ import annotations
 
@@ -170,70 +173,77 @@ def generate_realization(cfg: SystemConfig, A: np.ndarray,
 
 def _statistics(cfg: SystemConfig, realizations: int, seed: int,
                 gains: np.ndarray | None):
-    """Check ``cfg`` and ``realizations`` now; iterate over blocks of
-    consecutive realizations, at most ``BLOCK`` (l, m, k) entries each.  A
-    block is a tuple of the statistics with a leading realization axis:
-    per-cell sum_{m,k} ||w_lmk||^2 (., L), the effective channel y_0kk
-    (., K) and its power, cell 0's cross terms sum_{i != k} |y_0ki|^2
-    (., K), and sum_i |y_lki|^2 per cell (., L, K).  Realization r draws
-    into row r, going on in run r // RUN's substream, which a block that
-    ends inside the run hands on; the arithmetic runs once per block."""
+    """Check ``cfg`` and ``realizations`` now; iterate over blocks of at
+    most ``BLOCK`` (l, m, k) entries, each a tuple of the Ls co-pilot cells'
+    statistics with a leading realization axis: ||w_lmk||^2 (., Ls, M, K),
+    y_0kk (., K) and |y_lkk|^2 (., Ls, K).  Realization r draws into row r,
+    going on in run r // RUN's substream, which a block that ends inside the
+    run hands on; the arithmetic runs once per block."""
     model = _link_model(cfg, gains)
     if realizations < 1:
         raise ConfigError(f"realizations must be >= 1, got {realizations}")
     _require_seed(seed)
-    shared, own0 = model.shared, model.o
-    other = ~shared
-    mix = shared[:, None, None]
-    o, q, c = own0[shared], model.q[shared], model.c[shared]
+    o, q, c = (factor[model.shared] for factor in (model.o, model.q, model.c))
     co, cx = c * o, c * np.sqrt(o * q)      # g0^T conj(w) = co ||a||^2 + cx a^T conj(b)
-    c2o, c2x, c2q = c * co, 2.0 * c * cx, c ** 2 * q
-    c2q_other = model.c[other] ** 2 * model.q[other]
-    P = cfg.P
+    cx2, c2o, c2x, c2q = cx * cx, c * co, 2.0 * c * cx, c ** 2 * q
     rounds = max(1, BLOCK // (cfg.L * cfg.M * cfg.K))
 
     def blocks():
         for start in range(0, realizations, rounds):
             count = min(rounds, realizations - start)
             norm_a = np.empty((count,) + o.shape)
-            zeta = np.empty((count,) + o.shape + (2,))
+            xi = np.empty((count, o.shape[0], o.shape[2], 2))
             for row in range(count):
                 run, step = divmod(start + row, RUN)
                 if step == 0:
                     rng = np.random.default_rng(
                         np.random.SeedSequence(entropy=seed, spawn_key=(run,)))
-                rng.standard_gamma(P, out=norm_a[row])
-                rng.standard_normal(out=zeta[row])
-            zeta = zeta.view(np.complex128)[..., 0]
-            zeta /= np.sqrt(2.0)
-            ab = np.sqrt(norm_a) * zeta             # a^T conj(b)
-            norm_b = zeta.real ** 2 + zeta.imag ** 2 + (P - 1)
-            wnorm = np.empty((count,) + own0.shape)
-            wnorm[:, shared] = c2o * norm_a + c2x * ab.real + c2q * norm_b
-            wnorm[:, other] = c2q_other * P
-            per_rrh = wnorm.sum(axis=3)
-            cross = (own0 * (per_rrh[..., None] - mix * wnorm)).sum(axis=2)
-            y = (co * norm_a + cx * ab).sum(axis=2)
-            power = y.real ** 2 + y.imag ** 2
-            total = cross.copy()
-            total[:, shared] += power
-            yield (per_rrh.sum(axis=2), y[:, 0], power[:, 0], cross[:, 0],
-                   total)
+                rng.standard_gamma(cfg.P, out=norm_a[row])
+                rng.standard_normal(out=xi[row])
+            xi = xi.view(np.complex128)[..., 0]
+            xi /= np.sqrt(2.0)
+            u = cx2 * norm_a                # v = sum_m u = Var(sum_m cx a^T conj(b))
+            v = u.sum(axis=2)
+            r = u / np.where(v > 0.0, v, 1.0)[:, :, None]   # in [0, 1], 0 where v = 0
+            y = (co * norm_a).sum(axis=2) + np.sqrt(v) * xi
+            spread = (xi.real ** 2 + xi.imag ** 2 - 1.0)[:, :, None]
+            wnorm = (c2o * norm_a + c2q * (cfg.P + r * spread)
+                     + c2x * np.sqrt(norm_a * r) * xi.real[:, :, None])
+            yield wnorm, y[:, 0], y.real ** 2 + y.imag ** 2
 
     return blocks()
 
 
+def _assemble(cfg: SystemConfig, gains: np.ndarray | None, wnorm: np.ndarray,
+              eff: np.ndarray, power: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The estimator's terms from ``_statistics`` values (batch means, or
+    rows on leading axes): per-cell sum_{m,k} ||w_lmk||^2 (L), y_0kk and its
+    power (K), cell 0's cross terms sum_{i != k} |y_0ki|^2 (K), and
+    sum_i |y_lki|^2 per cell (L, K)."""
+    model = _link_model(cfg, gains)
+    shared, other = model.shared, ~model.shared
+    links = np.empty(wnorm.shape[:-3] + model.o.shape)
+    links[..., shared, :, :] = wnorm
+    links[..., other, :, :] = model.c[other] ** 2 * model.q[other] * cfg.P
+    per_rrh = links.sum(axis=-1)
+    cross = (model.o * (per_rrh[..., None] - shared[:, None, None] * links)
+             ).sum(axis=-2)
+    total = cross.copy()
+    total[..., shared, :] += power
+    return per_rrh.sum(axis=-1), eff, power[..., 0, :], cross[..., 0, :], total
+
+
 def _batch_means(cfg: SystemConfig, realizations: int, seed: int,
-                 gains: np.ndarray | None) -> list[np.ndarray]:
-    """Means of the ``_statistics`` terms, summed in realization order: a
-    running sum carried from block to block, never a pairwise sum."""
+                 gains: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """The ``_assemble``d means of the ``_statistics`` rows, summed in
+    realization order from block to block, never a pairwise sum."""
     sums = None
     for terms in _statistics(cfg, realizations, seed, gains):
         if sums is not None:
             for term, total in zip(terms, sums):
                 term[0] += total
         sums = [np.add.accumulate(term)[-1] for term in terms]
-    return [total / realizations for total in sums]
+    return _assemble(cfg, gains, *(total / realizations for total in sums))
 
 
 def _normalization(cfg: SystemConfig, wnorm: np.ndarray) -> np.ndarray:

@@ -638,15 +638,16 @@ def test_figure8_prints_the_pinned_grid(capsys, flags, digest):
 
 @pytest.mark.parametrize("flags,digest", [
     (("--realizations", "20"),
-     "0acf817a8f7e10be92559ce76003799853a7b8c0815a3229c7b8c0cd0410668d"),
+     "ca0ab8cc03f2c31b8aac65e3f195676dc88cb222975664aac8ea04f5abc120af"),
     (("--psi", "7", "--K", "20", "--realizations", "20",
       "--pilot-noise-mode", "negligible"),
-     "ad16d75ae031abe3541019708e9f8658930f5d5f9d3d84e27d2ab1429c5d475e")])
+     "c97677fd48b7d1c3ff7ad41d4628d718074f9dc37678a792311d7396174c90e3")])
 def test_mc_validate_prints_the_pinned_rows(capsys, flags, digest):
-    # sha256 of stdout as the two-variate sampler printed it: a change to
-    # the draw order or to the arithmetic of the batch means changes the MC
-    # column; the MC rate goes through np.log2, whose last bit may vary with
-    # the SIMD target that the CI's Versions step prints
+    # sha256 of stdout as the sampler of one Gamma per link and one complex
+    # Gaussian per (cell, user) printed it: a change to the draw order or
+    # to the arithmetic of the batch means changes the MC column; the MC
+    # rate goes through np.log2, whose last bit may vary with the SIMD
+    # target that the CI's Versions step prints
     code, out, err = run(capsys, "mc-validate", *flags)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from dasee.asymptotic import (deterministic_sinr, large_scale_gains,
                               operating_point, sinr_breakdown)
 from dasee.config import ConfigError, PowerModel, SystemConfig
 from dasee import montecarlo
-from dasee.montecarlo import (RUN, _link_model, _statistics,
+from dasee.montecarlo import (RUN, _assemble, _link_model, _statistics,
                               empirical_ee, empirical_sinr_rate,
                               empirical_transmit_power, generate_realization,
                               rate_from_sinr, steering_matrix)
@@ -250,19 +251,25 @@ def _reference_draws(cfg, realizations, seed, gains):
 
 
 def _reference_conditional_wnorm(cfg, realizations, seed, gains):
-    """Per-cell sum_{m,k} of E[||w||^2 | a, a^T conj(b)], formed from the
-    reference's P-vectors: c^2 (o ||a||^2 + 2 sqrt(oq) Re a^T conj(b)
-    + q (|a^T conj(b)|^2 / ||a||^2 + P - 1)) where s_l = 1, and c^2 q P
-    where s_l = 0, summed over k, then m, as the engine sums."""
+    """Per-cell sum_{m,k} of E[||w||^2 | ||a||^2, xi], formed from the
+    reference's P-vectors: with sum_m c sqrt(oq) a^T conj(b) = sqrt(v) xi,
+    v = sum_m c^2 o q ||a||^2, and r = c^2 o q ||a||^2 / v (0 where v = 0),
+    c^2 (o ||a||^2 + 2 sqrt(r o q ||a||^2) Re xi + q (P + r (|xi|^2 - 1)))
+    where s_l = 1, and c^2 q P where s_l = 0, summed over k, then m, as
+    the engine sums."""
     model = _link_model(cfg, gains)
     a, b = _reference_vectors(cfg, realizations, seed)
-    norm_a = (np.abs(a) ** 2).sum(axis=-1)
-    ab = (a * b.conj()).sum(axis=-1)
     o, q, c = model.o, model.q, model.c
-    norm_b = np.abs(ab) ** 2 / norm_a + (cfg.P - 1)
+    norm_a = (np.abs(a) ** 2).sum(axis=-1)
+    x = c * np.sqrt(o * q) * (a * b.conj()).sum(axis=-1)
+    u = c ** 2 * o * q * norm_a
+    v = u.sum(axis=2, keepdims=True)
+    safe = np.where(v > 0.0, v, 1.0)
+    r, xi = u / safe, x.sum(axis=2, keepdims=True) / np.sqrt(safe)
     wnorm = np.where(model.shared[:, None, None],
-                     c ** 2 * (o * norm_a + 2.0 * np.sqrt(o * q) * ab.real
-                               + q * norm_b),
+                     c ** 2 * (o * norm_a + 2.0 * np.sqrt(r * o * q * norm_a)
+                               * xi.real
+                               + q * (cfg.P + r * (np.abs(xi) ** 2 - 1.0))),
                      c ** 2 * q * cfg.P)
     return wnorm.sum(axis=3).sum(axis=2)
 
@@ -285,16 +292,24 @@ def _batch_terms(wnorm, eff, eff2, sci, total):
             "intra": sci, "inter": total[:, 1:], "wnorm": wnorm}
 
 
+def _engine_rows(cfg, R, seed, gains):
+    """The engine's statistics of every realization, each row assembled into
+    the estimator's terms as the batch means are."""
+    rows = map(np.concatenate, zip(*_statistics(cfg, R, seed, gains)))
+    return _assemble(cfg, gains, *rows)
+
+
 def _statistics_agree(cfg, gains=None, R=2000):
     """Largest gap of the engine's batch means from the reference's, in
     standard errors of the difference, per term.  The spread of the per-cell
     precoder power around the reference mean is compared too: it is where
-    the Re(a^T conj(b)) part of ||w||^2, zero in mean, shows.  The engine's
-    ||w||^2 is a conditional mean, so its spread is compared with that of
-    the reference's own conditional mean, not with the raw ||w||^2."""
+    the parts of ||w||^2 that are zero in mean show.  The engine's ||w||^2
+    is its conditional mean given (||a||^2, xi), so its spread is compared
+    with that of the reference's own conditional mean, formed from the
+    P-vectors, not with the raw ||w||^2."""
     gains_at = large_scale_gains(cfg) if gains is None else gains
     reference = _batch_terms(*_reference_statistics(cfg, R, 1, gains_at))
-    engine = _batch_terms(*map(np.concatenate, zip(*_statistics(cfg, R, 2, gains))))
+    engine = _batch_terms(*_engine_rows(cfg, R, 2, gains))
     center = reference["wnorm"].mean(axis=0)
     conditional = _reference_conditional_wnorm(cfg, R, 1, gains_at)
     reference["wnorm_spread"] = (conditional - center) ** 2
@@ -325,29 +340,57 @@ def test_engine_matches_reference_estimator(psi, mode, override):
 
 
 def test_engine_statistics_single_steering_column():
-    # P = 1: the conditional mean of ||b||^2 is |zeta|^2 + P - 1 = |zeta|^2
+    # P = 1: the conditional mean of ||b||^2 is 1 + r (|xi|^2 - 1), no P - 1
     cfg = SystemConfig(L=2, M=2, K=3, n=2, d=2, psi=1)
     worst = _statistics_agree(cfg)
     assert max(worst.values()) < 4.0, worst
 
 
 def test_engine_precoder_power_is_its_conditional_mean():
-    # where s_l = 0 the per-cell ||w||^2 is its mean sum c^2 q P in every
-    # row; in every cell its per-row variance is at most that of the raw
-    # ||w||^2 of the P-vectors.  Low pilot power makes q, which the
-    # conditional mean averages over, the larger part of cell 0's ||w||^2,
-    # so the reduction there stands clear of the two variances' spread
+    # the engine draws no ||w||^2 where s_l = 0: the per-cell ||w||^2 there
+    # is its mean sum c^2 q P, formed once from the model, in the batch mean
+    # and in every assembled row; in the co-pilot cells its per-row
+    # variance is at most that of the raw ||w||^2 of the P-vectors.  Low
+    # pilot power makes q, which the conditional mean averages over, the
+    # larger part of cell 0's ||w||^2, so the reduction there stands clear
+    # of the two variances' spread
     cfg = SystemConfig(L=4, M=3, K=5, n=12, d=2, psi=2, p_u=0.01)
     model = _link_model(cfg)
     other = ~model.shared
     R = 2000
-    engine = np.concatenate([block[0] for block in _statistics(cfg, R, 2, None)])
+    assert all(block[0].shape[1] == model.shared.sum()
+               for block in _statistics(cfg, 3, 2, None))
+    engine = _engine_rows(cfg, R, 2, None)[0]
     rows = engine[:, other]
     assert rows.tobytes() == np.tile(rows[0], (R, 1)).tobytes()
     mean = (model.c ** 2 * model.q * cfg.P)[other].sum(axis=2).sum(axis=1)
     assert rows[0].tobytes() == mean.tobytes()
+    batch = montecarlo._batch_means(cfg, R, 2, None)[0]
+    assert batch[other].tobytes() == mean.tobytes()
     reference = _reference_statistics(cfg, R, 1, large_scale_gains(cfg))[0]
     assert (engine.var(axis=0) <= reference.var(axis=0)).all()
+
+
+def test_orthogonal_pilots_without_pilot_noise_leave_v_at_zero():
+    # psi = L in negligible mode: no cell shares cell 0's pilots and q = 0,
+    # so cx = 0 and v = 0; r is 0 there, not 0/0, y is the deterministic
+    # sum of co ||a||^2, and the SINR is finite with no warning
+    cfg = SystemConfig(psi=7, K=10, n=20, pilot_noise_mode="negligible")
+    model = _link_model(cfg)
+    assert model.shared.tolist() == [True] + [False] * (cfg.L - 1)
+    assert not model.q[0].any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sinr, se = empirical_sinr_rate(cfg, 50, seed=3)
+        (_, y, _), = _statistics(cfg, 5, 3, None)
+    assert np.isfinite(sinr).all() and (sinr > 0.0).all() and np.isfinite(se)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=3, spawn_key=(0,)))
+    co = model.c[0] * model.o[0]
+    for row in y:
+        norm_a = rng.standard_gamma(cfg.P, co.shape)
+        rng.standard_normal((cfg.K, 2))               # xi, times sqrt(v) = 0
+        assert row.real.tobytes() == (co * norm_a).sum(axis=0).tobytes()
+        assert not row.imag.any()
 
 
 @pytest.mark.parametrize("override", [False, True])
@@ -360,9 +403,9 @@ def test_estimator_assembles_batch_means(override):
         gains = large_scale_gains(cfg) * np.random.default_rng(8).uniform(
             0.5, 2.0, (cfg.L, cfg.M, cfg.L, cfg.K))
     R = 30
-    wnorm, eff, eff2, sci, total = (
+    wnorm, eff, eff2, sci, total = _assemble(cfg, gains, *(
         np.mean(term, axis=0)
-        for term in map(np.concatenate, zip(*_statistics(cfg, R, 4, gains))))
+        for term in map(np.concatenate, zip(*_statistics(cfg, R, 4, gains)))))
     lam = cfg.K / wnorm
     inter = sum(lam[l] * total[l] for l in range(1, cfg.L))
     sinr_ref = (lam[0] * np.abs(eff) ** 2
@@ -378,41 +421,36 @@ def test_estimator_assembles_batch_means(override):
 
 def reference_realization(cfg, gains):
     """A function of a generator: the engine's statistics of the one
-    realization it draws from that generator, in the engine's draw order."""
+    realization it draws from that generator, in the engine's draw order:
+    ||a||^2 of every co-pilot (l, m, k), then xi of every co-pilot (l, k)."""
     model = _link_model(cfg, gains)
-    shared, own0 = model.shared, model.o
-    other = ~shared
-    mix = shared[:, None, None]
-    o, q, c = own0[shared], model.q[shared], model.c[shared]
+    shared = model.shared
+    o, q, c = model.o[shared], model.q[shared], model.c[shared]
     co, cx = c * o, c * np.sqrt(o * q)
-    c2o, c2x, c2q = c * co, 2.0 * c * cx, c ** 2 * q
-    c2q_other = model.c[other] ** 2 * model.q[other]
+    cx2, c2o, c2x, c2q = cx * cx, c * co, 2.0 * c * cx, c ** 2 * q
 
     def realization(rng):
         norm_a = rng.standard_gamma(cfg.P, o.shape)
-        zeta = rng.standard_normal(o.shape + (2,)).view(np.complex128)[..., 0]
-        zeta /= np.sqrt(2.0)
-        ab = np.sqrt(norm_a) * zeta
-        norm_b = zeta.real ** 2 + zeta.imag ** 2 + (cfg.P - 1)
-        wnorm = np.empty(own0.shape)
-        wnorm[shared] = c2o * norm_a + c2x * ab.real + c2q * norm_b
-        wnorm[other] = c2q_other * cfg.P
-        per_rrh = wnorm.sum(axis=2)
-        cross = (own0 * (per_rrh[..., None] - mix * wnorm)).sum(axis=1)
-        y = (co * norm_a + cx * ab).sum(axis=1)
-        power = y.real ** 2 + y.imag ** 2
-        total = cross.copy()
-        total[shared] += power
-        return per_rrh.sum(axis=1), y[0], power[0], cross[0], total
+        xi = rng.standard_normal((len(o), cfg.K, 2)).view(np.complex128)[..., 0]
+        xi /= np.sqrt(2.0)
+        u = cx2 * norm_a
+        v = u.sum(axis=1)
+        r = u / np.where(v > 0.0, v, 1.0)[:, None]
+        y = (co * norm_a).sum(axis=1) + np.sqrt(v) * xi
+        spread = (xi.real ** 2 + xi.imag ** 2 - 1.0)[:, None]
+        wnorm = (c2o * norm_a + c2q * (cfg.P + r * spread)
+                 + c2x * np.sqrt(norm_a * r) * xi.real[:, None])
+        return wnorm, y[0], y.real ** 2 + y.imag ** 2
 
     return realization
 
 
 def reference_batch_means(cfg, realizations, seed, gains):
     """The engine one realization at a time, each statistic added into a
-    running sum in realization order: the layout the block engine must
-    reproduce bit for bit.  A fresh generator starts each run of ``RUN``
-    realizations, and the run's later realizations go on from it."""
+    running sum in realization order and the means assembled by the
+    engine's ``_assemble``: the layout the block engine must reproduce bit
+    for bit.  A fresh generator starts each run of ``RUN`` realizations,
+    and the run's later realizations go on from it."""
     realization = reference_realization(cfg, gains)
 
     def streams():
@@ -427,7 +465,7 @@ def reference_batch_means(cfg, realizations, seed, gains):
     for row in terms:
         for total, term in zip(sums, row):
             total += term
-    return [total / realizations for total in sums]
+    return _assemble(cfg, gains, *(total / realizations for total in sums))
 
 
 BIT_CASES = [
