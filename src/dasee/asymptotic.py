@@ -201,13 +201,12 @@ def sinr_breakdown(cfg: SystemConfig,
     return SinrBreakdown(signal, pc, mu_scaled)
 
 
-def deterministic_sinr(cfg: SystemConfig, n: int | None = None,
-                       p_d: float | None = None) -> float:
+def deterministic_sinr(cfg: SystemConfig, n: int | None = None) -> float:
     """Large-system per-user SINR at fixed transmit power."""
     brk = sinr_breakdown(cfg)
     n = cfg.n if n is None else n
-    p_d = cfg.p_d if p_d is None else p_d
-    return brk.S / (cfg.sigma2 / (p_d * n) + brk.I_PC + brk.I_MU_scaled / n)
+    return brk.S / (cfg.sigma2 / (cfg.p_d * n) + brk.I_PC
+                    + brk.I_MU_scaled / n)
 
 
 def rate_margin(brk: SinrBreakdown, gamma: float,
@@ -260,11 +259,10 @@ def _min_antennas(brk: SinrBreakdown, gamma: float, margin: float,
 
 
 def total_power_at_se(cfg: SystemConfig, pm: PowerModel, se: float,
-                      n: int | None = None, p_d: float | None = None) -> float:
+                      n: int | None = None) -> float:
     """Cell power draw at spectral efficiency ``se`` (bits/s/Hz)."""
     return _total_power(cfg, pm, cfg.M, cfg.K, cfg.n if n is None else n,
-                        cfg.p_d if p_d is None else p_d,
-                        _backhaul(cfg, pm, cfg.M, se))
+                        cfg.p_d, _backhaul(cfg, pm, cfg.M, se))
 
 
 def _throughput(cfg: SystemConfig, se: float,

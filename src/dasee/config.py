@@ -256,12 +256,8 @@ def _pow(base, exponent):
         return np.array(powers)
 
 
-def derived_scalars(cfg: SystemConfig, M=None, K=None) -> DerivedScalars:
+def derived_scalars(cfg: SystemConfig) -> DerivedScalars:
     """Aggregate scalars of the averaged interference model.
-
-    ``M`` replaces cfg.M and ``K`` cfg.K; an array of RRH counts makes
-    L_bar1, nu1 and xi arrays, an array of user counts tau_u and, in exact
-    mode, nu1 and nu2: per count, the bits of the scalar evaluation.
 
     In ``negligible`` pilot-noise mode the noise term is dropped from the
     estimation-quality factors, which then reduce to 1/(L_bar * beta).
@@ -269,17 +265,17 @@ def derived_scalars(cfg: SystemConfig, M=None, K=None) -> DerivedScalars:
     the SINR multiplied by alpha1, so those terms are 0 as in exact mode.
     So does an L_bar2 * beta too small for its inverse to be a double.
     """
-    M = cfg.M if M is None else M
-    return _derived_scalars(cfg, M, K, _pow(M, cfg.iota / 2.0))
+    return _derived_scalars(cfg, cfg.M, cfg.K, _pow(cfg.M, cfg.iota / 2.0))
 
 
 def _derived_scalars(cfg: SystemConfig, M, K, m_half) -> DerivedScalars:
-    """``derived_scalars`` at M given its M^(iota/2), ``m_half``."""
+    """``derived_scalars`` at M, given its M^(iota/2) ``m_half``, and K; at
+    an array of counts, per count the bits of the scalar evaluation."""
     L, alpha1, alpha2, beta = cfg.L, cfg.alpha1, cfg.alpha2, cfg.beta
     copilot = alpha2 * (L / cfg.psi - 1.0)
     l_bar1 = m_half + copilot
     l_bar2 = alpha1 + copilot
-    tau_u = cfg.psi * (cfg.K if K is None else K)
+    tau_u = cfg.psi * K
     if cfg.pilot_noise_mode == "negligible":
         nu1 = 1.0 / (l_bar1 * beta)
         gain2 = l_bar2 * beta

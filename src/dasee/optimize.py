@@ -110,17 +110,17 @@ def ee_or_none(cfg: SystemConfig, pm: PowerModel, gamma: float,
         return None
 
 
-def optimal_n(cfg: SystemConfig, pm: PowerModel, gamma: float,
-              M: int | None = None) -> OptimizationResult:
+def optimal_n(cfg: SystemConfig, pm: PowerModel,
+              gamma: float) -> OptimizationResult:
     """Closed-form EE-optimal antennas per RRH for a target rate gamma.
 
     The continuous optimum balances the per-antenna circuit power against
     the transmit power, offset by the minimum feasible antenna count; the
-    integer answer is the EE-preferred neighbor.  ``M`` replaces cfg.M.
+    integer answer is the EE-preferred neighbor.
     Raises OptimizationError when the balance point lies beyond 2^53
     antennas (a negligible P_RRH) or the EE is 0 at every n (``ZERO_EE``).
     """
-    return _optimal_n(Design(override(cfg, M=M), pm, gamma))
+    return _optimal_n(Design(cfg, pm, gamma))
 
 
 def _optimal_n(design: Design) -> OptimizationResult:
@@ -246,6 +246,8 @@ def optimal_k(cfg: SystemConfig, pm: PowerModel,
     k_star = floor_ceil_select(min(k_real, clean.T // clean.psi),
                                lambda K: ee_or_none(clean, pm, gamma, K=K))
     ee, p_d, _ = operating_point(clean.replace(K=k_star), pm, gamma)
+    if ee == 0.0:
+        raise OptimizationError(ZERO_EE.format("K"))
     return OptimizationResult(ee=ee, p_d=p_d, K=k_star, n=clean.n, M=clean.M,
                               x_real=k_real, window=(0.0, upper))
 

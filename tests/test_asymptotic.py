@@ -64,8 +64,8 @@ def test_colocated_collapse():
 def test_sinr_monotone_in_n_and_power():
     values_n = [deterministic_sinr(CFG, n=n) for n in (10, 20, 40, 80)]
     assert all(a < b for a, b in zip(values_n, values_n[1:]))
-    assert deterministic_sinr(CFG, n=20, p_d=2.0) > deterministic_sinr(
-        CFG, n=20, p_d=1.0)
+    assert deterministic_sinr(CFG.replace(p_d=2.0), n=20) > deterministic_sinr(
+        CFG.replace(p_d=1.0), n=20)
 
 
 def test_pc_ceiling():
@@ -80,7 +80,7 @@ def test_pc_ceiling():
 def test_transmit_power_round_trip():
     # gamma achieved at p_d = 1 W inverts back to 1 W
     for n in (10, 25, 60):
-        gamma = math.log2(1.0 + deterministic_sinr(CFG, n=n, p_d=1.0))
+        gamma = math.log2(1.0 + deterministic_sinr(CFG.replace(p_d=1.0), n=n))
         assert math.isclose(Design(CFG, PM, gamma).transmit_power(n), 1.0,
                             rel_tol=1e-10)
 
@@ -309,7 +309,7 @@ def test_rate_above_ceiling_rejected():
 
 def test_total_power_static_floor():
     # traffic terms vanish with zero rate and vanishing transmit power
-    floor = total_power_at_se(CFG, PM, se=0.0, n=20, p_d=1e-300)
+    floor = total_power_at_se(CFG.replace(p_d=1e-300), PM, se=0.0, n=20)
     assert math.isclose(floor, 9.0 + 20 * 7 * 0.2 + 7 * 0.825, rel_tol=1e-12)
 
 
@@ -322,10 +322,10 @@ def test_total_power_matches_reference_optimum():
 
 
 def test_total_power_linear_in_rrh_power():
-    p_d = 0.3
     se = (CFG.T - CFG.tau_u) / CFG.T * CFG.K * 2.0
-    base = total_power_at_se(CFG, PM, se, n=20, p_d=p_d)
-    doubled = total_power_at_se(CFG, PM.replace(P_RRH=0.4), se, n=20, p_d=p_d)
+    cfg = CFG.replace(p_d=0.3)
+    base = total_power_at_se(cfg, PM, se, n=20)
+    doubled = total_power_at_se(cfg, PM.replace(P_RRH=0.4), se, n=20)
     assert math.isclose(doubled - base, 20 * 7 * 0.2, rel_tol=1e-12)
 
 
@@ -385,8 +385,8 @@ def test_efficiency_composition_identity():
             continue
         p_d = Design(cfg, PM, gamma).transmit_power(cfg.n)
         se = (cfg.T - cfg.tau_u) / cfg.T * cfg.K * gamma
-        assert math.isclose(ee * total_power_at_se(cfg, PM, se, p_d=p_d),
-                            cfg.B * se, rel_tol=1e-12)
+        power = total_power_at_se(cfg.replace(p_d=p_d), PM, se)
+        assert math.isclose(ee * power, cfg.B * se, rel_tol=1e-12)
 
 
 def test_bandwidth_invariant_argmax():

@@ -21,7 +21,7 @@ from dasee.asymptotic import (InfeasibleAntennasError, RateUnachievableError,
                               total_power_at_se)
 from dasee.cli import build_parser, main, n_sweep, scenario_from_args
 from dasee.config import (_DBM_CONVERTIBLE, ConfigError, PowerModel,
-                          SystemConfig, load_scenario)
+                          SystemConfig, load_scenario, override)
 from dasee.montecarlo import rate_from_sinr
 from dasee.optimize import OptimizationError, ee_or_none, optimal_n
 
@@ -653,16 +653,41 @@ def test_mc_validate_prints_the_pinned_rows(capsys, flags, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (("opt-n", "--gamma", "2"),
+     "e91e293a84c360ea5b9e5df353e95691f464bda8bd5dc77a012fd625a6eb5967"),
+    (("opt-n", "--gamma", "2", "--no-pc"),
+     "8396a7b085e30fd2706ec515274b094a3b6a8dc8bb6bf27851ba595354b1d109"),
+    (("opt-n", "--gamma", "2", "--pilot-noise-mode", "negligible"),
+     "8f908e4ca93a6b9bdcaa43c8f37005e04167eeb9476a9dd808abf115411e8e39"),
+    (("opt-k", "--gamma", "2", "--n", "20"),
+     "51168efb4e8e93e895f6ff2046509208c6f3906cc93d4063b3f9907c29312b0c"),
+    (("opt-m", "--gamma", "2", "--fixed-n"),
+     "9f07f90535cf2913f8f7a13faddbda85d5a49fb20a2c8e8bf788d54879025e7e"),
+    (("joint", "--gamma", "2"),
+     "7a87153c518c14b99bfd2be23a00cc3bbf60c774de7baa61c106d773d4fa6aa2"),
+    (("joint", "--gamma", "2", "--pilot-noise-mode", "negligible"),
+     "f8777848f6483cb974492833a10c6f91042c34d5a0a3e2c0cbdef12cc1ab5c61")])
+def test_optimizers_print_the_pinned_json(capsys, argv, digest):
+    # sha256 of stdout, which a refactor of the optimizers keeps; no
+    # optimizer calls np.log2, whose last bit may vary with the SIMD target
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ("opt-n", "--gamma", "2", "--K", "196"),
     ("opt-n", "--gamma", "2", "--K", "28", "--psi", "7"),
     ("opt-n", "--gamma", "2", "--no-pc", "--K", "28"),
     ("opt-m", "--gamma", "2", "--K", "28", "--psi", "7"),
     ("joint", "--gamma", "2", "--K", "28", "--psi", "7"),
-    ("opt-m", "--gamma", "2", "--K", "28", "--psi", "7", "--fixed-n")])
+    ("opt-m", "--gamma", "2", "--K", "28", "--psi", "7", "--fixed-n"),
+    ("opt-k", "--gamma", "2", "--T", "7", "--psi", "7", "--K", "1")])
 def test_optimum_without_data_symbols_exits_3(capsys, argv):
-    # psi*K = T: every symbol is a pilot, so the EE is 0 at every n and M;
-    # these printed an EE of 0.0 at a tie-broken n* or M*, exit 0
+    # psi*K = T: every symbol is a pilot, so the EE is 0 at every n and M
+    # (and at T = psi at the one K); these printed an EE of 0.0 at a
+    # tie-broken n*, M* or K*, exit 0
     code, out, err = run(capsys, *argv)
     assert (code, out) == (3, ""), (argv, out)
     assert err.startswith("infeasible: ") and "the EE is 0 at every " in err
@@ -959,7 +984,7 @@ def _ee_or_nan_any(cfg, pm, n):
 
 def _n_star_or_missing(cfg, pm, gamma=figures.GAMMA_DEFAULT, M=None):
     try:
-        result = optimal_n(cfg, pm, gamma, M=M)
+        result = optimal_n(override(cfg, M=M), pm, gamma)
     except (RateUnachievableError, OptimizationError):
         return -1, math.nan
     return result.n, result.ee

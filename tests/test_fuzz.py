@@ -141,6 +141,8 @@ def test_opt_n_exits_cleanly(model, gamma, no_pc):
 
 @FUZZ
 @given(model=_MODEL_ARGV, gamma=_GAMMA)
+# T = psi leaves K = 1 alone, with no data symbols: once an EE of 0, exit 0
+@example(model=["--T=7", "--psi=7", "--K=1"], gamma=2.0)
 def test_opt_k_exits_cleanly(model, gamma):
     _assert_clean(["opt-k", f"--gamma={gamma!r}", *model])
 

@@ -11,7 +11,8 @@ from dasee.asymptotic import (InfeasibleAntennasError, InfeasibleError,
                               RateUnachievableError, energy_efficiency,
                               min_antennas, operating_point, rate_margin,
                               sinr_breakdown)
-from dasee.config import ConfigError, PowerModel, SystemConfig, derived_scalars
+from dasee.config import (ConfigError, PowerModel, SystemConfig,
+                          derived_scalars, override)
 from dasee.optimize import (BISECTION_WIDTH, OptimizationError,
                             OptimizationResult, exhaustive_argmax,
                             floor_ceil_select, optimal_k, optimal_m,
@@ -331,6 +332,16 @@ def test_optimal_k_unique_root_on_grid():
         assert (np.diff(signs) != 0).sum() == 1
 
 
+@pytest.mark.parametrize("cfg,gamma", [
+    (CFG.replace(T=7, psi=7, K=1), 2.0),   # K = 1 alone, no data symbols
+    (CFG.replace(B=5e-324), 1e-10)])       # B*se rounds to 0 at every K
+def test_optimal_k_of_ee_0_raises(cfg, gamma):
+    # both returned an EE of 0 at K*, as optimal_n raises ZERO_EE at n*
+    with pytest.raises(OptimizationError) as exc:
+        optimal_k(cfg, PM, gamma)
+    assert str(exc.value) == optimize.ZERO_EE.format("K")
+
+
 # --- RRH count ------------------------------------------------------------
 
 def test_optimal_m_joint_reference_point():
@@ -419,9 +430,9 @@ def test_optimal_m_skips_m_without_integer_optimum(monkeypatch):
     monkeypatch.setattr(asymptotic.Design, "transmit_power", none_at_5)
     cfg = CFG.replace(K=10)
     with pytest.raises(OptimizationError, match="both neighbors of 17.12"):
-        optimal_n(cfg, PM, 2.0, M=5)
+        optimal_n(cfg.replace(M=5), PM, 2.0)
     result = optimal_m(CFG, PM, 2.0, K=10, M_max=8)
-    assert (result.M, result.n) == (6, optimal_n(cfg, PM, 2.0, M=6).n)
+    assert (result.M, result.n) == (6, optimal_n(cfg.replace(M=6), PM, 2.0).n)
 
 
 def test_unrepresentable_antenna_optimum_is_unachievable():
@@ -430,7 +441,7 @@ def test_unrepresentable_antenna_optimum_is_unachievable():
     clean = CFG.replace(psi=7)
     for gamma, M in ((1000.0, None), (1023.9, None), (1023.9, 1)):
         with pytest.raises(RateUnachievableError):
-            optimal_n(clean, PM, gamma, M=M)
+            optimal_n(override(clean, M=M), PM, gamma)
 
 
 def _each_m(cfg, pm, gamma, m_max, n=None):
@@ -441,7 +452,7 @@ def _each_m(cfg, pm, gamma, m_max, n=None):
     for M in range(1, m_max + 1):
         try:
             if n is None:
-                results.append(optimal_n(cfg, pm, gamma, M=M))
+                results.append(optimal_n(cfg.replace(M=M), pm, gamma))
             else:
                 ee, p_d, _ = operating_point(cfg.replace(n=n, M=M), pm, gamma)
                 results.append(OptimizationResult(ee=ee, p_d=p_d, n=n, M=M,
@@ -485,7 +496,7 @@ def _figure9_by_m(cfg, pm):
     for K in (10, 50, 100):
         for M in range(1, 16):
             try:
-                res = optimal_n(cfg.replace(K=K), pm, 2.0, M=M)
+                res = optimal_n(cfg.replace(K=K).replace(M=M), pm, 2.0)
                 n_star, ee = res.n, res.ee
             except InfeasibleError:
                 n_star, ee = -1, math.nan
